@@ -1,0 +1,60 @@
+"""Byte-for-byte comparison of CLI reports with committed golden files.
+
+The files under ``tests/golden`` were written by the CLI with the default
+seed and the ``Fraction`` backend.  A refactor must reproduce them exactly;
+regenerate them (``python tests/test_golden.py``) only when a change is
+meant to alter a report, and say which reports changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from tl2b._ratback import BACKEND
+from tl2b.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+CASES = [
+    *([cmd, "--n", str(n)]
+      for cmd in ("relations", "gram", "basis", "spinchain", "modules")
+      for n in range(2, 6)),
+    *(["irreps", "--n", str(n)] for n in range(2, 5)),
+    ["irreps", "--n", "4", "--theta=-,3,+,-"],
+    ["irreps", "--n", "5", "--theta=+,2,-,+"],
+]
+
+
+def golden_name(argv: list[str]) -> str:
+    """``irreps --n 4 --theta=-,3,+,-`` -> ``irreps_n4_theta_m3pm.json``."""
+    name = f"{argv[0]}_n{argv[2]}"
+    for arg in argv[3:]:
+        twist = arg.split("=", 1)[1]
+        name += "_theta_" + twist.translate(str.maketrans("+-", "pm", ","))
+    return name + ".json"
+
+
+def report(argv: list[str]) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.skipif(BACKEND != "fraction",
+                    reason="golden reports record the Fraction backend name")
+@pytest.mark.parametrize("argv", CASES, ids=golden_name)
+def test_report_matches_golden(argv):
+    assert report(argv) == (GOLDEN / golden_name(argv)).read_bytes()
+
+
+if __name__ == "__main__":
+    if BACKEND != "fraction":
+        sys.exit("regenerate the golden reports with TL2B_RATIONAL=fraction")
+    for argv in CASES:
+        (GOLDEN / golden_name(argv)).write_bytes(report(argv))
