@@ -67,7 +67,8 @@ def run(backend: str, n: int) -> dict:
                          capture_output=True, text=True, env=env,
                          cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     if out.returncode != 0:
-        raise RuntimeError(out.stderr)
+        lines = out.stderr.strip().splitlines()
+        raise RuntimeError(lines[-1] if lines else f"exit code {out.returncode}")
     return json.loads(out.stdout)
 
 
@@ -77,8 +78,8 @@ def main() -> None:
     for backend in ("gmpy2", "fraction"):
         try:
             rows.append(run(backend, n))
-        except Exception as exc:  # gmpy2 may be absent
-            print(f"backend {backend}: skipped ({exc})")
+        except RuntimeError as exc:  # gmpy2 may be absent
+            print(f"backend {backend}: unavailable ({exc})")
     if not rows:
         return
     keys = [k for k in rows[0] if k != "backend"]

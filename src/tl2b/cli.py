@@ -8,6 +8,7 @@ identity fails.  Reports are byte-identical for identical configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -15,11 +16,21 @@ import sys
 
 from . import __version__
 from ._ratback import BACKEND, rat_from_str
+from .audit import audit
 from .scalars import (GenericityError, ParamPoint, derive_params,
                       make_param_point)
 from .symbolic import SymbolicPoint
 from .linalg import exact_det
 from . import hecke, irreps, pathbasis, spinchain, wordrep
+
+
+_SIGNS = {"+": 1, "-": -1, "1": 1, "-1": -1}
+
+
+def _sign(text: str) -> int:
+    if text not in _SIGNS:
+        raise ValueError(f"--theta sign {text!r} is not one of + - 1 -1")
+    return _SIGNS[text]
 
 
 def _parse_theta(text: str):
@@ -29,29 +40,42 @@ def _parse_theta(text: str):
         return ("generic", None)
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 4:
-        sign = {"+": 1, "-": -1, "1": 1, "-1": -1}[parts[0]]
-        eps = {"+": 1, "-": -1, "1": 1, "-1": -1}
-        return ("exceptional", (sign, int(parts[1]), eps[parts[2]], eps[parts[3]]))
+        return ("exceptional", (_sign(parts[0]), int(parts[1]),
+                                _sign(parts[2]), _sign(parts[3])))
     return ("explicit", rat_from_str(text))
 
 
+@contextlib.contextmanager
+def _unlimited_int_strings():
+    """Lift the interpreter's cap on int-to-decimal conversion while a
+    command runs: exact determinants from N = 7 on have more digits than the
+    default 4300.  Every user-supplied string is parsed before, under it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _build_point(args):
-    mode, detail = _parse_theta(args.theta)
+    mode, detail = args.twist
     if args.backend == "symbolic":
         if mode != "generic":
             raise SystemExit("the symbolic backend only supports --theta generic")
-        return SymbolicPoint(), mode
+        return SymbolicPoint()
     if mode == "generic":
-        return make_param_point(args.seed, args.bound), mode
+        return make_param_point(args.seed, args.bound)
     if mode == "exceptional":
-        sign, m, e1, e2 = detail
-        espec = irreps.ExceptionalSpec(args.n, sign, m, e1, e2)
-        return irreps.make_exceptional_point(args.seed, espec, args.bound), mode
+        espec = irreps.ExceptionalSpec(args.n, *detail)
+        return irreps.make_exceptional_point(args.seed, espec, args.bound)
     base = make_param_point(args.seed, args.bound)
     try:
-        return (ParamPoint(base.s, base.a, base.v, detail,
-                           genericity_bound=args.bound,
-                           theta_mode="explicit"), mode)
+        return ParamPoint(base.s, base.a, base.v, detail,
+                          genericity_bound=args.bound, theta_mode="explicit")
     except GenericityError as exc:
         raise SystemExit(f"explicit twist rejected: {exc}")
 
@@ -79,15 +103,14 @@ def _envelope(args, command: str, results, extra=None) -> dict:
 
 
 def _emit(args, doc) -> int:
-    if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
-    else:
-        text = _to_csv(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        if args.format == "json":
+            # streamed, so the text of a large report is never held whole
+            json.dump(doc, handle, indent=2, sort_keys=True, default=str)
+            handle.write("\n")
+        else:
+            handle.write(_to_csv(doc))
     return 0 if doc["status"] == "pass" else 1
 
 
@@ -106,36 +129,33 @@ def _to_csv(doc) -> str:
     return buf.getvalue()
 
 
-def _point_json(point) -> dict:
-    return point.to_json()
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_relations(args) -> int:
-    point, _ = _build_point(args)
+    point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)
     results = list(wordrep.relation_audit(spec))
     gens = hecke.lift_to_hecke(spec)
     results += hecke.hecke_relation_audit(gens)
-    for kind in ("A", "B", "C"):
-        results += hecke.murphy_commutation_audit(hecke.murphy(kind, gens))
-    results += hecke.equivalent_presentation_audit(hecke.murphy("C", gens))
-    results += hecke.centre_audit(spec)
-    results += hecke.iji_audit(spec)
+    affine = hecke.murphy("C", gens)
+    for fam in (hecke.murphy("A", gens), hecke.murphy("B", gens), affine):
+        results += hecke.murphy_commutation_audit(fam)
+    results += hecke.equivalent_presentation_audit(affine)
+    results += hecke.centre_audit(spec, affine)
+    results += hecke.iji_audit(spec, affine)
     rep = pathbasis.ModuleRep(spec)
     results += pathbasis.ybe_audit(rep)
     results.sort(key=lambda r: r["identity_id"])
     doc = _envelope(args, "relations", results,
-                    {"point": _point_json(point)})
+                    {"point": point.to_json()})
     return _emit(args, doc)
 
 
 def cmd_gram(args) -> int:
-    point, _ = _build_point(args)
+    point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)
     gram = wordrep.gram_matrix(spec)
@@ -144,11 +164,8 @@ def cmd_gram(args) -> int:
     closed_half = pathbasis.gram_closed_form_halfdiagram(args.n, point,
                                                          params.s1)
     factors = pathbasis.gram_closed_form_report(args.n, point)
-    results = [{
-        "identity_id": "gram.det.halfdiagram_basis",
-        "status": "pass" if brute == closed_half else "fail",
-        "deviation": "0" if brute == closed_half else "mismatch",
-    }]
+    results = [audit("gram.det.halfdiagram_basis",
+                     None if brute == closed_half else "mismatch")]
     basis = [str(h) for h in wordrep.enumerate_basis(spec)]
     exc = [{"sign": s, "m": m, "eps1": e1, "eps2": e2}
            for (s, m, e1, e2) in pathbasis.exceptional_points(args.n)]
@@ -164,7 +181,7 @@ def cmd_gram(args) -> int:
                                  "mult": item["mult"],
                                  "value": str(item["value"])})
     doc = _envelope(args, "gram", results, {
-        "point": _point_json(point),
+        "point": point.to_json(),
         "basis": basis,
         "gram_matrix": [[str(x) for x in row] for row in gram.rows],
         "det_halfdiagram_basis": str(brute),
@@ -177,22 +194,20 @@ def cmd_gram(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    point, _ = _build_point(args)
+    point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)
     rep = pathbasis.ModuleRep(spec)
     basis = pathbasis.build_b1(rep)
-    results = []
-    results.append({"identity_id": "b1.order_independence",
-                    "status": "pass" if pathbasis.tile_order_independence(basis)
-                    else "fail", "deviation": "0"})
+    results = [audit("b1.order_independence",
+                     pathbasis.tile_order_independence(basis))]
     results += pathbasis.action_audit_b1(basis)
     results += pathbasis.murphy_audit_b1(basis)
     results += pathbasis.idempotent_identities(rep)
     diag = pathbasis.gram_diag_b1(basis)
     results.sort(key=lambda r: r["identity_id"])
     doc = _envelope(args, "basis", results, {
-        "point": _point_json(point),
+        "point": point.to_json(),
         "paths": [list(p) for p in basis.paths],
         "gram_diagonal": {",".join(map(str, p)): str(diag[p])
                           for p in basis.paths},
@@ -201,7 +216,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_spinchain(args) -> int:
-    point, _ = _build_point(args)
+    point = _build_point(args)
     params = derive_params(point)
     results = spinchain.spin_relation_audit(args.n, point, params)
     results += spinchain.twist_symmetry_audit(args.n, point)
@@ -209,52 +224,48 @@ def cmd_spinchain(args) -> int:
     results.sort(key=lambda r: r["identity_id"])
     ground = spinchain.ebar(args.n, point)
     doc = _envelope(args, "spinchain", results, {
-        "point": _point_json(point),
+        "point": point.to_json(),
         "ebar": spinchain.spin_vector_to_json(ground, args.n),
     })
     return _emit(args, doc)
 
 
 def cmd_irreps(args) -> int:
-    mode, detail = _parse_theta(args.theta)
+    mode, detail = args.twist
     results = []
     extra = {}
     if mode == "exceptional":
-        sign, m, e1, e2 = detail
-        espec = irreps.ExceptionalSpec(args.n, sign, m, e1, e2)
+        espec = irreps.ExceptionalSpec(args.n, *detail)
         point = irreps.make_exceptional_point(args.seed, espec, args.bound)
         params = derive_params(point)
         spec = wordrep.ModuleSpec.big(args.n, params)
         basis = pathbasis.build_b1(pathbasis.ModuleRep(spec))
         pair = irreps.detect_invariant(basis, espec)
-        results += [{"identity_id": f"irreps.sub.{r['identity_id']}",
-                     "status": r["status"], "deviation": r["deviation"]}
-                    for r in irreps.family_relation_audit(pair.sub, params)]
-        results += [{"identity_id": f"irreps.quo.{r['identity_id']}",
-                     "status": r["status"], "deviation": r["deviation"]}
-                    for r in irreps.family_relation_audit(pair.quo, params)]
+        results += irreps.family_relation_audit(pair.sub, params,
+                                                "irreps.sub.family.")
+        results += irreps.family_relation_audit(pair.quo, params,
+                                                "irreps.quo.family.")
         lam_s, err = irreps.central_character(pair.sub, point)
         expected = irreps.expected_character(point, args.n,
                                              espec.theta_exponent())
-        results.append({"identity_id": "irreps.central.sub",
-                        "status": "pass" if err is None and lam_s == expected
-                        else "fail", "deviation": "0"})
-        extra = {"point": _point_json(point),
+        if err is not None:  # the centre is not scalar on the block
+            deviation = f"entry{err}"
+        else:
+            deviation = None if lam_s == expected else f"character {lam_s}"
+        results.append(audit("irreps.central.sub", deviation))
+        sub_dim = wordrep.irrep_dim(args.n, espec.m)
+        extra = {"point": point.to_json(),
                  "dims": {"sub": pair.dims[0], "quo": pair.dims[1]},
-                 "expected_dims": {"sub": wordrep.irrep_dim(args.n, m),
-                                   "quo": (1 << args.n)
-                                   - wordrep.irrep_dim(args.n, m)}}
+                 "expected_dims": {"sub": sub_dim,
+                                   "quo": (1 << args.n) - sub_dim}}
     else:
         verdicts = []
         for (n, e1, e2) in irreps.conjecture_cases(args.n):
             rep = irreps.conjecture_check(args.n, n, e1, e2, args.seed)
             verdicts.append(rep)
-            results.append({
-                "identity_id": f"irreps.conjecture.n{n}.e{e1}.e{e2}",
-                "status": "pass" if rep["verdict"] == "equivalent" else "fail",
-                "deviation": "0" if rep["verdict"] == "equivalent"
-                else rep["verdict"],
-            })
+            results.append(audit(
+                f"irreps.conjecture.n{n}.e{e1}.e{e2}",
+                None if rep["verdict"] == "equivalent" else rep["verdict"]))
         extra = {"verdicts": verdicts,
                  "note": "equivalence verdicts are desk-scale evidence"}
     results.sort(key=lambda r: r["identity_id"])
@@ -263,7 +274,7 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_modules(args) -> int:
-    point, _ = _build_point(args)
+    point = _build_point(args)
     params = derive_params(point)
     nodes = []
     edges = []
@@ -282,7 +293,7 @@ def cmd_modules(args) -> int:
                 name = f"W({n},{nn})[{'+' if e1 == 1 else '-'}{'+' if e2 == 1 else '-'}]"
                 nodes.append({"module": name, "n": nn, "eps1": e1, "eps2": e2,
                               "through_lines": n_through,
-                              "dim": len(wordrep.enumerate_basis(spec)),
+                              "dim": spec.dim,
                               "expected_dim": wordrep.irrep_dim(n, nn)})
     nodes.append({"module": f"W({n})(b)", "n": None, "through_lines": 0,
                   "dim": 1 << n, "expected_dim": 1 << n})
@@ -296,11 +307,11 @@ def cmd_modules(args) -> int:
             edges.append({"from": d["module"], "to": by_key[lower]})
         elif d["through_lines"] <= 2:
             edges.append({"from": d["module"], "to": f"W({n})(b)"})
-    results = [{"identity_id": f"modules.dim.{d['module']}",
-                "status": "pass" if d["dim"] == d["expected_dim"] else "fail",
-                "deviation": "0"} for d in nodes]
+    results = [audit(f"modules.dim.{d['module']}",
+                     None if d["dim"] == d["expected_dim"]
+                     else f"dim {d['dim']}") for d in nodes]
     doc = _envelope(args, "modules", results, {
-        "point": _point_json(point),
+        "point": point.to_json(),
         "modules": nodes,
         "embedding_edges": edges,
     })
@@ -332,7 +343,9 @@ def main(argv=None) -> int:
     if args.backend == "symbolic" and args.n > 4:
         parser.error("the symbolic backend is supported for n <= 4")
     try:
-        return args.func(args)
+        args.twist = _parse_theta(args.theta)
+        with _unlimited_int_strings():
+            return args.func(args)
     except (GenericityError, ValueError, ArithmeticError) as exc:
         record = {"schema": "tl2b/1", "command": args.command,
                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}

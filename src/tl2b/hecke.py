@@ -16,58 +16,104 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .audit import audit
 from .linalg import Matrix, commutator
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
-from .wordrep import ModuleSpec, enumerate_basis, generator_matrix, idempotent_words
+from .wordrep import (ModuleSpec, generator_matrix, idempotent_words,
+                      word_product)
 
 
 @dataclass(frozen=True)
 class HeckeGenSet:
-    """The lifted generators g_0 .. g_N and their inverses on one module."""
+    """The lifted generators g_0 .. g_N and their inverses over an e-family."""
 
-    spec: ModuleSpec
+    point: object
+    e: tuple[Matrix, ...]
     g: tuple[Matrix, ...]
     ginv: tuple[Matrix, ...]
 
     @property
     def n_sites(self) -> int:
-        return self.spec.n_sites
+        return len(self.e) - 1
+
+    @property
+    def dim(self) -> int:
+        return self.e[0].nrows
 
     def word(self, letters) -> Matrix:
         """Product of g letters; negative index -i-1 means g_i^-1."""
-        out = Matrix.identity(len(enumerate_basis(self.spec)))
+        out = Matrix.identity(self.dim)
         for ell in letters:
             out = out @ (self.g[ell] if ell >= 0 else self.ginv[-ell - 1])
         return out
 
 
+def g_coefficients(point, n_sites: int, i: int, sign: int):
+    """(lead, coeff) with g_i^sign = lead + coeff * e_i."""
+    if 0 < i < n_sites:
+        return -point.q_power(ONE.scale(-sign)), 1
+    exp = OMEGA1 if i == 0 else OMEGA2
+    return (point.q_power(exp.scale(sign)),
+            point.q_power((ONE + exp).scale(-sign))
+            - point.q_power((ONE + exp).scale(sign)))
+
+
+def lift_family(family, point) -> HeckeGenSet:
+    """The Hecke generators over e_0 .. e_N (``family[0]`` .. ``family[N]``)."""
+    e = tuple(family[i] for i in range(len(family)))
+
+    def lift(i, sign):
+        lead, coeff = g_coefficients(point, len(e) - 1, i, sign)
+        mat = e[i].scale(coeff)
+        for k, row in enumerate(mat.rows):
+            row[k] = row[k] + lead
+        return mat
+
+    return HeckeGenSet(point, e, tuple(lift(i, 1) for i in range(len(e))),
+                       tuple(lift(i, -1) for i in range(len(e))))
+
+
 def lift_to_hecke(spec: ModuleSpec) -> HeckeGenSet:
-    point = spec.params.point
-    n = spec.n_sites
-    dim = len(enumerate_basis(spec))
-    ident = Matrix.identity(dim)
-    gs, ginvs = [], []
-    for i in range(n + 1):
-        e_mat = generator_matrix(spec, i)
-        for sign in (1, -1):
-            if i == 0:
-                exp, shift = OMEGA1, ONE + OMEGA1
-            elif i == n:
-                exp, shift = OMEGA2, ONE + OMEGA2
-            else:
-                mat = e_mat - ident.scale(point.q_power(ONE.scale(-sign)))
-                (gs if sign == 1 else ginvs).append(mat)
-                continue
-            coeff = (point.q_power(shift.scale(sign))
-                     - point.q_power(shift.scale(-sign)))
-            mat = ident.scale(point.q_power(exp.scale(sign))) - e_mat.scale(coeff)
-            (gs if sign == 1 else ginvs).append(mat)
-    return HeckeGenSet(spec, tuple(gs), tuple(ginvs))
+    return lift_family([generator_matrix(spec, i)
+                        for i in range(spec.n_sites + 1)], spec.params.point)
+
+
+# ---------------------------------------------------------------------------
+# Murphy families
+
+
+def inverse_word(letters) -> tuple[int, ...]:
+    """Letters of the inverse element: reversed, each letter inverted."""
+    return tuple(-ell - 1 for ell in reversed(letters))
+
+
+def _murphy_start(kind: str, n_sites: int) -> tuple[int, tuple[int, ...]]:
+    if kind == "A":
+        return 1, (1, 1)
+    if kind == "B":
+        return 0, (0,)
+    if kind == "C":
+        bulk = range(1, n_sites)
+        return 0, (tuple(-i - 1 for i in bulk) + (n_sites,)
+                   + tuple(reversed(bulk)) + (0,))
+    raise ValueError(f"unknown Murphy kind {kind!r}")
+
+
+def murphy_word(kind: str, n_sites: int, m: int) -> tuple[int, ...]:
+    """Letters of J_m, as in ``HeckeGenSet.word``.
+
+    The first element of each family is A: J_1 = g_1 g_1, B: J_0 = g_0, and
+    C: J_0 = g_1^-1 .. g_{N-1}^-1 g_N g_{N-1} .. g_1 g_0; above it
+    J_m = g_m J_{m-1} g_m.
+    """
+    start, first = _murphy_start(kind, n_sites)
+    up = tuple(range(start + 1, m + 1))
+    return up[::-1] + first + up
 
 
 @dataclass(frozen=True)
 class MurphyFamily:
-    """Pairwise-commuting family J_0 .. J_{N-1}, built by J_i = g_i J_{i-1} g_i."""
+    """Pairwise-commuting family J_0 .. J_{N-1} (J_1 .. J_{N-1} for A)."""
 
     kind: str  # "A", "B" or "C"
     gens: HeckeGenSet
@@ -76,85 +122,53 @@ class MurphyFamily:
 
 
 def murphy(kind: str, gens: HeckeGenSet) -> MurphyFamily:
-    n = gens.n_sites
-    if kind == "A":
-        first = gens.g[1] @ gens.g[1]
-        first_inv = gens.ginv[1] @ gens.ginv[1]
-        start = 1
-    elif kind == "B":
-        first = gens.g[0]
-        first_inv = gens.ginv[0]
-        start = 0
-    elif kind == "C":
-        rng = range(1, n)
-        letters = [-i - 1 for i in rng] + [n] + [i for i in reversed(rng)] + [0]
-        first = gens.word(letters)
-        inv_letters = [-1] + [-i - 1 for i in rng] + [-n - 1] + [i for i in reversed(rng)]
-        first_inv = gens.word(inv_letters)
-        start = 0
-    else:
-        raise ValueError(f"unknown Murphy kind {kind!r}")
-    js, jinvs = [first], [first_inv]
-    for i in range(start + 1, n):
+    """The family of ``murphy_word``, built by J_m = g_m J_{m-1} g_m."""
+    start, first = _murphy_start(kind, gens.n_sites)
+    js, jinvs = [gens.word(first)], [gens.word(inverse_word(first))]
+    for i in range(start + 1, gens.n_sites):
         js.append(gens.g[i] @ js[-1] @ gens.g[i])
         jinvs.append(gens.ginv[i] @ jinvs[-1] @ gens.ginv[i])
     return MurphyFamily(kind, gens, tuple(js), tuple(jinvs))
-
-
-def murphy_eigenvalue_b(point, n: int, h_n: int, h_n1: int):
-    """Eigenvalue of the n-th type-B Murphy element on a lattice path."""
-    exp = HalfExponent(m=-(h_n1 * h_n1 - h_n * h_n) + (1 - 2 * n),
-                       c1=2 * (h_n1 - h_n))
-    return point.q_power(exp)
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
-def _rec(ident: str, diff: Matrix) -> dict:
-    where = diff.first_nonzero()
-    return {"identity_id": ident,
-            "status": "pass" if where is None else "fail",
-            "deviation": "0" if where is None else f"entry{where}"}
-
-
 def hecke_relation_audit(gens: HeckeGenSet) -> list[dict]:
     """Quadratic, braid and commutation relations plus the kernel relations
     of the surjection onto the diagram algebra."""
-    spec = gens.spec
-    point = spec.params.point
+    point = gens.point
     n = gens.n_sites
-    dim = len(enumerate_basis(spec))
-    ident = Matrix.identity(dim)
+    ident = Matrix.identity(gens.dim)
     q = lambda k: point.q_power(ONE.scale(k))
     qe = point.q_power
     out = []
     for i in range(n + 1):
-        out.append(_rec(f"hecke.inverse.{i}", gens.g[i] @ gens.ginv[i] - ident))
+        out.append(audit(f"hecke.inverse.{i}", gens.g[i] @ gens.ginv[i] - ident))
     for i in range(1, n):
         quad = ((gens.g[i] - ident.scale(q(1)))
                 @ (gens.g[i] + ident.scale(q(-1))))
-        out.append(_rec(f"hecke.quadratic.bulk.{i}", quad))
+        out.append(audit(f"hecke.quadratic.bulk.{i}", quad))
     quad0 = ((gens.g[0] - ident.scale(qe(OMEGA1)))
              @ (gens.g[0] - ident.scale(qe(-OMEGA1))))
-    out.append(_rec("hecke.quadratic.left", quad0))
+    out.append(audit("hecke.quadratic.left", quad0))
     quadn = ((gens.g[n] - ident.scale(qe(OMEGA2)))
              @ (gens.g[n] - ident.scale(qe(-OMEGA2))))
-    out.append(_rec("hecke.quadratic.right", quadn))
+    out.append(audit("hecke.quadratic.right", quadn))
     for i in range(1, n - 1):
-        out.append(_rec(f"hecke.braid.{i}",
-                        gens.word((i, i + 1, i)) - gens.word((i + 1, i, i + 1))))
+        out.append(audit(f"hecke.braid.{i}",
+                         gens.word((i, i + 1, i)) - gens.word((i + 1, i, i + 1))))
     if n >= 2:
-        out.append(_rec("hecke.braid.left",
-                        gens.word((0, 1, 0, 1)) - gens.word((1, 0, 1, 0))))
-        out.append(_rec("hecke.braid.right",
-                        gens.word((n, n - 1, n, n - 1))
-                        - gens.word((n - 1, n, n - 1, n))))
+        out.append(audit("hecke.braid.left",
+                         gens.word((0, 1, 0, 1)) - gens.word((1, 0, 1, 0))))
+        out.append(audit("hecke.braid.right",
+                         gens.word((n, n - 1, n, n - 1))
+                         - gens.word((n - 1, n, n - 1, n))))
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out.append(_rec(f"hecke.comm.{i}.{j}",
-                            commutator(gens.g[i], gens.g[j])))
+            out.append(audit(f"hecke.comm.{i}.{j}",
+                             commutator(gens.g[i], gens.g[j])))
     # kernel of the surjection: the cubic reductions
     for i in range(1, n - 1):
         mat = (gens.word((i, i + 1, i))
@@ -162,21 +176,21 @@ def hecke_relation_audit(gens: HeckeGenSet) -> list[dict]:
                + gens.word((i + 1, i)).scale(q(-1))
                + gens.g[i].scale(q(-2)) + gens.g[i + 1].scale(q(-2))
                + ident.scale(q(-3)))
-        out.append(_rec(f"hecke.kernel.bulk.{i}", mat))
+        out.append(audit(f"hecke.kernel.bulk.{i}", mat))
     if n >= 1:
         c1 = qe(OMEGA1) + qe(-OMEGA1)
         mat = (gens.word((1, 0, 1))
                + gens.word((0, 1)).scale(q(-1)) + gens.word((1, 0)).scale(q(-1))
                - gens.g[1].scale(q(-1) * c1) + gens.g[0].scale(q(-2))
                - ident.scale(q(-2) * c1))
-        out.append(_rec("hecke.kernel.left", mat))
+        out.append(audit("hecke.kernel.left", mat))
         c2 = qe(OMEGA2) + qe(-OMEGA2)
         mat = (gens.word((n - 1, n, n - 1))
                + gens.word((n, n - 1)).scale(q(-1))
                + gens.word((n - 1, n)).scale(q(-1))
                - gens.g[n - 1].scale(q(-1) * c2) + gens.g[n].scale(q(-2))
                - ident.scale(q(-2) * c2))
-        out.append(_rec("hecke.kernel.right", mat))
+        out.append(audit("hecke.kernel.right", mat))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -190,31 +204,29 @@ def murphy_commutation_audit(fam: MurphyFamily) -> list[dict]:
     for x in idx:
         for y in idx:
             if x < y:
-                out.append(_rec(f"murphy.comm.{fam.kind}.{x}.{y}",
-                                commutator(js[x], js[y])))
+                out.append(audit(f"murphy.comm.{fam.kind}.{x}.{y}",
+                                 commutator(js[x], js[y])))
     offset = 1 if fam.kind == "A" else 0
     for gi in range(1, n):
         for jj in idx:
             label = jj + offset
             if label in (gi - 1, gi):
                 continue
-            out.append(_rec(f"murphy.gj.{fam.kind}.{gi}.{label}",
-                            commutator(gens.g[gi], js[jj])))
+            out.append(audit(f"murphy.gj.{fam.kind}.{gi}.{label}",
+                             commutator(gens.g[gi], js[jj])))
     for gi in range(1, n):
         lo, hi = gi - 1 - offset, gi - offset
         if 0 <= lo and hi < len(js):
-            out.append(_rec(f"murphy.gprod.{fam.kind}.{gi}",
-                            commutator(gens.g[gi], js[lo] @ js[hi])))
-            out.append(_rec(f"murphy.gsum.{fam.kind}.{gi}",
-                            commutator(gens.g[gi], js[lo] + js[hi])))
+            out.append(audit(f"murphy.gprod.{fam.kind}.{gi}",
+                             commutator(gens.g[gi], js[lo] @ js[hi])))
+            out.append(audit(f"murphy.gsum.{fam.kind}.{gi}",
+                             commutator(gens.g[gi], js[lo] + js[hi])))
     if fam.kind == "C":
         for jj in idx[1:]:
-            out.append(_rec(f"murphy.g0j.C.{jj}", commutator(gens.g[0], js[jj])))
-        out.append(_rec("murphy.g0j0pair.C",
-                        commutator(gens.g[0], js[0] + fam.jinv[0])))
-    if fam.kind == "B":
-        out.append(_rec("murphy.g0j0pair.B",
-                        commutator(gens.g[0], js[0] + fam.jinv[0])))
+            out.append(audit(f"murphy.g0j.C.{jj}", commutator(gens.g[0], js[jj])))
+    if fam.kind in ("B", "C"):
+        out.append(audit(f"murphy.g0j0pair.{fam.kind}",
+                         commutator(gens.g[0], js[0] + fam.jinv[0])))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -223,30 +235,29 @@ def equivalent_presentation_audit(fam: MurphyFamily) -> list[dict]:
     if fam.kind != "C":
         raise ValueError("the equivalent presentation concerns the affine family")
     gens = fam.gens
-    point = gens.spec.params.point
+    point = gens.point
     n = gens.n_sites
     j0 = fam.j[0]
     g = gens.g
     out = []
     for i in range(2, n):
-        out.append(_rec(f"equiv.comm.{i}", commutator(g[i], j0)))
-    out.append(_rec("equiv.j0g1j0g1",
-                    j0 @ g[1] @ j0 @ g[1] - g[1] @ j0 @ g[1] @ j0))
-    out.append(_rec("equiv.g0g1j0g1",
-                    g[0] @ g[1] @ j0 @ g[1] - g[1] @ j0 @ g[1] @ g[0]))
-    dim = len(enumerate_basis(gens.spec))
-    ident = Matrix.identity(dim)
+        out.append(audit(f"equiv.comm.{i}", commutator(g[i], j0)))
+    out.append(audit("equiv.j0g1j0g1",
+                     j0 @ g[1] @ j0 @ g[1] - g[1] @ j0 @ g[1] @ j0))
+    out.append(audit("equiv.g0g1j0g1",
+                     g[0] @ g[1] @ j0 @ g[1] - g[1] @ j0 @ g[1] @ g[0]))
+    ident = Matrix.identity(gens.dim)
     x = j0 @ gens.ginv[0]
     quad = ((x - ident.scale(point.q_power(OMEGA2)))
             @ (x - ident.scale(point.q_power(-OMEGA2))))
-    out.append(_rec("equiv.quadratic", quad))
-    rebuild = Matrix.identity(dim)
+    out.append(audit("equiv.quadratic", quad))
+    rebuild = ident
     for i in reversed(range(1, n)):
         rebuild = rebuild @ g[i]
     rebuild = rebuild @ j0 @ gens.ginv[0]
     for i in range(1, n):
         rebuild = rebuild @ gens.ginv[i]
-    out.append(_rec("equiv.gn_rebuild", rebuild - g[n]))
+    out.append(audit("equiv.gn_rebuild", rebuild - g[n]))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -267,20 +278,16 @@ def central_scalar_expected(point, n_sites: int):
             * point.qnum(THETA.scale(2)) / point.qnum_nonzero(THETA))
 
 
-def centre_audit(spec: ModuleSpec) -> list[dict]:
-    """Z_N commutes with every generator; on the 2^N module it is the
-    expected scalar."""
-    gens = lift_to_hecke(spec)
-    fam = murphy("C", gens)
+def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
+    """Z_N of the affine family ``fam`` on ``spec`` commutes with every
+    generator; on the 2^N module it is the expected scalar."""
     z = central_element(fam)
-    out = []
-    for i in range(spec.n_sites + 1):
-        out.append(_rec(f"centre.comm.e{i}",
-                        commutator(z, generator_matrix(spec, i))))
+    out = [audit(f"centre.comm.e{i}", commutator(z, e_mat))
+           for i, e_mat in enumerate(fam.gens.e)]
     if spec.kind == "big":
-        lam = central_scalar_expected(spec.params.point, spec.n_sites)
-        diff = z - Matrix.identity(z.nrows).scale(lam)
-        out.append(_rec("centre.scalar", diff))
+        lam = central_scalar_expected(fam.gens.point, spec.n_sites)
+        out.append(audit("centre.scalar",
+                         z - Matrix.identity(z.nrows).scale(lam)))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -350,30 +357,20 @@ def _iji_sandwich_identities(spec: ModuleSpec, sign: int):
     ]
 
 
-def iji_audit(spec: ModuleSpec) -> list[dict]:
+def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     """All horizontal-line evaluations, as exact matrix identities.
 
     Covers (a) the two-step recursions of I J_i I in i, (b) the explicit
     I J_0 I / I J_1 I / I J_{N-1} I evaluations and their inverse-Murphy
     mirror images, (c) the normalisations of I1^2 and I2^2, and (d) the
-    assembled quotient identities I1 I2 I1 = b I1, I2 I1 I2 = b I2.
+    assembled quotient identities I1 I2 I1 = b I1, I2 I1 I2 = b I2, all
+    with the affine family ``fam`` on the 2^N module ``spec``.
     """
     if spec.kind != "big":
         raise ValueError("the audit runs on the 2^N module")
     point = spec.params.point
     n = spec.n_sites
-    gens = lift_to_hecke(spec)
-    fam = murphy("C", gens)
-    w1, w2 = idempotent_words(n)
-    e_mats = {i: generator_matrix(spec, i) for i in range(n + 1)}
-
-    def eword(word):
-        out = Matrix.identity(len(enumerate_basis(spec)))
-        for i in word:
-            out = out @ e_mats[i]
-        return out
-
-    i1, i2 = eword(w1), eword(w2)
+    i1, i2 = (word_product(fam.gens.e, w) for w in idempotent_words(n))
     qsq = point.q_power(ONE.scale(2))
     out = []
     # (a) recursions
@@ -386,14 +383,14 @@ def iji_audit(spec: ModuleSpec) -> list[dict]:
             step = qsq if sign == 1 else 1 / qsq
             for lo in range(parity, n - 1, 2):
                 hi = lo + 1
-                out.append(_rec(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
-                                imat @ fam_j[hi] @ imat
-                                - (imat @ fam_j[lo] @ imat).scale(step)))
+                out.append(audit(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
+                                 imat @ fam_j[hi] @ imat
+                                 - (imat @ fam_j[lo] @ imat).scale(step)))
             for lo in range(parity, stop2, 2):
                 hi = lo + 2
-                out.append(_rec(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
-                                imat @ fam_j[hi] @ imat
-                                - (imat @ fam_j[lo] @ imat).scale(1 / step)))
+                out.append(audit(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
+                                 imat @ fam_j[hi] @ imat
+                                 - (imat @ fam_j[lo] @ imat).scale(1 / step)))
     # (b) explicit evaluations, Murphy and inverse-Murphy
     mats = {"I1": i1, "I2": i2}
     for sign, tag in ((1, ""), (-1, ".inv")):
@@ -404,7 +401,7 @@ def iji_audit(spec: ModuleSpec) -> list[dict]:
             imat = mats[left]
             sandwich = imat @ mats["I2" if left == "I1" else "I1"] @ imat
             lhs = imat @ fam_j[jidx] @ imat
-            out.append(_rec(ident + tag, lhs - rhs(imat, sandwich)))
+            out.append(audit(ident + tag, lhs - rhs(imat, sandwich)))
     # (c) idempotent normalisations
     qn = point.qnum
     two = qn(HalfExponent.integer(2))
@@ -415,18 +412,18 @@ def iji_audit(spec: ModuleSpec) -> list[dict]:
     else:
         norm1 = two ** ((n - 1) // 2) * qn(OMEGA2) / qn(OMEGA2 + ONE)
         norm2 = two ** ((n - 1) // 2) * qn(OMEGA1) / qn(OMEGA1 + ONE)
-    out.append(_rec("iji.sq.I1", i1 @ i1 - i1.scale(norm1)))
-    out.append(_rec("iji.sq.I2", i2 @ i2 - i2.scale(norm2)))
+    out.append(audit("iji.sq.I1", i1 @ i1 - i1.scale(norm1)))
+    out.append(audit("iji.sq.I2", i2 @ i2 - i2.scale(norm2)))
     # (d) the assembled quotient
     b = spec.b
-    out.append(_rec("iji.assembled.121", i1 @ i2 @ i1 - i1.scale(b)))
-    out.append(_rec("iji.assembled.212", i2 @ i1 @ i2 - i2.scale(b)))
+    out.append(audit("iji.assembled.121", i1 @ i2 @ i1 - i1.scale(b)))
+    out.append(audit("iji.assembled.212", i2 @ i1 @ i2 - i2.scale(b)))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
 __all__ = [
     "HeckeGenSet", "MurphyFamily", "central_element", "central_scalar_expected",
-    "centre_audit", "equivalent_presentation_audit", "hecke_relation_audit",
-    "iji_audit", "lift_to_hecke", "murphy", "murphy_commutation_audit",
-    "murphy_eigenvalue_b",
+    "centre_audit", "equivalent_presentation_audit", "g_coefficients",
+    "hecke_relation_audit", "iji_audit", "inverse_word", "lift_family",
+    "lift_to_hecke", "murphy", "murphy_commutation_audit", "murphy_word",
 ]

@@ -17,11 +17,15 @@ import random
 from dataclasses import dataclass
 
 from ._ratback import RAT
-from .linalg import Matrix, invert, rank
-from .scalars import (GenericityError, HalfExponent, OMEGA1, OMEGA2, ONE,
+from .hecke import central_element, lift_family, murphy
+# ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
+from .linalg import Matrix, invert, rank  # noqa: F401
+from .scalars import (GenericityError, HalfExponent, OMEGA1, OMEGA2,
                       ParamPoint, derive_params)
-from .pathbasis import BasisB1, ModuleRep, build_b1, exceptional_points
-from .wordrep import ModuleSpec, generator_matrix, irrep_dim
+from .pathbasis import (BasisB1, ModuleRep, build_b1, exceptional_points,
+                        murphy_eigenvalue)
+from .wordrep import (ModuleSpec, check_relations, generator_matrix,
+                      irrep_dim, word_product)
 
 
 @dataclass(frozen=True)
@@ -142,75 +146,16 @@ def detect_invariant(basis: BasisB1, espec: ExceptionalSpec) -> SubQuotientPair:
                            sub, quo)
 
 
-def family_relation_audit(family: dict[int, Matrix], params) -> list[dict]:
+def family_relation_audit(family: dict[int, Matrix], params,
+                          prefix: str = "family.") -> list[dict]:
     """Defining relations on an arbitrary generator family."""
-    from .wordrep import _defining_relations
-
-    n = max(family) if family else 0
-    named = {"one": params.point.one, "delta": params.delta,
-             "s1": params.s1, "s2": params.s2}
-
-    def prod(word):
-        out = Matrix.identity(family[0].nrows)
-        for i in word:
-            out = out @ family[i]
-        return out
-
-    out = []
-    for ident, lhs, (cname, rhs) in _defining_relations(n):
-        diff = prod(lhs) - prod(rhs).scale(named[cname])
-        where = diff.first_nonzero()
-        out.append({"identity_id": f"family.{ident}",
-                    "status": "pass" if where is None else "fail",
-                    "deviation": "0" if where is None else f"entry{where}"})
-    return sorted(out, key=lambda r: r["identity_id"])
+    records = check_relations(max(family), params,
+                              lambda word: word_product(family, word), prefix)
+    return sorted(records, key=lambda r: r["identity_id"])
 
 
 # ---------------------------------------------------------------------------
 # central characters
-
-
-def _lift_family(family: dict[int, Matrix], point) -> dict:
-    """Hecke generators and inverses built from an e-matrix family."""
-    n = max(family)
-    dim = family[0].nrows
-    ident = Matrix.identity(dim)
-    g, ginv = {}, {}
-    for i in range(n + 1):
-        for sign in (1, -1):
-            if i == 0:
-                exp, shift = OMEGA1, ONE + OMEGA1
-            elif i == n:
-                exp, shift = OMEGA2, ONE + OMEGA2
-            else:
-                mat = family[i] - ident.scale(point.q_power(ONE.scale(-sign)))
-                (g if sign == 1 else ginv)[i] = mat
-                continue
-            coeff = (point.q_power(shift.scale(sign))
-                     - point.q_power(shift.scale(-sign)))
-            mat = ident.scale(point.q_power(exp.scale(sign))) - family[i].scale(coeff)
-            (g if sign == 1 else ginv)[i] = mat
-    return {"g": g, "ginv": ginv, "n": n, "dim": dim}
-
-
-def central_matrix(family: dict[int, Matrix], point) -> Matrix:
-    """Sum of the affine Murphy elements and inverses within the family."""
-    lift = _lift_family(family, point)
-    g, ginv, n, dim = lift["g"], lift["ginv"], lift["n"], lift["dim"]
-    j = Matrix.identity(dim)
-    for i in range(1, n):
-        j = j @ ginv[i]
-    j = j @ g[n]
-    for i in reversed(range(1, n)):
-        j = j @ g[i]
-    j = j @ g[0]
-    jinv = invert(j)
-    total = j + jinv
-    for i in range(1, n):
-        j = g[i] @ j @ g[i]
-        jinv = ginv[i] @ jinv @ ginv[i]
-        total = total + j + jinv
-    return total
 
 
 def central_character(family: dict[int, Matrix], point):
@@ -219,7 +164,7 @@ def central_character(family: dict[int, Matrix], point):
     Returns (scalar, None) when the central matrix is exactly scalar, and
     (None, offending entry) otherwise; a non-scalar centre signals that the
     family is reducible."""
-    z = central_matrix(family, point)
+    z = central_element(murphy("C", lift_family(family, point)))
     c = z.scalar_multiple_of_identity()
     if c is None:
         return None, z.first_nonzero()
@@ -236,28 +181,6 @@ def expected_character(point, n_sites: int, x: HalfExponent):
 # Murphy spectra
 
 
-def murphy_multiset_paths(point, paths) -> dict:
-    """Multiset of single-boundary Murphy eigenvalue tuples over paths."""
-    from .pathbasis import murphy_eigenvalue
-
-    out: dict = {}
-    n = len(paths[0]) - 1
-    for p in paths:
-        key = tuple(murphy_eigenvalue(point, m, p) for m in range(n))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def murphy_matrices(family: dict[int, Matrix], point) -> list[Matrix]:
-    """The single-boundary Murphy family inside an e-matrix family."""
-    lift = _lift_family(family, point)
-    g, n = lift["g"], lift["n"]
-    js = [g[0]]
-    for i in range(1, n):
-        js.append(g[i] @ js[-1] @ g[i])
-    return js
-
-
 def eigenvalue_multiplicity(mat: Matrix, lam) -> int:
     shifted = mat - Matrix.identity(mat.nrows).scale(lam)
     return mat.nrows - rank(shifted)
@@ -269,10 +192,7 @@ def murphy_spectrum_match(family: dict[int, Matrix], point, paths) -> bool:
     For each Murphy element the predicted eigenvalues must exhaust the space
     with the predicted multiplicities (which also certifies
     diagonalisability)."""
-    from .pathbasis import murphy_eigenvalue
-
-    js = murphy_matrices(family, point)
-    n = len(js)
+    js = murphy("B", lift_family(family, point)).j
     dim = family[0].nrows
     for m, jm in enumerate(js):
         predicted: dict = {}
@@ -435,9 +355,8 @@ def conjecture_cases(n_sites: int) -> list[tuple[int, int, int]]:
 
 __all__ = [
     "ExceptionalSpec", "SubQuotientPair", "central_character",
-    "central_matrix", "conjecture_cases", "conjecture_check",
-    "detect_invariant", "expected_character", "family_relation_audit",
-    "make_exceptional_point", "murphy_multiset_paths", "murphy_matrices",
+    "conjecture_cases", "conjecture_check", "detect_invariant",
+    "expected_character", "family_relation_audit", "make_exceptional_point",
     "murphy_spectrum_match", "random_word_traces_agree",
     "traces_agree_all_words",
 ]

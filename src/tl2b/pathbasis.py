@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .audit import audit
+from .hecke import g_coefficients, murphy_word
 from .linalg import Matrix, invert
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
-from .wordrep import ModuleSpec, action_table, enumerate_basis, irrep_dim
+from .wordrep import ModuleSpec, action_table, irrep_dim
 
 Path = tuple[int, ...]
 
@@ -65,7 +67,7 @@ class ModuleRep:
         self.spec = spec
         self.params = spec.params
         self.point = spec.params.point
-        self.dim = len(enumerate_basis(spec))
+        self.dim = spec.dim
         self._tables = {}
         self._mats = {}
 
@@ -116,27 +118,22 @@ class ModuleRep:
         return [y - c * x for x, y in zip(vec, out)]
 
     def apply_g(self, i: int, sign: int, vec: list) -> list:
-        point = self.point
-        n = self.n_sites
-        if 0 < i < n:
-            shift = point.q_power(ONE.scale(-sign))
-            out = self.apply_e(i, vec)
-            return [y - shift * x for x, y in zip(vec, out)]
-        exp = OMEGA1 if i == 0 else OMEGA2
-        coeff = (point.q_power((ONE + exp).scale(sign))
-                 - point.q_power((ONE + exp).scale(-sign)))
-        lead = point.q_power(exp.scale(sign))
+        lead, coeff = g_coefficients(self.point, self.n_sites, i, sign)
         out = self.apply_e(i, vec)
-        return [lead * x - coeff * y for x, y in zip(vec, out)]
+        if coeff == 1:  # bulk generators: no product with the unit
+            return [lead * x + y for x, y in zip(vec, out)]
+        return [lead * x + coeff * y for x, y in zip(vec, out)]
+
+    def apply_g_word(self, letters, vec: list) -> list:
+        """A word in the g_i^(+-1), lettered as in ``HeckeGenSet.word``."""
+        for ell in reversed(letters):
+            vec = (self.apply_g(ell, 1, vec) if ell >= 0
+                   else self.apply_g(-ell - 1, -1, vec))
+        return vec
 
     def apply_murphy_b(self, m: int, vec: list) -> list:
         """J_m of the single-boundary family: g_m ... g_1 g_0 g_1 ... g_m."""
-        for i in range(m, 0, -1):
-            vec = self.apply_g(i, 1, vec)
-        vec = self.apply_g(0, 1, vec)
-        for i in range(1, m + 1):
-            vec = self.apply_g(i, 1, vec)
-        return vec
+        return self.apply_g_word(murphy_word("B", self.n_sites, m), vec)
 
 
 def matrix_r(rep: ModuleRep, i: int, u: HalfExponent) -> Matrix:
@@ -347,6 +344,14 @@ class BasisB1:
         return self.in_coordinates(self.rep.e_matrix(i))
 
 
+def _add_tile(rep: ModuleRep, tile: TileEvent, vec: list) -> list:
+    """The vector of the path one tile above the path of ``vec``."""
+    u = tile.spectral_argument()
+    if tile.boundary:
+        return rep.apply_k(u, vec)
+    return rep.apply_r(tile.position, u, vec)
+
+
 def build_b1(rep: ModuleRep, fundamental: list | None = None) -> BasisB1:
     """Grow all 2^N vectors from the fundamental one by tile addition."""
     n = rep.n_sites
@@ -362,12 +367,7 @@ def build_b1(rep: ModuleRep, fundamental: list | None = None) -> BasisB1:
             prev = unapply_tile(path, tile)
             if prev not in vectors:
                 continue
-            u = tile.spectral_argument()
-            if tile.boundary:
-                vec = rep.apply_k(u, vectors[prev])
-            else:
-                vec = rep.apply_r(tile.position, u, vectors[prev])
-            vectors[path] = vec
+            vectors[path] = _add_tile(rep, tile, vectors[prev])
             break
         else:
             raise AssertionError(f"no built predecessor for path {path}")
@@ -377,15 +377,10 @@ def build_b1(rep: ModuleRep, fundamental: list | None = None) -> BasisB1:
 
 def tile_order_independence(basis: BasisB1) -> bool:
     """Every removable tile of every path yields the same vector."""
-    rep = basis.rep
     for path in basis.paths:
         for tile in removable_tiles(path):
-            prev = unapply_tile(path, tile)
-            u = tile.spectral_argument()
-            if tile.boundary:
-                vec = rep.apply_k(u, basis.vectors[prev])
-            else:
-                vec = rep.apply_r(tile.position, u, basis.vectors[prev])
+            prev = basis.vectors[unapply_tile(path, tile)]
+            vec = _add_tile(basis.rep, tile, prev)
             if any(x != y for x, y in zip(vec, basis.vectors[path])):
                 return False
     return True
@@ -393,11 +388,6 @@ def tile_order_independence(basis: BasisB1) -> bool:
 
 # ---------------------------------------------------------------------------
 # audits of the action in path coordinates
-
-
-def _rec(ident: str, ok: bool, detail: str = "") -> dict:
-    return {"identity_id": ident, "status": "pass" if ok else "fail",
-            "deviation": "0" if ok else (detail or "nonzero")}
 
 
 def _vec_eq(x: list, y: list) -> bool:
@@ -423,11 +413,11 @@ def action_audit_b1(basis: BasisB1) -> list[dict]:
             ok = _vec_eq(image, [params.s1 * x for x in vec])
         else:
             ok = _vec_zero(image)
-        out.append(_rec(f"b1.e0.{_pname(path)}", ok))
+        out.append(audit(f"b1.e0.{_pname(path)}", ok))
         for i in range(1, n):
             if path[i - 1] != path[i + 1]:
-                out.append(_rec(f"b1.slope.e{i}.{_pname(path)}",
-                                _vec_zero(rep.apply_e(i, vec))))
+                out.append(audit(f"b1.slope.e{i}.{_pname(path)}",
+                                 _vec_zero(rep.apply_e(i, vec))))
     for path in basis.paths:
         for tile in addable_tiles(path):
             upper = apply_tile(path, tile)
@@ -447,7 +437,7 @@ def action_audit_b1(basis: BasisB1) -> list[dict]:
             ok2 = _vec_eq(image_hi,
                           [c_lo * c_hi * x + c_hi * y for x, y in zip(lo, hi)])
             tag = "K" if tile.boundary else f"e{i}"
-            out.append(_rec(f"b1.block.{tag}.{_pname(path)}.h{h}", ok1 and ok2))
+            out.append(audit(f"b1.block.{tag}.{_pname(path)}.h{h}", ok1 and ok2))
     return out
 
 
@@ -471,7 +461,7 @@ def murphy_audit_b1(basis: BasisB1) -> list[dict]:
     point = rep.point
     n = rep.n_sites
     out = []
-    tuples = {}
+    spectra = []
     for path in basis.paths:
         vec = basis.vectors[path]
         eigs = []
@@ -479,18 +469,20 @@ def murphy_audit_b1(basis: BasisB1) -> list[dict]:
             lam = murphy_eigenvalue(point, m, path)
             eigs.append(lam)
             image = rep.apply_murphy_b(m, vec)
-            out.append(_rec(f"b1.murphy.{m}.{_pname(path)}",
-                            _vec_eq(image, [lam * x for x in vec])))
-        tuples[path] = tuple(eigs)
+            out.append(audit(f"b1.murphy.{m}.{_pname(path)}",
+                             _vec_eq(image, [lam * x for x in vec])))
+        spectra.append(eigs)
         prod = point.one
         for lam in eigs:
             prod = prod * lam
         h_n = path[n]
         expected = point.q_power(HalfExponent(
             m=-h_n * h_n - n * (n - 2), c1=2 * h_n))
-        out.append(_rec(f"b1.murphy.prod.{_pname(path)}", prod == expected))
-    distinct = len(set(tuples.values())) == len(basis.paths)
-    out.append(_rec("b1.murphy.spectra_distinct", distinct))
+        out.append(audit(f"b1.murphy.prod.{_pname(path)}", prod == expected))
+    # pairwise: symbolic scalars are unhashable
+    distinct = all(x != y for k, x in enumerate(spectra)
+                   for y in spectra[k + 1:])
+    out.append(audit("b1.murphy.spectra_distinct", distinct))
     return out
 
 
@@ -657,36 +649,29 @@ def ybe_audit(rep: ModuleRep, battery=None) -> list[dict]:
                    @ matrix_r(rep, i, v))
             rhs = (matrix_r(rep, i + 1, v) @ matrix_r(rep, i, u + v)
                    @ matrix_r(rep, i + 1, u))
-            out.append(_mrec(f"ybe.bulk.{idx}.{i}", lhs - rhs))
+            out.append(audit(f"ybe.bulk.{idx}.{i}", lhs - rhs))
         if n >= 2:
             lhs = (matrix_kbar(rep, v.scale(2)) @ matrix_r(rep, 1, u + v)
                    @ matrix_kbar(rep, u.scale(2)) @ matrix_r(rep, 1, u - v))
             rhs = (matrix_r(rep, 1, u - v) @ matrix_kbar(rep, u.scale(2))
                    @ matrix_r(rep, 1, u + v) @ matrix_kbar(rep, v.scale(2)))
-            out.append(_mrec(f"ybe.reflect.left.{idx}", lhs - rhs))
+            out.append(audit(f"ybe.reflect.left.{idx}", lhs - rhs))
             lhs = (matrix_k(rep, v.scale(2)) @ matrix_r(rep, n - 1, u + v)
                    @ matrix_k(rep, u.scale(2)) @ matrix_r(rep, n - 1, u - v))
             rhs = (matrix_r(rep, n - 1, u - v) @ matrix_k(rep, u.scale(2))
                    @ matrix_r(rep, n - 1, u + v) @ matrix_k(rep, v.scale(2)))
-            out.append(_mrec(f"ybe.reflect.right.{idx}", lhs - rhs))
+            out.append(audit(f"ybe.reflect.right.{idx}", lhs - rhs))
         for i in range(1, n):
             prod = matrix_r(rep, i, u) @ matrix_r(rep, i, -u)
             expect = ident.scale(r_coeff(u, point) * r_coeff(-u, point))
-            out.append(_mrec(f"ybe.unitary.r.{idx}.{i}", prod - expect))
+            out.append(audit(f"ybe.unitary.r.{idx}.{i}", prod - expect))
         prod = matrix_k(rep, u) @ matrix_k(rep, -u)
         expect = ident.scale(k_coeff(u, point) * k_coeff(-u, point))
-        out.append(_mrec(f"ybe.unitary.k.{idx}", prod - expect))
+        out.append(audit(f"ybe.unitary.k.{idx}", prod - expect))
         prod = matrix_kbar(rep, u) @ matrix_kbar(rep, -u)
         expect = ident.scale(kbar_coeff(u, point) * kbar_coeff(-u, point))
-        out.append(_mrec(f"ybe.unitary.kbar.{idx}", prod - expect))
+        out.append(audit(f"ybe.unitary.kbar.{idx}", prod - expect))
     return sorted(out, key=lambda r: r["identity_id"])
-
-
-def _mrec(ident: str, diff: Matrix) -> dict:
-    where = diff.first_nonzero()
-    return {"identity_id": ident,
-            "status": "pass" if where is None else "fail",
-            "deviation": "0" if where is None else f"entry{where}"}
 
 
 # ---------------------------------------------------------------------------
@@ -714,22 +699,22 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
                 continue
             if m % 2 == 0:
                 diff = rep.e_matrix(m) @ rmat(target, w1u) @ e_full
-                out.append(_mrec(f"en.slope.e{m}.R{target}(w1)", diff))
+                out.append(audit(f"en.slope.e{m}.R{target}(w1)", diff))
             else:
                 diff = rep.e_matrix(m) @ rmat(target, -(w1u + ONE)) @ e_full
-                out.append(_mrec(f"en.slope.e{m}.R{target}(-w1-1)", diff))
+                out.append(audit(f"en.slope.e{m}.R{target}(-w1-1)", diff))
     if n % 2 == 0:
         diff = rep.e_matrix(n - 1) @ matrix_k(rep, -(w1u + ONE)) @ e_full
-        out.append(_mrec("en.boundary.first", diff))
+        out.append(audit("en.boundary.first", diff))
         diff = (rep.e_matrix(n - 1) @ matrix_k(rep, w1u - ONE)
                 @ rmat(n - 1, w1u) @ e_full)
-        out.append(_mrec("en.boundary.second", diff))
+        out.append(audit("en.boundary.second", diff))
     else:
         diff = rep.e_matrix(n - 1) @ matrix_k(rep, w1u) @ e_full
-        out.append(_mrec("en.boundary.first", diff))
+        out.append(audit("en.boundary.first", diff))
         diff = (rep.e_matrix(n - 1) @ matrix_k(rep, -(w1u + ONE.scale(2)))
                 @ rmat(n - 1, -(w1u + ONE)) @ e_full)
-        out.append(_mrec("en.boundary.second", diff))
+        out.append(audit("en.boundary.second", diff))
 
     w1w, w2w = idempotent_words(n)
 
@@ -742,20 +727,20 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     i1e, i2e = eword(w1w, e_full), eword(w2w, e_full)
     en_e = rep.e_matrix(n) @ e_full
     if n % 2 == 0:
-        out.append(_mrec("en.chain.21",
+        out.append(audit("en.chain.21",
                          eword(w2w, i1e) - i2e.scale(s1 ** (-(n // 2)))))
-        out.append(_mrec("en.chain.12",
+        out.append(audit("en.chain.12",
                          eword(w1w, i2e) - eword(w1w, en_e).scale(s1 ** (n // 2))))
     else:
-        out.append(_mrec("en.chain.12",
+        out.append(audit("en.chain.12",
                          eword(w1w, i2e) - i1e.scale(s1 ** ((n + 1) // 2))))
-        out.append(_mrec("en.chain.21",
+        out.append(audit("en.chain.21",
                          eword(w2w, i1e)
                          - eword(w2w, en_e).scale(s1 ** (-((n - 1) // 2)))))
-    out.append(_mrec("en.e0.eigen",
+    out.append(audit("en.e0.eigen",
                      rep.e_matrix(0) @ e_full - e_full.scale(params.s1)))
     if n > 1:
-        out.append(_mrec("en.e0.kill", rep.e_matrix(0) @ rmat(1, w1u) @ e_full))
+        out.append(audit("en.e0.kill", rep.e_matrix(0) @ rmat(1, w1u) @ e_full))
     return sorted(out, key=lambda r: r["identity_id"])
 
 

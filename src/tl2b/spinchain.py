@@ -11,9 +11,12 @@ coordinate systems.
 
 from __future__ import annotations
 
+from .audit import audit
+from .hecke import central_scalar_expected, inverse_word, murphy_word
 from .linalg import Matrix
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
-from .pathbasis import ModuleRep, build_b1
+from .pathbasis import ModuleRep, _unit, apply_idempotent, build_b1
+from .wordrep import ModuleSpec, check_relations
 
 
 class SpinRep:
@@ -40,27 +43,15 @@ class SpinRep:
     def apply_e(self, i: int, vec: list) -> list:
         n = self.n_sites
         out = [0] * self.dim
-        if i == 0:
-            mask = 1 << (n - 1)
+        if i in (0, n):
+            if i == 0:
+                mask, up, down = 1 << (n - 1), self._left_up, self._left_down
+            else:
+                mask, up, down = 1, self._right_up, self._right_down
             for s, c in enumerate(vec):
                 if not c:
                     continue
-                if s & mask:
-                    diag, flip = self._left_up
-                else:
-                    diag, flip = self._left_down
-                out[s] = out[s] + diag * c
-                out[s ^ mask] = out[s ^ mask] + flip * c
-            return out
-        if i == n:
-            mask = 1
-            for s, c in enumerate(vec):
-                if not c:
-                    continue
-                if s & mask:
-                    diag, flip = self._right_up
-                else:
-                    diag, flip = self._right_down
+                diag, flip = up if s & mask else down
                 out[s] = out[s] + diag * c
                 out[s ^ mask] = out[s ^ mask] + flip * c
             return out
@@ -82,12 +73,8 @@ class SpinRep:
         return out
 
     def e_matrix(self, i: int) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            unit = [0] * self.dim
-            unit[j] = 1
-            cols.append(self.apply_e(i, unit))
-        return Matrix.from_columns(cols)
+        return Matrix.from_columns([self.apply_e(i, _unit(self.dim, j))
+                                    for j in range(self.dim)])
 
     def fundamental_vector(self) -> list:
         return ebar(self.n_sites, self.point)
@@ -96,6 +83,7 @@ class SpinRep:
     apply_r = ModuleRep.apply_r
     apply_k = ModuleRep.apply_k
     apply_g = ModuleRep.apply_g
+    apply_g_word = ModuleRep.apply_g_word
     apply_murphy_b = ModuleRep.apply_murphy_b
 
 
@@ -128,45 +116,21 @@ def spin_vector_to_json(vec: list, n_sites: int) -> dict:
 # audits
 
 
-def _rec(ident: str, ok: bool) -> dict:
-    return {"identity_id": ident, "status": "pass" if ok else "fail",
-            "deviation": "0" if ok else "nonzero"}
-
-
-def _mrec(ident: str, diff: Matrix) -> dict:
-    where = diff.first_nonzero()
-    return {"identity_id": ident,
-            "status": "pass" if where is None else "fail",
-            "deviation": "0" if where is None else f"entry{where}"}
-
-
 def spin_relation_audit(n_sites: int, point, params) -> list[dict]:
     """All defining relations, as operator identities on every basis state."""
-    from .wordrep import _defining_relations
-
     rep = SpinRep(n_sites, point, params)
-    named = {"one": point.one, "delta": params.delta,
-             "s1": params.s1, "s2": params.s2}
 
-    def apply_word(word, vec):
-        for i in reversed(word):
-            vec = rep.apply_e(i, vec)
-        return vec
-
-    out = []
-    for ident, lhs, (cname, rhs) in _defining_relations(n_sites):
-        ok = True
+    def word(letters):
+        cols = []
         for j in range(rep.dim):
-            unit = [0] * rep.dim
-            unit[j] = 1
-            left = apply_word(lhs, unit)
-            right = apply_word(rhs, unit)
-            c = named[cname]
-            if any(x != c * y for x, y in zip(left, right)):
-                ok = False
-                break
-        out.append(_rec(f"spin.{ident}", ok))
-    return sorted(out, key=lambda r: r["identity_id"])
+            vec = _unit(rep.dim, j)
+            for i in reversed(letters):
+                vec = rep.apply_e(i, vec)
+            cols.append(vec)
+        return Matrix.from_columns(cols)
+
+    return sorted(check_relations(n_sites, params, word, "spin."),
+                  key=lambda r: r["identity_id"])
 
 
 def twist_symmetry_audit(n_sites: int, point, alphas=(2, 3)) -> list[dict]:
@@ -184,35 +148,32 @@ def twist_symmetry_audit(n_sites: int, point, alphas=(2, 3)) -> list[dict]:
         for i in range(1, n_sites):
             ok = True
             for j in range(rep.dim):
-                unit = [0] * rep.dim
-                unit[j] = 1
+                unit = _unit(rep.dim, j)
                 conj = rep.apply_e(i, [w * x for w, x in zip(weights, unit)])
                 conj = [c / w for w, c in zip(weights, conj)]
                 plain = rep.apply_e(i, unit)
                 if any(x != y for x, y in zip(conj, plain)):
                     ok = False
                     break
-            out.append(_rec(f"spin.twist.alpha{alpha}.e{i}", ok))
+            out.append(audit(f"spin.twist.alpha{alpha}.e{i}", ok))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
 def ebar_identities(n_sites: int, point, params) -> list[dict]:
     """E_i ebar = ebar, the left eigenvalue, and the boundary identities."""
-    from .pathbasis import apply_idempotent
-
     rep = SpinRep(n_sites, point, params)
     vec = ebar(n_sites, point)
     out = []
     for level in range(n_sites + 1):
         image = apply_idempotent(rep, level, vec)
-        out.append(_rec(f"spin.ebar.fix.E{level}",
-                        all(x == y for x, y in zip(image, vec))))
+        out.append(audit(f"spin.ebar.fix.E{level}",
+                         all(x == y for x, y in zip(image, vec))))
     image = rep.apply_e(0, vec)
-    out.append(_rec("spin.ebar.e0",
-                    all(x == params.s1 * y for x, y in zip(image, vec))))
+    out.append(audit("spin.ebar.e0",
+                     all(x == params.s1 * y for x, y in zip(image, vec))))
     u = -(OMEGA1 + ONE) if n_sites % 2 == 0 else OMEGA1
     image = rep.apply_e(n_sites - 1, rep.apply_k(u, vec))
-    out.append(_rec("spin.ebar.boundary.first", not any(image)))
+    out.append(audit("spin.ebar.boundary.first", not any(image)))
     if n_sites % 2 == 0:
         v2 = rep.apply_r(n_sites - 1, OMEGA1, vec)
         image = rep.apply_e(n_sites - 1, rep.apply_k(OMEGA1 - ONE, v2))
@@ -220,7 +181,7 @@ def ebar_identities(n_sites: int, point, params) -> list[dict]:
         v2 = rep.apply_r(n_sites - 1, -(OMEGA1 + ONE), vec)
         image = rep.apply_e(n_sites - 1,
                             rep.apply_k(-(OMEGA1 + ONE.scale(2)), v2))
-    out.append(_rec("spin.ebar.boundary.second", not any(image)))
+    out.append(audit("spin.ebar.boundary.second", not any(image)))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -228,9 +189,6 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
     """Grow the parallel path basis from ebar and compare every generator's
     matrix, entry by entry, with the half-diagram path coordinates; check
     the central element acts by the expected scalar on the spin side."""
-    from .hecke import central_scalar_expected
-    from .wordrep import ModuleSpec
-
     out = ebar_identities(n_sites, point, params)
     spec = ModuleSpec.big(n_sites, params)
     diagram_rep = ModuleRep(spec)
@@ -240,42 +198,23 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
     for i in range(n_sites + 1):
         md = basis_d.generator_in_coordinates(i)
         ms = basis_s.in_coordinates(spin_rep.e_matrix(i))
-        out.append(_mrec(f"spin.equiv.e{i}", md - ms))
+        out.append(audit(f"spin.equiv.e{i}", md - ms))
     # centre: sum of affine Murphy elements and inverses, applied spin-side
     lam = central_scalar_expected(point, n_sites)
+    words = [w for m in range(n_sites)
+             for w in (murphy_word("C", n_sites, m),
+                       inverse_word(murphy_word("C", n_sites, m)))]
     ok = True
-    n = n_sites
     for j in range(spin_rep.dim):
-        unit = [0] * spin_rep.dim
-        unit[j] = 1
+        unit = _unit(spin_rep.dim, j)
         acc = [0] * spin_rep.dim
-        for m in range(n):
-            for vec in (_murphy_c(spin_rep, m, unit, inverse=False),
-                        _murphy_c(spin_rep, m, unit, inverse=True)):
-                acc = [a + x for a, x in zip(acc, vec)]
+        for w in words:
+            acc = [a + x for a, x in zip(acc, spin_rep.apply_g_word(w, unit))]
         if any(x != lam * u for x, u in zip(acc, unit)):
             ok = False
             break
-    out.append(_rec("spin.centre.scalar", ok))
+    out.append(audit("spin.centre.scalar", ok))
     return sorted(out, key=lambda r: r["identity_id"])
-
-
-def _murphy_c_word(n: int, m: int, inverse: bool) -> list[tuple[int, int]]:
-    """(index, sign) letters of the m-th affine Murphy element, left to right."""
-    j0 = ([(i, -1) for i in range(1, n)] + [(n, 1)]
-          + [(i, 1) for i in range(n - 1, 0, -1)] + [(0, 1)])
-    word = ([(i, 1) for i in range(m, 0, -1)] + j0
-            + [(i, 1) for i in range(1, m + 1)])
-    if inverse:
-        word = [(i, -s) for (i, s) in reversed(word)]
-    return word
-
-
-def _murphy_c(rep, m: int, vec: list, inverse: bool) -> list:
-    """Apply the m-th affine Murphy element (or its inverse) to a vector."""
-    for i, s in reversed(_murphy_c_word(rep.n_sites, m, inverse)):
-        vec = rep.apply_g(i, s, vec)
-    return vec
 
 
 __all__ = [

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .audit import audit
 from .diagrams import HalfDiagram, act_on_half, compose, FullDiagram
 from .linalg import Matrix, exact_det
 from .scalars import DerivedParams
@@ -74,7 +75,7 @@ class ModuleSpec:
 
     @property
     def dim(self) -> int:
-        return len(enumerate_basis(self))
+        return len(_patterns(self))
 
 
 @lru_cache(maxsize=None)
@@ -107,15 +108,17 @@ def _basis_patterns(n_sites: int, kind: str, n_through: int,
     return tuple(sorted(pats, key=lambda p: HalfDiagram(p).sort_index))
 
 
+def _patterns(spec: ModuleSpec) -> tuple[str, ...]:
+    if spec.kind == "big":
+        return _basis_patterns(spec.n_sites, "big", 0, 1, 1)
+    n_through = spec.n + (spec.eps1 + spec.eps2) // 2
+    return _basis_patterns(spec.n_sites, "lines", n_through,
+                           spec.eps1, spec.eps2)
+
+
 def enumerate_basis(spec: ModuleSpec) -> list[HalfDiagram]:
     """Canonically ordered basis; length 2^N or the ballot-sum dimension."""
-    if spec.kind == "big":
-        pats = _basis_patterns(spec.n_sites, "big", 0, 1, 1)
-    else:
-        n_through = spec.n + (spec.eps1 + spec.eps2) // 2
-        pats = _basis_patterns(spec.n_sites, "lines", n_through,
-                               spec.eps1, spec.eps2)
-    return [HalfDiagram(p) for p in pats]
+    return [HalfDiagram(p) for p in _patterns(spec)]
 
 
 def action_table(spec: ModuleSpec, i: int) -> list:
@@ -133,8 +136,7 @@ def action_table(spec: ModuleSpec, i: int) -> list:
 
 
 def generator_matrix(spec: ModuleSpec, i: int) -> Matrix:
-    dim = len(enumerate_basis(spec))
-    out = Matrix.zeros(dim, dim)
+    out = Matrix.zeros(spec.dim, spec.dim)
     for col, hit in enumerate(action_table(spec, i)):
         if hit is not None:
             row, scalar = hit
@@ -219,10 +221,30 @@ def idempotent_words(n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def word_matrix(spec: ModuleSpec, word: tuple[int, ...]) -> Matrix:
     """Matrix of the product of generators, read left to right."""
-    out = Matrix.identity(len(enumerate_basis(spec)))
+    out = Matrix.identity(spec.dim)
     for i in word:
         out = out @ generator_matrix(spec, i)
     return out
+
+
+def word_product(family, word) -> Matrix:
+    """Product of ``family[i]`` over the letters of the word, left to right."""
+    out = Matrix.identity(family[0].nrows)
+    for i in word:
+        out = out @ family[i]
+    return out
+
+
+def check_relations(n_sites: int, params, word, prefix: str = "") -> list[dict]:
+    """One record per defining relation lhs = c * rhs, checked exactly.
+
+    ``word`` maps a generator word, read left to right, to its Matrix in the
+    representation under audit.
+    """
+    named = {"one": params.point.one, "delta": params.delta,
+             "s1": params.s1, "s2": params.s2}
+    return [audit(prefix + ident, word(lhs) - word(rhs).scale(named[cname]))
+            for ident, lhs, (cname, rhs) in _defining_relations(n_sites)]
 
 
 def relation_audit(spec: ModuleSpec) -> list[dict]:
@@ -231,40 +253,20 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
     On the 2^N module the two horizontal-line relations I1*I2*I1 = b*I1 and
     I2*I1*I2 = b*I2 are audited as well.
     """
-    params = spec.params
-    named = {"one": params.point.one, "delta": params.delta,
-             "s1": params.s1, "s2": params.s2}
-    gens = {i: generator_matrix(spec, i) for i in range(spec.n_sites + 1)}
-
-    def prod(word):
-        out = Matrix.identity(len(gens[0].rows))
-        for i in word:
-            out = out @ gens[i]
-        return out
-
-    records = []
-    for ident, lhs, (cname, rhs) in _defining_relations(spec.n_sites):
-        delta_m = prod(lhs) - prod(rhs).scale(named[cname])
-        records.append(_record(ident, delta_m))
+    gens = [generator_matrix(spec, i) for i in range(spec.n_sites + 1)]
+    records = check_relations(spec.n_sites, spec.params,
+                              lambda word: word_product(gens, word))
     if spec.kind == "big":
         w1, w2 = idempotent_words(spec.n_sites)
-        i1, i2 = prod(w1), prod(w2)
-        records.append(_record("quotient.121", i1 @ i2 @ i1 - i1.scale(spec.b)))
-        records.append(_record("quotient.212", i2 @ i1 @ i2 - i2.scale(spec.b)))
+        i1, i2 = word_product(gens, w1), word_product(gens, w2)
+        records.append(audit("quotient.121", i1 @ i2 @ i1 - i1.scale(spec.b)))
+        records.append(audit("quotient.212", i2 @ i1 @ i2 - i2.scale(spec.b)))
     return sorted(records, key=lambda r: r["identity_id"])
 
 
-def _record(ident: str, difference: Matrix) -> dict:
-    where = difference.first_nonzero()
-    return {
-        "identity_id": ident,
-        "status": "pass" if where is None else "fail",
-        "deviation": "0" if where is None else f"entry{where}",
-    }
-
-
 __all__ = [
-    "ModuleSpec", "action_table", "ballot", "bilinear", "enumerate_basis",
-    "generator_matrix", "gram_det_bruteforce", "gram_matrix",
-    "idempotent_words", "irrep_dim", "relation_audit", "word_matrix",
+    "ModuleSpec", "action_table", "ballot", "bilinear", "check_relations",
+    "enumerate_basis", "generator_matrix", "gram_det_bruteforce",
+    "gram_matrix", "idempotent_words", "irrep_dim", "relation_audit",
+    "word_matrix", "word_product",
 ]

@@ -112,7 +112,9 @@ def test_criterion_5_central_element():
     for seed in SEEDS[:1]:
         params = derive_params(make_param_point(seed))
         for n in range(2, 7):
-            records = hecke.centre_audit(wordrep.ModuleSpec.big(n, params))
+            spec = wordrep.ModuleSpec.big(n, params)
+            records = hecke.centre_audit(
+                spec, hecke.murphy("C", hecke.lift_to_hecke(spec)))
             ok = ok and all(r["status"] == "pass" for r in records)
     # characters of the invariant blocks and their quotients
     for n in (3, 4, 5):
@@ -137,7 +139,9 @@ def test_criterion_6_quotient_evaluations():
     ok = True
     total = 0
     for n in range(2, 7):
-        records = hecke.iji_audit(wordrep.ModuleSpec.big(n, params))
+        spec = wordrep.ModuleSpec.big(n, params)
+        records = hecke.iji_audit(
+            spec, hecke.murphy("C", hecke.lift_to_hecke(spec)))
         total += len(records)
         ok = ok and all(r["status"] == "pass" for r in records)
     _announce(6, ok, f"all {total} horizontal-line evaluations "

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -100,3 +101,32 @@ def test_explicit_twist_roundtrip():
 def test_symbolic_backend_guard():
     with pytest.raises(SystemExit):
         run(["relations", "--n", "5", "--backend", "symbolic"])
+
+
+@pytest.mark.parametrize("command", ["gram", "irreps"])
+@pytest.mark.parametrize("theta", ["x,3,+,-", "-,3,+,y"])
+def test_bad_theta_gives_error_record(command, theta):
+    code, out = run([command, "--n", "4", f"--theta={theta}"])
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
+    assert doc["error"].startswith("ValueError: --theta sign")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-str digit limit")
+def test_reports_print_past_the_int_digit_limit():
+    # the N = 5 determinant has 3509 characters
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(["gram", "--n", "5"])
+        limit_after = sys.get_int_max_str_digits()
+        # user input is still parsed under the limit
+        bad_code, bad_out = run(["gram", "--n", "2", "--theta",
+                                 "1/1" + "0" * 700])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert limit_after == 640
+    assert bad_code == 2 and json.loads(bad_out)["status"] == "error"

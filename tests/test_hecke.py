@@ -33,24 +33,29 @@ def test_equivalent_presentation(gens):
     assert_all_pass(equivalent_presentation_audit(murphy("C", gens)))
 
 
+def affine(spec):
+    return murphy("C", lift_to_hecke(spec))
+
+
 def test_centre(params):
     for n in (2, 3, 4):
-        assert_all_pass(centre_audit(ModuleSpec.big(n, params)))
+        spec = ModuleSpec.big(n, params)
+        assert_all_pass(centre_audit(spec, affine(spec)))
 
 
 def test_centre_on_lines_module(params, point):
     # the centre is scalar there too, with the twist-free character
     spec = ModuleSpec.through_lines(3, 0, 1, 1, params)
-    records = centre_audit(spec)
-    assert_all_pass(records)
-    gens = lift_to_hecke(spec)
-    z = central_element(murphy("C", gens))
+    fam = affine(spec)
+    assert_all_pass(centre_audit(spec, fam))
+    z = central_element(fam)
     assert z.scalar_multiple_of_identity() is not None
 
 
 def test_iji_audit(params):
     for n in (2, 3, 4, 5):
-        assert_all_pass(iji_audit(ModuleSpec.big(n, params)))
+        spec = ModuleSpec.big(n, params)
+        assert_all_pass(iji_audit(spec, affine(spec)))
 
 
 def test_central_scalar_value(params, point):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import assert_all_pass
+from tl2b.cli import main
 from tl2b.linalg import exact_det
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, THETA,
                           SingularArgumentError, derive_params,
@@ -94,3 +98,13 @@ def test_symbolic_closed_form_identity(sym, sym_params):
     det = exact_det(gram_matrix(spec))
     closed = gram_closed_form(2, sym)
     assert det == closed * sym_params.s1 ** gram_normalization_exponent(2)
+
+
+def test_symbolic_basis_command():
+    # the Murphy spectra of the basis audit are unhashable symbolic scalars
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["basis", "--n", "2", "--backend", "symbolic"])
+    doc = json.loads(buf.getvalue())
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["backend"] == "symbolic" and len(doc["results"]) == 29

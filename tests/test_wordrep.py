@@ -133,10 +133,10 @@ def test_relation_audit_negative_control(params):
 def test_centre_scalar_negative_control(params):
     # tying the wrong horizontal-line weight to the twist breaks the
     # central scalar, which is the only place the tie is observable
-    from tl2b.hecke import centre_audit
+    from tl2b.hecke import centre_audit, lift_to_hecke, murphy
 
     spec = ModuleSpec.big(3, params, b=params.b_for(3) + 1)
-    records = centre_audit(spec)
+    records = centre_audit(spec, murphy("C", lift_to_hecke(spec)))
     bad = {r["identity_id"] for r in records if r["status"] == "fail"}
     assert "centre.scalar" in bad
 
