@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from .audit import audit
 from .linalg import Matrix, commutator
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
-from .wordrep import (ModuleSpec, generator_matrix, idempotent_words,
-                      word_product)
+# ``generator_matrix`` is unused here but stays bound: perfbench/tracer.py
+# rebinds it
+from .wordrep import (ModuleSpec, generator_matrix,  # noqa: F401
+                      idempotent_words, word_product)
 
 
 @dataclass(frozen=True)
@@ -61,21 +63,18 @@ def g_coefficients(point, n_sites: int, i: int, sign: int):
 def lift_family(family, point) -> HeckeGenSet:
     """The Hecke generators over e_0 .. e_N (``family[0]`` .. ``family[N]``)."""
     e = tuple(family[i] for i in range(len(family)))
+    ident = Matrix.identity(e[0].nrows)
 
     def lift(i, sign):
         lead, coeff = g_coefficients(point, len(e) - 1, i, sign)
-        mat = e[i].scale(coeff)
-        for k, row in enumerate(mat.rows):
-            row[k] = row[k] + lead
-        return mat
+        return ident.scale(lead) + e[i].scale(coeff)
 
     return HeckeGenSet(point, e, tuple(lift(i, 1) for i in range(len(e))),
                        tuple(lift(i, -1) for i in range(len(e))))
 
 
 def lift_to_hecke(spec: ModuleSpec) -> HeckeGenSet:
-    return lift_family([generator_matrix(spec, i)
-                        for i in range(spec.n_sites + 1)], spec.params.point)
+    return lift_family(spec.generators, spec.params.point)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from .scalars import (GenericityError, HalfExponent, OMEGA1, OMEGA2,
                       ParamPoint, derive_params)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, exceptional_points,
                         murphy_eigenvalue)
-from .wordrep import (ModuleSpec, check_relations, generator_matrix,
-                      irrep_dim, word_product)
+from .wordrep import ModuleSpec, check_relations, irrep_dim, word_product
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def detect_invariant(basis: BasisB1, espec: ExceptionalSpec) -> SubQuotientPair:
     for i, mat in mats.items():
         for r in quo_idx:
             for c in sub_idx:
-                if mat.rows[r][c]:
+                if mat[r, c]:
                     raise ArithmeticError(
                         f"block is not invariant under e_{i} at entry "
                         f"({r},{c}); the point is not exceptional as claimed")
@@ -266,8 +265,8 @@ def traces_agree_all_words(fam_a: dict[int, Matrix],
             na, nb = a @ fam_a[i], b @ fam_b[i]
             if span.add(_flatten_pair(na, nb)):
                 words += 1
-                tra = sum(na.rows[k][k] for k in range(da))
-                trb = sum(nb.rows[k][k] for k in range(db))
+                tra = sum(na[k, k] for k in range(da))
+                trb = sum(nb[k, k] for k in range(db))
                 if tra != trb:
                     agree = False
                 queue.append((na, nb))
@@ -285,8 +284,8 @@ def random_word_traces_agree(fam_a, fam_b, count: int, max_len: int,
         a, b = Matrix.identity(da), Matrix.identity(db)
         for i in word:
             a, b = a @ fam_a[i], b @ fam_b[i]
-        tra = sum(a.rows[k][k] for k in range(da))
-        trb = sum(b.rows[k][k] for k in range(db))
+        tra = sum(a[k, k] for k in range(da))
+        trb = sum(b[k, k] for k in range(db))
         if tra != trb:
             return False
     return True
@@ -304,7 +303,7 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
     point = make_exceptional_point(seed, espec)
     params = derive_params(point)
     spec_lines = ModuleSpec.through_lines(n_sites, n, eps1, eps2, params)
-    fam_w = {i: generator_matrix(spec_lines, i) for i in range(n_sites + 1)}
+    fam_w = dict(enumerate(spec_lines.generators))
     big = ModuleSpec.big(n_sites, params)
     basis = build_b1(ModuleRep(big))
     pair = detect_invariant(basis, espec)

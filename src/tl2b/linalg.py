@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over any field with decidable zero tests.
+"""Exact linear algebra over any field with decidable zero tests.
 
 Entries may be backend rationals, ints, or symbolic fractions; zero is
 detected with ``not entry`` and equality with ``==``.  Determinants of
@@ -17,122 +17,154 @@ from ._ratback import RAT, is_rational
 
 
 class Matrix:
-    """Dense matrix with list-of-lists storage and zero-skipping products."""
+    """Matrix over exact scalars that stores only its nonzero entries.
 
-    __slots__ = ("rows",)
+    Each row is a ``{column: value}`` dict without zeros, so products, sums,
+    scaling, comparison and application cost time in the nonzero entries.
+    ``rows`` is a dense copy, with ``0`` wherever nothing is stored.
+    """
+
+    __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
+        """From dense rows: a list of equal-length lists."""
+        rows = list(rows)
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+    @staticmethod
+    def _sparse(nrows: int, ncols: int, rows: list[dict]) -> Matrix:
+        out = object.__new__(Matrix)
+        out.nrows, out.ncols, out._rows = nrows, ncols, rows
+        return out
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._sparse(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> Matrix:
-        return Matrix([[0] * ncols for _ in range(nrows)])
+        return Matrix._sparse(nrows, ncols, [{} for _ in range(nrows)])
 
     @staticmethod
     def from_columns(cols) -> Matrix:
-        return Matrix([[col[i] for col in cols] for i in range(len(cols[0]))])
+        rows = [{} for _ in range(len(cols[0]))]
+        for j, col in enumerate(cols):
+            for i, x in enumerate(col):
+                if x:
+                    rows[i][j] = x
+        return Matrix._sparse(len(rows), len(cols), rows)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> list[list]:
+        """Dense copy of the entries, row by row."""
+        out = []
+        for row in self._rows:
+            dense = [0] * self.ncols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        return self._rows[ij[0]].get(ij[1], 0)
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self.rows]
+        return [row.get(j, 0) for row in self._rows]
 
     def transpose(self) -> Matrix:
-        return Matrix([list(col) for col in zip(*self.rows)])
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix._sparse(self.ncols, self.nrows, cols)
 
     def submatrix(self, row_idx, col_idx) -> Matrix:
-        return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
+        where = {j: k for k, j in enumerate(col_idx)}
+        rows = [{where[j]: x for j, x in self._rows[i].items() if j in where}
+                for i in row_idx]
+        return Matrix._sparse(len(rows), len(where), rows)
 
     def __add__(self, other: Matrix) -> Matrix:
-        return Matrix([[x + y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        rows = []
+        for r1, r2 in zip(self._rows, other._rows):
+            out = dict(r1)
+            for j, y in r2.items():
+                s = out[j] + y if j in out else y
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+            rows.append(out)
+        return Matrix._sparse(self.nrows, self.ncols, rows)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return Matrix([[x - y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self) -> Matrix:
-        return Matrix([[-x for x in row] for row in self.rows])
+        return Matrix._sparse(self.nrows, self.ncols,
+                              [{j: -x for j, x in row.items()}
+                               for row in self._rows])
 
     def scale(self, c) -> Matrix:
-        return Matrix([[c * x for x in row] for row in self.rows])
+        # a product of nonzero field elements is nonzero: no zeros to drop
+        if not c:
+            return Matrix.zeros(self.nrows, self.ncols)
+        return Matrix._sparse(self.nrows, self.ncols,
+                              [{j: c * x for j, x in row.items()}
+                               for row in self._rows])
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        brows = other.rows
-        ncols = other.ncols
-        out = []
-        for arow in self.rows:
-            acc = [0] * ncols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = brows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(out)
+        brows = other._rows
+        rows = []
+        for arow in self._rows:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows.append({j: x for j, x in acc.items() if x})
+        return Matrix._sparse(self.nrows, other.ncols, rows)
 
     def apply(self, vec: list) -> list:
-        out = [0] * self.nrows
-        for j, x in enumerate(vec):
-            if not x:
-                continue
-            for i, row in enumerate(self.rows):
-                e = row[j]
-                if e:
-                    out[i] = out[i] + e * x
+        out = []
+        for row in self._rows:
+            acc = 0
+            for j, e in row.items():
+                if vec[j]:
+                    acc = acc + e * vec[j]
+            out.append(acc)
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(x == y for r1, r2 in zip(self.rows, other.rows)
-                   for x, y in zip(r1, r2))
+        return (self.nrows == other.nrows and self.ncols == other.ncols
+                and self._rows == other._rows)
 
     def __hash__(self):
         raise TypeError("Matrix is unhashable")
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self._rows)
 
     def first_nonzero(self):
-        """(i, j) of the first nonzero entry, or None."""
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if x:
-                    return (i, j)
+        """(i, j) of the first nonzero entry in row-major order, or None."""
+        for i, row in enumerate(self._rows):
+            if row:
+                return (i, min(row))
         return None
 
     def scalar_multiple_of_identity(self):
         """The scalar c with self == c * I, or None."""
         if self.nrows != self.ncols:
             return None
-        c = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if i == j:
-                    if x != c:
-                        return None
-                elif x:
-                    return None
+        c = self[0, 0]
+        for i, row in enumerate(self._rows):
+            if row != ({i: c} if c else {}):
+                return None
         return c
 
     def __repr__(self) -> str:
@@ -303,10 +335,11 @@ def exact_det(matrix: Matrix):
         raise ValueError("determinant of a non-square matrix")
     if matrix.nrows == 0:
         return RAT(1)
-    if all(is_rational(x) for row in matrix.rows for x in row):
+    rows = matrix.rows
+    if all(is_rational(x) for row in rows for x in row):
         scale = RAT(1)
         int_rows = []
-        for row in matrix.rows:
+        for row in rows:
             lcm = 1
             for x in row:
                 d = _den_of(x)
@@ -319,7 +352,7 @@ def exact_det(matrix: Matrix):
         if det is None:
             det = _det_bareiss_int(int_rows)
         return RAT(det) / scale
-    return _det_field(matrix.rows)
+    return _det_field(rows)
 
 
 def invert(matrix: Matrix) -> Matrix:
@@ -327,7 +360,7 @@ def invert(matrix: Matrix) -> Matrix:
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
-    m = [row[:] + [1 if i == j else 0 for j in range(n)]
+    m = [row + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(matrix.rows)]
     for k in range(n):
         pr = next((i for i in range(k, n) if m[i][k]), None)
@@ -344,7 +377,7 @@ def invert(matrix: Matrix) -> Matrix:
 
 
 def rank(matrix: Matrix) -> int:
-    m = [row[:] for row in matrix.rows]
+    m = matrix.rows
     nrows, ncols = len(m), len(m[0]) if m else 0
     r = 0
     for c in range(ncols):

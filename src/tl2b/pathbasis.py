@@ -26,7 +26,7 @@ from .audit import audit
 from .hecke import g_coefficients, murphy_word
 from .linalg import Matrix, invert
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
-from .wordrep import ModuleSpec, action_table, irrep_dim
+from .wordrep import ModuleSpec, idempotent_words, irrep_dim, word_product
 
 Path = tuple[int, ...]
 
@@ -61,45 +61,20 @@ def kbar_coeff(u: HalfExponent, point):
 
 
 class ModuleRep:
-    """Action-table view of a module: fast vector application of e_i."""
+    """A module with its generators e_0 .. e_N, each a Matrix."""
 
     def __init__(self, spec: ModuleSpec):
         self.spec = spec
         self.params = spec.params
         self.point = spec.params.point
         self.dim = spec.dim
-        self._tables = {}
-        self._mats = {}
-
-    def table(self, i: int):
-        if i not in self._tables:
-            self._tables[i] = action_table(self.spec, i)
-        return self._tables[i]
+        self.n_sites = spec.n_sites
 
     def apply_e(self, i: int, vec: list) -> list:
-        out = [0] * self.dim
-        for col, x in enumerate(vec):
-            if not x:
-                continue
-            hit = self.table(i)[col]
-            if hit is not None:
-                row, scalar = hit
-                out[row] = out[row] + scalar * x
-        return out
+        return self.e_matrix(i).apply(vec)
 
     def e_matrix(self, i: int) -> Matrix:
-        if i not in self._mats:
-            out = Matrix.zeros(self.dim, self.dim)
-            for col, hit in enumerate(self.table(i)):
-                if hit is not None:
-                    row, scalar = hit
-                    out.rows[row][col] = scalar
-            self._mats[i] = out
-        return self._mats[i]
-
-    @property
-    def n_sites(self) -> int:
-        return self.spec.n_sites
+        return self.spec.generators[i]
 
     def fundamental_vector(self) -> list:
         vec, _ = idempotent_image(self)
@@ -124,16 +99,11 @@ class ModuleRep:
             return [lead * x + y for x, y in zip(vec, out)]
         return [lead * x + coeff * y for x, y in zip(vec, out)]
 
-    def apply_g_word(self, letters, vec: list) -> list:
-        """A word in the g_i^(+-1), lettered as in ``HeckeGenSet.word``."""
-        for ell in reversed(letters):
-            vec = (self.apply_g(ell, 1, vec) if ell >= 0
-                   else self.apply_g(-ell - 1, -1, vec))
-        return vec
-
     def apply_murphy_b(self, m: int, vec: list) -> list:
         """J_m of the single-boundary family: g_m ... g_1 g_0 g_1 ... g_m."""
-        return self.apply_g_word(murphy_word("B", self.n_sites, m), vec)
+        for i in reversed(murphy_word("B", self.n_sites, m)):
+            vec = self.apply_g(i, 1, vec)
+        return vec
 
 
 def matrix_r(rep: ModuleRep, i: int, u: HalfExponent) -> Matrix:
@@ -154,56 +124,36 @@ def matrix_kbar(rep: ModuleRep, u: HalfExponent) -> Matrix:
 # the nested idempotents
 
 
-def apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
-    """E_level applied to a vector: E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1}."""
-    s1 = rep.params.s1
-    if level == 0:
-        return vec
-    vec = apply_idempotent(rep, level - 1, vec)
-    vec = rep.apply_e(level - 1, vec)
-    vec = apply_idempotent(rep, level - 1, vec)
-    c = s1 if level % 2 == 0 else 1 / s1
-    return [c * x for x in vec]
-
-
 def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
+    """E_level, from E_0 = 1 and E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1}."""
     level = rep.n_sites if level is None else level
-    cols = [apply_idempotent(rep, level, _unit(rep.dim, j)) for j in range(rep.dim)]
-    return Matrix.from_columns(cols)
+    s1 = rep.params.s1
+    out = Matrix.identity(rep.dim)
+    for i in range(1, level + 1):
+        out = (out @ rep.e_matrix(i - 1) @ out).scale(
+            s1 if i % 2 == 0 else 1 / s1)
+    return out
 
 
 def idempotent_image(rep: ModuleRep):
     """Generator of the image of E_N, checked to be one-dimensional.
 
-    Every column of E_N must be proportional to the image vector; the
-    returned vector is normalised to coefficient 1 on the first basis
-    element it touches.  Also returns the full E_N matrix (a by-product of
-    the rank check, reused by the identity audits).
+    E_N must equal the image vector times one of its rows; the returned
+    vector is normalised to coefficient 1 on the first basis element its
+    first nonzero column touches.  Also returns the full E_N matrix, which
+    the identity audits reuse.
     """
-    n = rep.n_sites
-    cols = []
-    pivot_vec = None
-    for j in range(rep.dim):
-        col = apply_idempotent(rep, n, _unit(rep.dim, j))
-        cols.append(col)
-        if pivot_vec is None and any(col):
-            pivot_vec = col
-    if pivot_vec is None:
+    e_full = idempotent_matrix(rep)
+    where = e_full.transpose().first_nonzero()
+    if where is None:
         raise ArithmeticError("the nested idempotent vanishes on the module")
-    lead_row = next(i for i, x in enumerate(pivot_vec) if x)
-    lead = pivot_vec[lead_row]
-    fund = [x / lead for x in pivot_vec]
-    for col in cols:
-        scale = col[lead_row]
-        if any(x != scale * f for x, f in zip(col, fund)):
-            raise ArithmeticError("the image of E_N is not one-dimensional")
-    return fund, Matrix.from_columns(cols)
-
-
-def _unit(dim: int, j: int) -> list:
-    vec = [0] * dim
-    vec[j] = 1
-    return vec
+    col, lead_row = where
+    column = e_full.column(col)
+    fund = [x / column[lead_row] for x in column]
+    lead = e_full.submatrix([lead_row], range(rep.dim))
+    if Matrix.from_columns([fund]) @ lead != e_full:
+        raise ArithmeticError("the image of E_N is not one-dimensional")
+    return fund, e_full
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +632,6 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     """Slope annihilation, the two boundary identities per parity (which
     need the horizontal-line quotient), and the idempotent chain
     evaluations, all against the full E_N matrix."""
-    from .wordrep import idempotent_words
-
     params = rep.params
     n = rep.n_sites
     _, e_full = idempotent_image(rep)
@@ -716,27 +664,21 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
                 @ rmat(n - 1, -(w1u + ONE)) @ e_full)
         out.append(audit("en.boundary.second", diff))
 
-    w1w, w2w = idempotent_words(n)
-
-    def eword(word, mat):
-        for i in reversed(word):
-            mat = rep.e_matrix(i) @ mat
-        return mat
-
+    gens = [rep.e_matrix(i) for i in range(n + 1)]
+    i1, i2 = (word_product(gens, w) for w in idempotent_words(n))
     s1 = params.s1
-    i1e, i2e = eword(w1w, e_full), eword(w2w, e_full)
-    en_e = rep.e_matrix(n) @ e_full
+    i1e, i2e = i1 @ e_full, i2 @ e_full
+    en_e = gens[n] @ e_full
     if n % 2 == 0:
         out.append(audit("en.chain.21",
-                         eword(w2w, i1e) - i2e.scale(s1 ** (-(n // 2)))))
+                         i2 @ i1e - i2e.scale(s1 ** (-(n // 2)))))
         out.append(audit("en.chain.12",
-                         eword(w1w, i2e) - eword(w1w, en_e).scale(s1 ** (n // 2))))
+                         i1 @ i2e - (i1 @ en_e).scale(s1 ** (n // 2))))
     else:
         out.append(audit("en.chain.12",
-                         eword(w1w, i2e) - i1e.scale(s1 ** ((n + 1) // 2))))
-        out.append(audit("en.chain.21",
-                         eword(w2w, i1e)
-                         - eword(w2w, en_e).scale(s1 ** (-((n - 1) // 2)))))
+                         i1 @ i2e - i1e.scale(s1 ** ((n + 1) // 2))))
+        out.append(audit("en.chain.21", i2 @ i1e
+                         - (i2 @ en_e).scale(s1 ** (-((n - 1) // 2)))))
     out.append(audit("en.e0.eigen",
                      rep.e_matrix(0) @ e_full - e_full.scale(params.s1)))
     if n > 1:
@@ -746,7 +688,7 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
 
 __all__ = [
     "BasisB1", "ModuleRep", "Path", "TileEvent", "action_audit_b1",
-    "addable_tiles", "all_paths", "apply_idempotent", "apply_tile",
+    "addable_tiles", "all_paths", "apply_tile",
     "build_b1", "exceptional_points", "f_factor", "fixed_height_gram",
     "fundamental_path", "g_factor", "gram_closed_form",
     "gram_closed_form_halfdiagram", "gram_closed_form_report", "gram_diag_b1",

@@ -2,7 +2,7 @@
 
 States are indexed by integers whose bit (N - i) gives the spin at site i
 (1 = up).  Generators act through site-local kernels, so applying one to a
-vector costs O(2^N); dense matrices are only materialised on request.  The
+vector costs O(2^N); ``e_matrix`` builds the Matrix from them.  The
 equivalence with the 2^N half-diagram module is established constructively:
 the same tile operators grow a parallel path basis from the product vector
 ebar, and every generator matrix agrees entry by entry in the two path
@@ -12,15 +12,17 @@ coordinate systems.
 from __future__ import annotations
 
 from .audit import audit
-from .hecke import central_scalar_expected, inverse_word, murphy_word
-from .linalg import Matrix
+from ._ratback import RAT
+from .hecke import (central_element, central_scalar_expected, lift_family,
+                    murphy)
+from .linalg import Matrix, commutator
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
-from .pathbasis import ModuleRep, _unit, apply_idempotent, build_b1
-from .wordrep import ModuleSpec, check_relations
+from .pathbasis import ModuleRep, build_b1, idempotent_matrix
+from .wordrep import ModuleSpec, check_relations, word_product
 
 
-class SpinRep:
-    """Module protocol over spin states: apply_e, e_matrix, fundamental."""
+class SpinRep(ModuleRep):
+    """The spin chain as a module: site-local e_i kernels on 2^N states."""
 
     def __init__(self, n_sites: int, point, params=None):
         self.n_sites = n_sites
@@ -73,18 +75,12 @@ class SpinRep:
         return out
 
     def e_matrix(self, i: int) -> Matrix:
-        return Matrix.from_columns([self.apply_e(i, _unit(self.dim, j))
+        units = Matrix.identity(self.dim)
+        return Matrix.from_columns([self.apply_e(i, units.column(j))
                                     for j in range(self.dim)])
 
     def fundamental_vector(self) -> list:
         return ebar(self.n_sites, self.point)
-
-    # share the operator helpers with the half-diagram rep
-    apply_r = ModuleRep.apply_r
-    apply_k = ModuleRep.apply_k
-    apply_g = ModuleRep.apply_g
-    apply_g_word = ModuleRep.apply_g_word
-    apply_murphy_b = ModuleRep.apply_murphy_b
 
 
 def spin_generator(i: int, n_sites: int, point) -> Matrix:
@@ -117,45 +113,27 @@ def spin_vector_to_json(vec: list, n_sites: int) -> dict:
 
 
 def spin_relation_audit(n_sites: int, point, params) -> list[dict]:
-    """All defining relations, as operator identities on every basis state."""
+    """All defining relations, as operator identities on the spin chain."""
     rep = SpinRep(n_sites, point, params)
-
-    def word(letters):
-        cols = []
-        for j in range(rep.dim):
-            vec = _unit(rep.dim, j)
-            for i in reversed(letters):
-                vec = rep.apply_e(i, vec)
-            cols.append(vec)
-        return Matrix.from_columns(cols)
-
-    return sorted(check_relations(n_sites, params, word, "spin."),
+    gens = [rep.e_matrix(i) for i in range(n_sites + 1)]
+    return sorted(check_relations(n_sites, params,
+                                  lambda word: word_product(gens, word),
+                                  "spin."),
                   key=lambda r: r["identity_id"])
 
 
 def twist_symmetry_audit(n_sites: int, point, alphas=(2, 3)) -> list[dict]:
     """Bulk generators commute with the diagonal twist, exactly."""
-    from ._ratback import RAT
-
     rep = SpinRep(n_sites, point)
+    states = range(rep.dim)
     out = []
     for alpha in alphas:
         alpha = RAT(alpha)
-        weights = []
-        for state in range(rep.dim):
-            ups = bin(state).count("1")
-            weights.append(alpha ** (2 * ups - n_sites))
+        twist = Matrix([[alpha ** (2 * bin(r).count("1") - n_sites)
+                         if r == c else 0 for c in states] for r in states])
         for i in range(1, n_sites):
-            ok = True
-            for j in range(rep.dim):
-                unit = _unit(rep.dim, j)
-                conj = rep.apply_e(i, [w * x for w, x in zip(weights, unit)])
-                conj = [c / w for w, c in zip(weights, conj)]
-                plain = rep.apply_e(i, unit)
-                if any(x != y for x, y in zip(conj, plain)):
-                    ok = False
-                    break
-            out.append(audit(f"spin.twist.alpha{alpha}.e{i}", ok))
+            out.append(audit(f"spin.twist.alpha{alpha}.e{i}",
+                             commutator(twist, rep.e_matrix(i))))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -165,7 +143,7 @@ def ebar_identities(n_sites: int, point, params) -> list[dict]:
     vec = ebar(n_sites, point)
     out = []
     for level in range(n_sites + 1):
-        image = apply_idempotent(rep, level, vec)
+        image = idempotent_matrix(rep, level).apply(vec)
         out.append(audit(f"spin.ebar.fix.E{level}",
                          all(x == y for x, y in zip(image, vec))))
     image = rep.apply_e(0, vec)
@@ -193,27 +171,18 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
     spec = ModuleSpec.big(n_sites, params)
     diagram_rep = ModuleRep(spec)
     spin_rep = SpinRep(n_sites, point, params)
+    spin_gens = [spin_rep.e_matrix(i) for i in range(n_sites + 1)]
     basis_d = build_b1(diagram_rep)
     basis_s = build_b1(spin_rep, fundamental=ebar(n_sites, point))
     for i in range(n_sites + 1):
         md = basis_d.generator_in_coordinates(i)
-        ms = basis_s.in_coordinates(spin_rep.e_matrix(i))
+        ms = basis_s.in_coordinates(spin_gens[i])
         out.append(audit(f"spin.equiv.e{i}", md - ms))
-    # centre: sum of affine Murphy elements and inverses, applied spin-side
+    # centre: the sum of the affine Murphy elements and their inverses
+    z = central_element(murphy("C", lift_family(spin_gens, point)))
     lam = central_scalar_expected(point, n_sites)
-    words = [w for m in range(n_sites)
-             for w in (murphy_word("C", n_sites, m),
-                       inverse_word(murphy_word("C", n_sites, m)))]
-    ok = True
-    for j in range(spin_rep.dim):
-        unit = _unit(spin_rep.dim, j)
-        acc = [0] * spin_rep.dim
-        for w in words:
-            acc = [a + x for a, x in zip(acc, spin_rep.apply_g_word(w, unit))]
-        if any(x != lam * u for x, u in zip(acc, unit)):
-            ok = False
-            break
-    out.append(audit("spin.centre.scalar", ok))
+    out.append(audit("spin.centre.scalar",
+                     z - Matrix.identity(spin_rep.dim).scale(lam)))
     return sorted(out, key=lambda r: r["identity_id"])
 
 

@@ -99,20 +99,29 @@ class LaurentPoly:
 
         Greedy leading-term division is complete for a single divisor: if
         self = divisor * h, the leading monomial of self factors through the
-        divisor's at every step.
+        divisor's at every step.  Such an h has every exponent of each
+        variable in [min(self) - min(divisor), max(self) - max(divisor)], and
+        the quotient monomials strictly decrease, so the division ends: it
+        gives up as soon as a quotient monomial leaves that finite box.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly()
+        box = []
+        for k in range(4):
+            mine = [m[k] for m in self.terms]
+            theirs = [m[k] for m in divisor.terms]
+            box.append((min(mine) - min(theirs), max(mine) - max(theirs)))
         rem = dict(self.terms)
         lead_d = max(divisor.terms)
         coeff_d = divisor.terms[lead_d]
         quot: dict[Mono, Fraction] = {}
-        limit = 16 * (len(self.terms) + len(divisor.terms)) + 64
         while rem:
             lead_r = max(rem)
             mono = _mono_sub(lead_r, lead_d)
+            if not all(lo <= e <= hi for e, (lo, hi) in zip(mono, box)):
+                return None
             coeff = rem[lead_r] / coeff_d
             quot[mono] = coeff
             for m, c in divisor.terms.items():
@@ -122,8 +131,6 @@ class LaurentPoly:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-            if len(quot) > limit:
-                return None  # descending chain without exact division
         return LaurentPoly(quot)
 
     def unit_normal(self) -> tuple[Fraction, Mono, LaurentPoly]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .audit import audit
 from .diagrams import HalfDiagram, act_on_half, compose, FullDiagram
@@ -77,6 +77,12 @@ class ModuleSpec:
     def dim(self) -> int:
         return len(_patterns(self))
 
+    @cached_property
+    def generators(self) -> tuple[Matrix, ...]:
+        """e_0 .. e_N on this module, each built once."""
+        return tuple(generator_matrix(self, i)
+                     for i in range(self.n_sites + 1))
+
 
 @lru_cache(maxsize=None)
 def _basis_patterns(n_sites: int, kind: str, n_through: int,
@@ -136,12 +142,15 @@ def action_table(spec: ModuleSpec, i: int) -> list:
 
 
 def generator_matrix(spec: ModuleSpec, i: int) -> Matrix:
-    out = Matrix.zeros(spec.dim, spec.dim)
-    for col, hit in enumerate(action_table(spec, i)):
+    """The Matrix of ``action_table``; ``spec.generators`` keeps them all."""
+    cols = []
+    for hit in action_table(spec, i):
+        col = [0] * spec.dim
         if hit is not None:
             row, scalar = hit
-            out.rows[row][col] = scalar
-    return out
+            col[row] = scalar
+        cols.append(col)
+    return Matrix.from_columns(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +230,7 @@ def idempotent_words(n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def word_matrix(spec: ModuleSpec, word: tuple[int, ...]) -> Matrix:
     """Matrix of the product of generators, read left to right."""
-    out = Matrix.identity(spec.dim)
-    for i in word:
-        out = out @ generator_matrix(spec, i)
-    return out
+    return word_product(spec.generators, word)
 
 
 def word_product(family, word) -> Matrix:
@@ -253,7 +259,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
     On the 2^N module the two horizontal-line relations I1*I2*I1 = b*I1 and
     I2*I1*I2 = b*I2 are audited as well.
     """
-    gens = [generator_matrix(spec, i) for i in range(spec.n_sites + 1)]
+    gens = spec.generators
     records = check_relations(spec.n_sites, spec.params,
                               lambda word: word_product(gens, word))
     if spec.kind == "big":

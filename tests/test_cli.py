@@ -130,3 +130,14 @@ def test_reports_print_past_the_int_digit_limit():
     assert code == 0 and json.loads(out)["status"] == "pass"
     assert limit_after == 640
     assert bad_code == 2 and json.loads(bad_out)["status"] == "error"
+
+
+def test_relations_builds_each_generator_once(monkeypatch):
+    from tl2b import wordrep
+
+    calls = []
+    table = wordrep.action_table
+    monkeypatch.setattr(wordrep, "action_table",
+                        lambda spec, i: calls.append(i) or table(spec, i))
+    code, _ = run(["relations", "--n", "3", "--seed", "2"])
+    assert code == 0 and sorted(calls) == [0, 1, 2, 3]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tl2b._ratback import RAT
 from tl2b.linalg import (Matrix, _det_bareiss_int, _det_modular_int,
@@ -70,3 +72,91 @@ def test_determinant_of_empty_and_permutation():
     assert exact_det(perm) == 1
     swap = Matrix([[0, 1], [1, 0]])
     assert exact_det(swap) == -1
+
+
+# ---------------------------------------------------------------------------
+# the sparse Matrix against plain dense lists
+
+ZERO_OR_SMALL = st.one_of(
+    st.just(0), st.just(RAT(0)),
+    st.builds(RAT, st.integers(-3, 3), st.integers(1, 4)))
+
+
+def dense_rows(nrows, ncols):
+    return st.lists(st.lists(ZERO_OR_SMALL, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def naive_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def naive_first_nonzero(a):
+    return next(((i, j) for i, row in enumerate(a)
+                 for j, x in enumerate(row) if x), None)
+
+
+def naive_scalar_of_identity(a):
+    c = a[0][0]
+    square = len(a) == len(a[0])
+    if square and all(x == (c if i == j else 0)
+                      for i, row in enumerate(a) for j, x in enumerate(row)):
+        return c
+    return None
+
+
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4),
+       m=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_matrix_agrees_with_dense_lists(data, n, k, m):
+    a = data.draw(dense_rows(n, k))
+    b = data.draw(dense_rows(k, m))
+    c = data.draw(dense_rows(n, k))
+    vec = data.draw(st.lists(ZERO_OR_SMALL, min_size=k, max_size=k))
+    s = data.draw(ZERO_OR_SMALL)
+    ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
+    assert ma.rows == a
+    assert [ma[i, j] for i in range(n) for j in range(k)] == \
+        [x for row in a for x in row]
+    expected = {
+        "product": (ma @ mb, naive_product(a, b)),
+        "sum": (ma + mc, [[x + y for x, y in zip(r, t)]
+                          for r, t in zip(a, c)]),
+        "difference": (ma - mc, [[x - y for x, y in zip(r, t)]
+                                 for r, t in zip(a, c)]),
+        "scaled": (ma.scale(s), [[s * x for x in row] for row in a]),
+    }
+    for name, (got, want) in expected.items():
+        assert got.rows == want, name
+        assert got == Matrix(want), name
+        assert got.first_nonzero() == naive_first_nonzero(want), name
+        assert got.is_zero() == (naive_first_nonzero(want) is None), name
+    assert (ma == mc) == (a == c)
+    assert ma.is_zero() == (not any(x for row in a for x in row))
+    assert ma.apply(vec) == [sum(x * y for x, y in zip(row, vec))
+                             for row in a]
+    assert ma.transpose().rows == [list(col) for col in zip(*a)]
+    row_idx = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                 min_size=1))
+    col_idx = data.draw(st.lists(st.integers(0, k - 1), unique=True,
+                                 min_size=1))
+    assert ma.submatrix(row_idx, col_idx).rows == \
+        [[a[i][j] for j in col_idx] for i in row_idx]
+    assert ma.first_nonzero() == naive_first_nonzero(a)
+    assert ma.scalar_multiple_of_identity() == naive_scalar_of_identity(a)
+    diag = [[s if i == j else 0 for j in range(n)] for i in range(n)]
+    assert Matrix(diag).scalar_multiple_of_identity() == s
+    assert Matrix.from_columns([list(col) for col in zip(*a)]) == ma
+
+
+def test_stored_zeros_and_the_dense_view():
+    m = Matrix([[0, RAT(0)], [RAT(2), 0]])
+    assert m == Matrix([[RAT(0), 0], [2, RAT(0)]])
+    assert m.first_nonzero() == (1, 0)
+    assert Matrix([[RAT(0), 0], [0, 0]]).is_zero()
+    view = m.rows
+    view[1][0] = 5
+    assert m[1, 0] == 2
+    with pytest.raises(AttributeError):
+        m.rows = view

@@ -2,12 +2,19 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from conftest import assert_all_pass
 from tl2b._ratback import RAT
+from tl2b.linalg import Matrix
+from tl2b.pathbasis import ModuleRep, build_b1
 from tl2b.scalars import OMEGA1, OMEGA2, ONE, THETA
 from tl2b.spinchain import (SpinRep, ebar, ebar_identities, equivalence_audit,
                             spin_generator, spin_relation_audit,
                             spin_vector_to_json, twist_symmetry_audit)
+from tl2b.wordrep import ModuleSpec, word_product
 
 
 def _unit(dim, j):
@@ -96,3 +103,41 @@ def test_spin_vector_json(point):
     assert data["00"] == "1"
     sparse = spin_vector_to_json([0, point.one, 0, 0], 2)
     assert list(sparse) == ["01"]
+
+
+@pytest.fixture(scope="session")
+def two_models(point, params):
+    """N -> (half-diagram rep, spin rep, their path bases) for N = 2..4."""
+    out = {}
+    for n in (2, 3, 4):
+        diagram = ModuleRep(ModuleSpec.big(n, params))
+        spin = SpinRep(n, point, params)
+        out[n] = (diagram, spin, build_b1(diagram),
+                  build_b1(spin, fundamental=ebar(n, point)))
+    return out
+
+
+def _letter_by_letter(rep, word):
+    """The word's matrix from ``apply_e`` on every unit vector."""
+    cols = []
+    for j in range(rep.dim):
+        vec = _unit(rep.dim, j)
+        for i in reversed(word):
+            vec = rep.apply_e(i, vec)
+        cols.append(vec)
+    return Matrix.from_columns(cols)
+
+
+@given(data=st.data(), n=st.integers(2, 4))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_word_agrees_in_diagram_and_spin_models(two_models, data, n):
+    word = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=6))
+    diagram, spin, basis_d, basis_s = two_models[n]
+    mats = []
+    for rep, basis in ((diagram, basis_d), (spin, basis_s)):
+        gens = [rep.e_matrix(i) for i in range(n + 1)]
+        mat = word_product(gens, word)
+        assert mat == _letter_by_letter(rep, word)
+        mats.append(basis.in_coordinates(mat))
+    assert mats[0] == mats[1]

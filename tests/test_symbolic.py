@@ -46,6 +46,16 @@ def test_exact_division():
     assert (s * s + one).divide_exact(g) is None
 
 
+def test_exact_division_has_no_term_budget():
+    # the quotient of x^200 - 1 by x - 1 has 200 terms
+    one = LaurentPoly.const(1)
+    x = LaurentPoly.monomial((1, 0, 0, 0))
+    y = LaurentPoly.monomial((0, 1, 0, 0))
+    h = (LaurentPoly.monomial((200, 0, 0, 0)) - one).divide_exact(x - one)
+    assert h == LaurentPoly({(k, 0, 0, 0): 1 for k in range(200)})
+    assert x.divide_exact(x - y) is None
+
+
 def test_fraction_field_axioms(sym):
     x = sym.qnum(OMEGA1 + ONE)
     y = sym.qnum(THETA)
