@@ -166,7 +166,7 @@ def cmd_gram(args) -> int:
     factors = pathbasis.gram_closed_form_report(args.n, point)
     results = [audit("gram.det.halfdiagram_basis",
                      None if brute == closed_half else "mismatch")]
-    basis = [str(h) for h in wordrep.enumerate_basis(spec)]
+    basis = [str(h) for h in spec.basis]
     exc = [{"sign": s, "m": m, "eps1": e1, "eps2": e2}
            for (s, m, e1, e2) in pathbasis.exceptional_points(args.n)]
     factor_table = []

@@ -4,8 +4,10 @@ Entries may be backend rationals, ints, or symbolic fractions; zero is
 detected with ``not entry`` and equality with ``==``.  Determinants of
 rational matrices go through fraction-free Bareiss elimination on integers
 (rows are cleared of denominators first); other entry types fall back to
-ordinary field elimination.  Pivoting is first-nonzero: with exact
-arithmetic, pivot choice affects speed only.
+ordinary field elimination.  A nonzero residue of that integer
+determinant modulo one prime (``nonsingular_certificate``) proves a matrix
+nonsingular without computing its determinant.  Pivoting is first-nonzero:
+with exact arithmetic, pivot choice affects speed only.
 """
 
 from __future__ import annotations
@@ -270,6 +272,28 @@ def _small_primes(count: int) -> tuple[int, ...]:
     return _prime_pool(((count + 255) // 256) * 256)[:count]
 
 
+def _det_mod_p(rows: list[list[int]], p: int) -> int:
+    """det(rows) mod p, by elimination over GF(p) on plain lists."""
+    m = [[x % p for x in row] for row in rows]
+    n = len(m)
+    det = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if m[i][k]), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            det = -det
+        krow = m[k]
+        det = det * krow[k] % p
+        inv = pow(krow[k], p - 2, p)
+        for i in range(k + 1, n):
+            f = m[i][k] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], krow)]
+    return det % p
+
+
 def _det_modular_int(rows: list[list[int]]) -> int | None:
     """Chinese-remainder determinant with a vectorised word-size kernel.
 
@@ -323,9 +347,28 @@ def _det_modular_int(rows: list[list[int]]) -> int | None:
     return residue
 
 
+def _integer_rows(rows: list[list]):
+    """(scale, int_rows): each rational row times the lcm of its
+    denominators, and the product of those lcms, so that
+    det(rows) = det(int_rows) / scale."""
+    scale = RAT(1)
+    int_rows = []
+    for row in rows:
+        lcm = 1
+        for x in row:
+            d = _den_of(x)
+            lcm = lcm * d // math.gcd(lcm, d)
+        scale = scale * RAT(lcm)
+        int_rows.append([_num_of(x) * (lcm // _den_of(x)) for x in row])
+    return scale, int_rows
+
+
 #: above this dimension the minor growth makes Bareiss impractical and the
 #: modular reconstruction takes over (still exact; cross-checked in tests)
 _MODULAR_DIM = 100
+
+#: how many pool primes ``nonsingular_certificate`` tries
+_CERTIFICATE_PRIMES = 3
 
 
 def exact_det(matrix: Matrix):
@@ -337,15 +380,7 @@ def exact_det(matrix: Matrix):
         return RAT(1)
     rows = matrix.rows
     if all(is_rational(x) for row in rows for x in row):
-        scale = RAT(1)
-        int_rows = []
-        for row in rows:
-            lcm = 1
-            for x in row:
-                d = _den_of(x)
-                lcm = lcm * d // math.gcd(lcm, d)
-            scale = scale * RAT(lcm)
-            int_rows.append([_num_of(x) * (lcm // _den_of(x)) for x in row])
+        scale, int_rows = _integer_rows(rows)
         det = None
         if matrix.nrows >= _MODULAR_DIM:
             det = _det_modular_int(int_rows)
@@ -353,6 +388,28 @@ def exact_det(matrix: Matrix):
             det = _det_bareiss_int(int_rows)
         return RAT(det) / scale
     return _det_field(rows)
+
+
+def nonsingular_certificate(matrix: Matrix) -> int | None:
+    """A prime p with det(matrix) != 0 mod p, proving det(matrix) != 0.
+
+    The residue is that of the row-integerised matrix (as in
+    ``exact_det``), whose determinant is det(matrix) times a nonzero
+    integer, so a nonzero residue is a proof.  Returns None when none of a
+    few pool primes certifies, or when the entries are not rational; None
+    proves nothing, and the caller must decide exactly.  The kernel is plain
+    Python: a few residues of one matrix are not worth importing numpy.
+    """
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    rows = matrix.rows
+    if not all(is_rational(x) for row in rows for x in row):
+        return None
+    _, int_rows = _integer_rows(rows)
+    for p in _prime_pool(_CERTIFICATE_PRIMES):
+        if _det_mod_p(int_rows, p):
+            return p
+    return None
 
 
 def invert(matrix: Matrix) -> Matrix:

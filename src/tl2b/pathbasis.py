@@ -124,15 +124,23 @@ def matrix_kbar(rep: ModuleRep, u: HalfExponent) -> Matrix:
 # the nested idempotents
 
 
-def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
-    """E_level, from E_0 = 1 and E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1}."""
+def idempotent_matrices(rep: ModuleRep,
+                        level: int | None = None) -> list[Matrix]:
+    """E_0 .. E_level (E_N by default), from E_0 = 1 and
+    E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1}."""
     level = rep.n_sites if level is None else level
     s1 = rep.params.s1
-    out = Matrix.identity(rep.dim)
+    out = [Matrix.identity(rep.dim)]
     for i in range(1, level + 1):
-        out = (out @ rep.e_matrix(i - 1) @ out).scale(
-            s1 if i % 2 == 0 else 1 / s1)
+        prev = out[-1]
+        out.append((prev @ rep.e_matrix(i - 1) @ prev).scale(
+            s1 if i % 2 == 0 else 1 / s1))
     return out
+
+
+def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
+    """E_level alone; see ``idempotent_matrices``."""
+    return idempotent_matrices(rep, level)[-1]
 
 
 def idempotent_image(rep: ModuleRep):
@@ -693,7 +701,8 @@ __all__ = [
     "fundamental_path", "g_factor", "gram_closed_form",
     "gram_closed_form_halfdiagram", "gram_closed_form_report", "gram_diag_b1",
     "gram_normalization_exponent", "idempotent_identities",
-    "idempotent_image", "idempotent_matrix", "k_coeff", "kbar_coeff",
+    "idempotent_image", "idempotent_matrices", "idempotent_matrix",
+    "k_coeff", "kbar_coeff",
     "matrix_k", "matrix_kbar", "matrix_r", "murphy_audit_b1",
     "murphy_eigenvalue", "path_order", "path_weight", "r_coeff",
     "removable_tiles", "tile_multiset", "tile_order_independence",

@@ -4,9 +4,12 @@ States are indexed by integers whose bit (N - i) gives the spin at site i
 (1 = up).  Generators act through site-local kernels, so applying one to a
 vector costs O(2^N); ``e_matrix`` builds the Matrix from them.  The
 equivalence with the 2^N half-diagram module is established constructively:
-the same tile operators grow a parallel path basis from the product vector
-ebar, and every generator matrix agrees entry by entry in the two path
-coordinate systems.
+the same tile operators grow a parallel path basis B_s from the product
+vector ebar, and every spin generator E_s intertwines it with the
+half-diagram generator M_d in path coordinates, E_s B_s = B_s M_d, exactly.
+A prime p with det(B_s) != 0 mod p proves B_s invertible, which makes the
+intertwiner identity equivalent to B_s^-1 E_s B_s = M_d without inverting
+B_s; only when no prime certifies is B_s inverted exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from .audit import audit
 from ._ratback import RAT
 from .hecke import (central_element, central_scalar_expected, lift_family,
                     murphy)
-from .linalg import Matrix, commutator
+from .linalg import Matrix, commutator, nonsingular_certificate
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
-from .pathbasis import ModuleRep, build_b1, idempotent_matrix
+from .pathbasis import ModuleRep, build_b1, idempotent_matrices
 from .wordrep import ModuleSpec, check_relations, word_product
 
 
@@ -142,8 +145,8 @@ def ebar_identities(n_sites: int, point, params) -> list[dict]:
     rep = SpinRep(n_sites, point, params)
     vec = ebar(n_sites, point)
     out = []
-    for level in range(n_sites + 1):
-        image = idempotent_matrix(rep, level).apply(vec)
+    for level, e_level in enumerate(idempotent_matrices(rep)):
+        image = e_level.apply(vec)
         out.append(audit(f"spin.ebar.fix.E{level}",
                          all(x == y for x, y in zip(image, vec))))
     image = rep.apply_e(0, vec)
@@ -164,9 +167,19 @@ def ebar_identities(n_sites: int, point, params) -> list[dict]:
 
 
 def equivalence_audit(n_sites: int, point, params) -> list[dict]:
-    """Grow the parallel path basis from ebar and compare every generator's
-    matrix, entry by entry, with the half-diagram path coordinates; check
-    the central element acts by the expected scalar on the spin side."""
+    """Grow the parallel path basis from ebar and check that it intertwines
+    the two models; check the central element acts by the expected scalar
+    on the spin side.
+
+    For each generator, ``spin.equiv.e{i}`` checks E_s B_s = B_s M_d, where
+    B_s is the spin path basis (columns) and M_d the half-diagram generator
+    in its own path coordinates.  ``nonsingular_certificate`` proves
+    det(B_s) != 0 by a nonzero residue modulo a prime; failing that, B_s is
+    inverted exactly, which raises ZeroDivisionError when it is singular.
+    With B_s invertible the identity is B_s^-1 E_s B_s = M_d: the generator
+    matrices agree entry by entry in the two path coordinate systems.  A
+    failing record names an entry of E_s B_s - B_s M_d.
+    """
     out = ebar_identities(n_sites, point, params)
     spec = ModuleSpec.big(n_sites, params)
     diagram_rep = ModuleRep(spec)
@@ -174,10 +187,12 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
     spin_gens = [spin_rep.e_matrix(i) for i in range(n_sites + 1)]
     basis_d = build_b1(diagram_rep)
     basis_s = build_b1(spin_rep, fundamental=ebar(n_sites, point))
+    cob = basis_s.change_of_basis
+    if nonsingular_certificate(cob) is None:
+        basis_s.inverse()  # exact; raises ZeroDivisionError when singular
     for i in range(n_sites + 1):
         md = basis_d.generator_in_coordinates(i)
-        ms = basis_s.in_coordinates(spin_gens[i])
-        out.append(audit(f"spin.equiv.e{i}", md - ms))
+        out.append(audit(f"spin.equiv.e{i}", spin_gens[i] @ cob - cob @ md))
     # centre: the sum of the affine Murphy elements and their inverses
     z = central_element(murphy("C", lift_family(spin_gens, point)))
     lam = central_scalar_expected(point, n_sites)

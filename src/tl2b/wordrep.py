@@ -78,6 +78,11 @@ class ModuleSpec:
         return len(_patterns(self))
 
     @cached_property
+    def basis(self) -> tuple[HalfDiagram, ...]:
+        """The canonically ordered basis, built once."""
+        return tuple(enumerate_basis(self))
+
+    @cached_property
     def generators(self) -> tuple[Matrix, ...]:
         """e_0 .. e_N on this module, each built once."""
         return tuple(generator_matrix(self, i)
@@ -129,7 +134,7 @@ def enumerate_basis(spec: ModuleSpec) -> list[HalfDiagram]:
 
 def action_table(spec: ModuleSpec, i: int) -> list:
     """Sparse column map: entry j is (row, scalar) or None."""
-    basis = enumerate_basis(spec)
+    basis = spec.basis
     index = {h.pattern: r for r, h in enumerate(basis)}
     table = []
     for h in basis:
@@ -181,7 +186,7 @@ def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
 
 
 def gram_matrix(spec: ModuleSpec) -> Matrix:
-    basis = enumerate_basis(spec)
+    basis = spec.basis
     rows = []
     for x in basis:
         rows.append([bilinear(x, y, spec) for y in basis])

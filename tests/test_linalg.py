@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tl2b._ratback import RAT
-from tl2b.linalg import (Matrix, _det_bareiss_int, _det_modular_int,
-                         commutator, exact_det, invert, rank)
+from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_bareiss_int,
+                         _det_mod_p, _det_modular_int, _prime_pool, commutator,
+                         exact_det, invert, nonsingular_certificate, rank)
 
 
 def _random_rational_matrix(n, seed):
@@ -160,3 +162,53 @@ def test_stored_zeros_and_the_dense_view():
     assert m[1, 0] == 2
     with pytest.raises(AttributeError):
         m.rows = view
+
+
+# ---------------------------------------------------------------------------
+# the prime certificate of a nonzero determinant
+
+def test_residue_kernel_matches_bareiss():
+    rng = random.Random(11)
+    cases = [[[rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)]
+              for _ in range(n)] for n in (1, 4, 9, 17)]
+    # zero leading entries force row swaps
+    cases += [[[0, 1], [1, 0]], [[0, 2, 3], [4, 5, 6], [7, 8, 10]]]
+    for rows in cases:
+        for p in _prime_pool(_CERTIFICATE_PRIMES):
+            assert _det_mod_p(rows, p) == _det_bareiss_int(rows) % p
+
+
+@given(data=st.data(), n=st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_certificate_proves_a_nonzero_determinant(data, n):
+    # mostly zero entries: singular draws are common
+    m = Matrix(data.draw(dense_rows(n, n)))
+    p = nonsingular_certificate(m)
+    if p is not None:
+        assert p in _prime_pool(_CERTIFICATE_PRIMES)
+        assert exact_det(m) != 0
+
+
+def test_singular_matrices_get_no_certificate():
+    assert nonsingular_certificate(Matrix([[1, 2], [2, 4]])) is None
+    third = RAT(1, 3)
+    singular = Matrix([[third, RAT(2, 5), 1],
+                       [2 * third, RAT(4, 5), 2],
+                       [RAT(7, 2), 0, RAT(-1, 9)]])
+    assert exact_det(singular) == 0
+    assert nonsingular_certificate(singular) is None
+    assert nonsingular_certificate(Matrix.zeros(3, 3)) is None
+
+
+def test_certificate_passes_over_a_prime_dividing_the_determinant():
+    first, second, *_ = primes = _prime_pool(_CERTIFICATE_PRIMES)
+    # the integerised rows are [[first, 0], [0, 1]]: det = first
+    m = Matrix([[RAT(first), 0], [0, RAT(1, 3)]])
+    assert nonsingular_certificate(m) == second
+    # every tried prime divides the determinant: no certificate, and the
+    # exact fallback still finds the matrix nonsingular
+    product = math.prod(primes)
+    m = Matrix([[RAT(product, 7), 0], [0, RAT(1, 11)]])
+    assert nonsingular_certificate(m) is None
+    assert exact_det(m) == RAT(product, 77)
+    assert invert(m) @ m == Matrix.identity(2)

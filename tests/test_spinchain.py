@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_all_pass
 from tl2b._ratback import RAT
+from tl2b import pathbasis, spinchain
 from tl2b.linalg import Matrix
 from tl2b.pathbasis import ModuleRep, build_b1
 from tl2b.scalars import OMEGA1, OMEGA2, ONE, THETA
@@ -141,3 +142,71 @@ def test_random_word_agrees_in_diagram_and_spin_models(two_models, data, n):
         assert mat == _letter_by_letter(rep, word)
         mats.append(basis.in_coordinates(mat))
     assert mats[0] == mats[1]
+
+
+# ---------------------------------------------------------------------------
+# the intertwiner form of the equivalence
+
+
+def _count_inverts(monkeypatch):
+    calls = []
+    original = pathbasis.invert
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(pathbasis, "invert", counted)
+    return calls
+
+
+def test_equivalence_inverts_only_the_diagram_basis(monkeypatch, point,
+                                                    params):
+    calls = _count_inverts(monkeypatch)
+    records = equivalence_audit(3, point, params)
+    assert_all_pass(records)
+    diagram = build_b1(ModuleRep(ModuleSpec.big(3, params)))
+    assert calls == [diagram.change_of_basis]
+
+
+def test_equivalence_without_a_certificate_inverts_exactly(monkeypatch, point,
+                                                           params):
+    calls = _count_inverts(monkeypatch)
+    monkeypatch.setattr(spinchain, "nonsingular_certificate", lambda m: None)
+    assert_all_pass(equivalence_audit(3, point, params))
+    spin = build_b1(SpinRep(3, point, params), fundamental=ebar(3, point))
+    assert len(calls) == 2 and spin.change_of_basis in calls
+
+
+def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, point,
+                                                         params):
+    n, bad, (r, c) = 3, 2, (5, 1)
+    original = SpinRep.e_matrix
+
+    def perturbed(self, i):
+        mat = original(self, i)
+        if i != bad:
+            return mat
+        return mat + Matrix([[RAT(1, 7) if (a, b) == (r, c) else 0
+                              for b in range(self.dim)]
+                             for a in range(self.dim)])
+
+    monkeypatch.setattr(SpinRep, "e_matrix", perturbed)
+    records = {rec["identity_id"]: rec
+               for rec in equivalence_audit(n, point, params)}
+    # E_s B_s - B_s M_d is the perturbation times B_s: row r holds
+    # row c of B_s, scaled
+    cob = build_b1(SpinRep(n, point, params),
+                   fundamental=ebar(n, point)).change_of_basis
+    col = next(j for j in range(cob.ncols) if cob[c, j])
+    assert records[f"spin.equiv.e{bad}"]["status"] == "fail"
+    assert records[f"spin.equiv.e{bad}"]["deviation"] == f"entry({r}, {col})"
+    for i in range(n + 1):
+        if i != bad:
+            assert records[f"spin.equiv.e{i}"]["status"] == "pass"
+
+
+def test_singular_spin_basis_still_raises(monkeypatch, point, params):
+    monkeypatch.setattr(spinchain, "ebar", lambda n, pt: [0] * (1 << n))
+    with pytest.raises(ZeroDivisionError):
+        equivalence_audit(3, point, params)
