@@ -34,13 +34,6 @@ else:
 RAT_TYPES: tuple[type, ...] = (type(RAT(1)), Fraction, int)
 
 
-def rat(numerator, denominator=1):
-    """Build a backend rational from ints, a Fraction, or a 'p/q' string."""
-    if denominator == 1:
-        return RAT(numerator)
-    return RAT(numerator, denominator)
-
-
 def rat_from_str(text: str):
     """Parse 'p/q' or 'p' into a backend rational."""
     text = text.strip()

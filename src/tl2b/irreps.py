@@ -8,6 +8,9 @@ complement give two smaller representations whose dimensions, central
 scalars and single-boundary Murphy spectra are computed here, together with
 an exact trace-comparison engine that gathers evidence (never proof) that
 the sub-representation matches the corresponding through-line module.
+
+A generator family holds the matrices of e_0 .. e_N at indices 0 .. N: a
+tuple, or a dict keyed 0 .. N.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .scalars import (GenericityError, HalfExponent, OMEGA1, OMEGA2,
                       ParamPoint, derive_params)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, exceptional_points,
                         murphy_eigenvalue)
-from .wordrep import ModuleSpec, check_relations, irrep_dim, word_product
+from .wordrep import ModuleSpec, check_relations, irrep_dim
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ class SubQuotientPair:
     espec: ExceptionalSpec
     sub_paths: list
     quo_paths: list
-    sub: dict[int, Matrix]
-    quo: dict[int, Matrix]
+    sub: tuple[Matrix, ...]
+    quo: tuple[Matrix, ...]
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -129,27 +132,26 @@ def detect_invariant(basis: BasisB1, espec: ExceptionalSpec) -> SubQuotientPair:
         in_sub = lambda p: p[n] <= -espec.m - 1
     sub_idx = [i for i, p in enumerate(basis.paths) if in_sub(p)]
     quo_idx = [i for i, p in enumerate(basis.paths) if not in_sub(p)]
-    mats = {i: basis.generator_in_coordinates(i) for i in range(n + 1)}
-    for i, mat in mats.items():
+    mats = tuple(basis.generator_in_coordinates(i) for i in range(n + 1))
+    for i, mat in enumerate(mats):
         for r in quo_idx:
             for c in sub_idx:
                 if mat[r, c]:
                     raise ArithmeticError(
                         f"block is not invariant under e_{i} at entry "
                         f"({r},{c}); the point is not exceptional as claimed")
-    sub = {i: mat.submatrix(sub_idx, sub_idx) for i, mat in mats.items()}
-    quo = {i: mat.submatrix(quo_idx, quo_idx) for i, mat in mats.items()}
+    sub = tuple(mat.submatrix(sub_idx, sub_idx) for mat in mats)
+    quo = tuple(mat.submatrix(quo_idx, quo_idx) for mat in mats)
     return SubQuotientPair(espec,
                            [basis.paths[i] for i in sub_idx],
                            [basis.paths[i] for i in quo_idx],
                            sub, quo)
 
 
-def family_relation_audit(family: dict[int, Matrix], params,
+def family_relation_audit(family: tuple[Matrix, ...], params,
                           prefix: str = "family.") -> list[dict]:
     """Defining relations on an arbitrary generator family."""
-    records = check_relations(max(family), params,
-                              lambda word: word_product(family, word), prefix)
+    records = check_relations(family, params, prefix)
     return sorted(records, key=lambda r: r["identity_id"])
 
 
@@ -157,7 +159,7 @@ def family_relation_audit(family: dict[int, Matrix], params,
 # central characters
 
 
-def central_character(family: dict[int, Matrix], point):
+def central_character(family: tuple[Matrix, ...], point):
     """The scalar by which the centre acts, or an error report.
 
     Returns (scalar, None) when the central matrix is exactly scalar, and
@@ -185,7 +187,7 @@ def eigenvalue_multiplicity(mat: Matrix, lam) -> int:
     return mat.nrows - rank(shifted)
 
 
-def murphy_spectrum_match(family: dict[int, Matrix], point, paths) -> bool:
+def murphy_spectrum_match(family: tuple[Matrix, ...], point, paths) -> bool:
     """The family's Murphy spectra agree with the path-predicted multisets.
 
     For each Murphy element the predicted eigenvalues must exhaust the space
@@ -243,15 +245,15 @@ class _Span:
         return True
 
 
-def traces_agree_all_words(fam_a: dict[int, Matrix],
-                           fam_b: dict[int, Matrix]) -> tuple[bool, int]:
+def traces_agree_all_words(fam_a: tuple[Matrix, ...],
+                           fam_b: tuple[Matrix, ...]) -> tuple[bool, int]:
     """Exact trace agreement of both families on every generator word.
 
     Breadth-first closure of the joint word span: once the span of pairs
     (word in A, word in B) is multiplicatively closed, trace equality on its
     basis decides trace equality for words of every length.  Returns
     (agree, number of words explicitly expanded)."""
-    n = max(fam_a)
+    n = len(fam_a) - 1
     da, db = fam_a[0].nrows, fam_b[0].nrows
     span = _Span(da * da + db * db)
     start = (Matrix.identity(da), Matrix.identity(db))
@@ -276,7 +278,7 @@ def traces_agree_all_words(fam_a: dict[int, Matrix],
 def random_word_traces_agree(fam_a, fam_b, count: int, max_len: int,
                              seed: int) -> bool:
     rng = random.Random(seed)
-    n = max(fam_a)
+    n = len(fam_a) - 1
     da, db = fam_a[0].nrows, fam_b[0].nrows
     for _ in range(count):
         length = rng.randrange(1, max_len + 1)
@@ -303,7 +305,7 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
     point = make_exceptional_point(seed, espec)
     params = derive_params(point)
     spec_lines = ModuleSpec.through_lines(n_sites, n, eps1, eps2, params)
-    fam_w = dict(enumerate(spec_lines.generators))
+    fam_w = spec_lines.generators
     big = ModuleSpec.big(n_sites, params)
     basis = build_b1(ModuleRep(big))
     pair = detect_invariant(basis, espec)

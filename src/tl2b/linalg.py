@@ -412,6 +412,29 @@ def nonsingular_certificate(matrix: Matrix) -> int | None:
     return None
 
 
+def _row_reduce(rows: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` in place, over their first
+    ``ncols`` columns, to reduced row echelon form; returns the pivot
+    column of each leading row."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
 def invert(matrix: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = matrix.nrows
@@ -419,39 +442,13 @@ def invert(matrix: Matrix) -> Matrix:
         raise ValueError("inverse of a non-square matrix")
     m = [row + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(matrix.rows)]
-    for k in range(n):
-        pr = next((i for i in range(k, n) if m[i][k]), None)
-        if pr is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[k], m[pr] = m[pr], m[k]
-        piv = m[k][k]
-        m[k] = [x / piv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    if len(_row_reduce(m, n)) < n:
+        raise ZeroDivisionError("matrix is singular")
     return Matrix([row[n:] for row in m])
 
 
 def rank(matrix: Matrix) -> int:
-    m = matrix.rows
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_row_reduce(matrix.rows, matrix.ncols))
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:

@@ -40,24 +40,37 @@ def r_coeff(u: HalfExponent, point):
     return point.qnum(u + ONE) / point.qnum_nonzero(u)
 
 
+def _wall_coeff(u: HalfExponent, point, omega: HalfExponent):
+    """-[(u-w+th)/2][(u-w-th)/2] / ([u][w+1]) at the wall of parameter w."""
+    top1 = (u - omega + THETA).halved()
+    top2 = (u - omega - THETA).halved()
+    if top1 is None or top2 is None:
+        wall = "w1" if omega == OMEGA1 else "w2"
+        raise ValueError(f"argument {u} is not halvable against {wall}, th")
+    return -(point.qnum(top1) * point.qnum(top2)
+             / (point.qnum_nonzero(u) * point.qnum_nonzero(omega + ONE)))
+
+
 def k_coeff(u: HalfExponent, point):
     """k(u) = -[(u-w2+th)/2][(u-w2-th)/2] / ([u][w2+1])."""
-    top1 = (u - OMEGA2 + THETA).halved()
-    top2 = (u - OMEGA2 - THETA).halved()
-    if top1 is None or top2 is None:
-        raise ValueError(f"argument {u} is not halvable against w2, th")
-    return -(point.qnum(top1) * point.qnum(top2)
-             / (point.qnum_nonzero(u) * point.qnum_nonzero(OMEGA2 + ONE)))
+    return _wall_coeff(u, point, OMEGA2)
 
 
 def kbar_coeff(u: HalfExponent, point):
     """Left-boundary mirror of k(u), with w1 and the same twist parameter."""
-    top1 = (u - OMEGA1 + THETA).halved()
-    top2 = (u - OMEGA1 - THETA).halved()
-    if top1 is None or top2 is None:
-        raise ValueError(f"argument {u} is not halvable against w1, th")
-    return -(point.qnum(top1) * point.qnum(top2)
-             / (point.qnum_nonzero(u) * point.qnum_nonzero(OMEGA1 + ONE)))
+    return _wall_coeff(u, point, OMEGA1)
+
+
+def _tile_coeff(boundary: bool, u: HalfExponent, point):
+    """k(u) for the right-wall half-tile, r(u) for a square tile."""
+    return (k_coeff if boundary else r_coeff)(u, point)
+
+
+def _shift(rep: ModuleRep, j: int, c, vec: list | None = None):
+    """e_j - c*1 as a Matrix, or applied to ``vec`` when it is given."""
+    if vec is None:
+        return rep.e_matrix(j) - Matrix.identity(rep.dim).scale(c)
+    return [y - c * x for x, y in zip(vec, rep.apply_e(j, vec))]
 
 
 class ModuleRep:
@@ -83,14 +96,10 @@ class ModuleRep:
     # operators -------------------------------------------------------------
 
     def apply_r(self, i: int, u: HalfExponent, vec: list) -> list:
-        c = r_coeff(u, self.point)
-        out = self.apply_e(i, vec)
-        return [y - c * x for x, y in zip(vec, out)]
+        return _shift(self, i, r_coeff(u, self.point), vec)
 
     def apply_k(self, u: HalfExponent, vec: list) -> list:
-        c = k_coeff(u, self.point)
-        out = self.apply_e(self.n_sites, vec)
-        return [y - c * x for x, y in zip(vec, out)]
+        return _shift(self, self.n_sites, k_coeff(u, self.point), vec)
 
     def apply_g(self, i: int, sign: int, vec: list) -> list:
         lead, coeff = g_coefficients(self.point, self.n_sites, i, sign)
@@ -107,40 +116,31 @@ class ModuleRep:
 
 
 def matrix_r(rep: ModuleRep, i: int, u: HalfExponent) -> Matrix:
-    return rep.e_matrix(i) - Matrix.identity(rep.dim).scale(r_coeff(u, rep.point))
+    return _shift(rep, i, r_coeff(u, rep.point))
 
 
 def matrix_k(rep: ModuleRep, u: HalfExponent) -> Matrix:
-    return rep.e_matrix(rep.n_sites) - Matrix.identity(rep.dim).scale(
-        k_coeff(u, rep.point))
+    return _shift(rep, rep.n_sites, k_coeff(u, rep.point))
 
 
 def matrix_kbar(rep: ModuleRep, u: HalfExponent) -> Matrix:
-    return rep.e_matrix(0) - Matrix.identity(rep.dim).scale(
-        kbar_coeff(u, rep.point))
+    return _shift(rep, 0, kbar_coeff(u, rep.point))
 
 
 # ---------------------------------------------------------------------------
 # the nested idempotents
 
 
-def idempotent_matrices(rep: ModuleRep,
-                        level: int | None = None) -> list[Matrix]:
-    """E_0 .. E_level (E_N by default), from E_0 = 1 and
+def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
+    """E_level (E_N by default), from E_0 = 1 and
     E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1}."""
     level = rep.n_sites if level is None else level
     s1 = rep.params.s1
-    out = [Matrix.identity(rep.dim)]
+    out = Matrix.identity(rep.dim)
     for i in range(1, level + 1):
-        prev = out[-1]
-        out.append((prev @ rep.e_matrix(i - 1) @ prev).scale(
-            s1 if i % 2 == 0 else 1 / s1))
+        out = (out @ rep.e_matrix(i - 1) @ out).scale(
+            s1 if i % 2 == 0 else 1 / s1)
     return out
-
-
-def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
-    """E_level alone; see ``idempotent_matrices``."""
-    return idempotent_matrices(rep, level)[-1]
 
 
 def idempotent_image(rep: ModuleRep):
@@ -179,9 +179,18 @@ def all_paths(n_sites: int) -> list[Path]:
     return paths
 
 
+def _shoulder_argument(h: int) -> HalfExponent:
+    """w1 - h, the spectral argument of a tile raised from shoulder h."""
+    return OMEGA1 + HalfExponent.integer(-h)
+
+
 @dataclass(frozen=True)
 class TileEvent:
-    """One tile addition: where, in which direction, and its shoulder height."""
+    """One tile addition: where, in which direction, and its shoulder height.
+
+    The tile acts through generator ``position``, which is N for the
+    right-wall half-tile.
+    """
 
     position: int
     from_above: bool
@@ -189,61 +198,58 @@ class TileEvent:
     shoulder: int
 
     def spectral_argument(self) -> HalfExponent:
-        u = OMEGA1 + HalfExponent.integer(-self.shoulder)
+        u = _shoulder_argument(self.shoulder)
         return u if self.from_above else -u
 
+    def coeff(self, point, sign: int = 1):
+        """r(+-u) of a square tile, k(+-u) of the half-tile."""
+        return _tile_coeff(self.boundary,
+                           self.spectral_argument().scale(sign), point)
 
-def addable_tiles(path: Path) -> list[TileEvent]:
+    @property
+    def tag(self) -> str:
+        return "K" if self.boundary else f"e{self.position}"
+
+
+def _tiles(path: Path, step: int) -> list[TileEvent]:
+    """Tiles on the local extrema of ``path``, by position (the wall last):
+    step +1 gives those that can be added (a minimum on a nonnegative
+    shoulder, a maximum on a negative one), step -1 those that can be
+    removed."""
     n = len(path) - 1
     out = []
-    for i in range(1, n):
+    for i in range(1, n + 1):
         h = path[i - 1]
-        if path[i + 1] != h:
+        if i < n and path[i + 1] != h:
             continue
-        if h >= 0 and path[i] == h - 1:
-            out.append(TileEvent(i, True, False, h))
-        elif h < 0 and path[i] == h + 1:
-            out.append(TileEvent(i, False, False, h))
-    h = path[n - 1]
-    if h >= 0 and path[n] == h - 1:
-        out.append(TileEvent(n, True, True, h))
-    elif h < 0 and path[n] == h + 1:
-        out.append(TileEvent(n, False, True, h))
+        from_above = h >= 0
+        if path[i] == h - (step if from_above else -step):
+            out.append(TileEvent(i, from_above, i == n, h))
     return out
 
 
-def apply_tile(path: Path, tile: TileEvent) -> Path:
-    delta = 2 if tile.from_above else -2
+def _move(path: Path, tile: TileEvent, step: int) -> Path:
+    """``path`` with the tile added (step +1) or removed (step -1)."""
     lst = list(path)
-    lst[tile.position] += delta
+    lst[tile.position] += 2 * step if tile.from_above else -2 * step
     return tuple(lst)
+
+
+def addable_tiles(path: Path) -> list[TileEvent]:
+    return _tiles(path, 1)
+
+
+def apply_tile(path: Path, tile: TileEvent) -> Path:
+    return _move(path, tile, 1)
 
 
 def removable_tiles(path: Path) -> list[TileEvent]:
     """Inverse moves; the fundamental path is the unique sink."""
-    n = len(path) - 1
-    out = []
-    for i in range(1, n):
-        h = path[i - 1]
-        if path[i + 1] != h:
-            continue
-        if h >= 0 and path[i] == h + 1:
-            out.append(TileEvent(i, True, False, h))
-        elif h < 0 and path[i] == h - 1:
-            out.append(TileEvent(i, False, False, h))
-    h = path[n - 1]
-    if h >= 0 and path[n] == h + 1:
-        out.append(TileEvent(n, True, True, h))
-    elif h < 0 and path[n] == h - 1:
-        out.append(TileEvent(n, False, True, h))
-    return out
+    return _tiles(path, -1)
 
 
 def unapply_tile(path: Path, tile: TileEvent) -> Path:
-    delta = -2 if tile.from_above else 2
-    lst = list(path)
-    lst[tile.position] += delta
-    return tuple(lst)
+    return _move(path, tile, -1)
 
 
 @lru_cache(maxsize=None)
@@ -304,10 +310,7 @@ class BasisB1:
 
 def _add_tile(rep: ModuleRep, tile: TileEvent, vec: list) -> list:
     """The vector of the path one tile above the path of ``vec``."""
-    u = tile.spectral_argument()
-    if tile.boundary:
-        return rep.apply_k(u, vec)
-    return rep.apply_r(tile.position, u, vec)
+    return _shift(rep, tile.position, tile.coeff(rep.point), vec)
 
 
 def build_b1(rep: ModuleRep, fundamental: list | None = None) -> BasisB1:
@@ -339,21 +342,13 @@ def tile_order_independence(basis: BasisB1) -> bool:
         for tile in removable_tiles(path):
             prev = basis.vectors[unapply_tile(path, tile)]
             vec = _add_tile(basis.rep, tile, prev)
-            if any(x != y for x, y in zip(vec, basis.vectors[path])):
+            if vec != basis.vectors[path]:
                 return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # audits of the action in path coordinates
-
-
-def _vec_eq(x: list, y: list) -> bool:
-    return all(a == b for a, b in zip(x, y))
-
-
-def _vec_zero(x: list) -> bool:
-    return not any(x)
 
 
 def action_audit_b1(basis: BasisB1) -> list[dict]:
@@ -368,34 +363,26 @@ def action_audit_b1(basis: BasisB1) -> list[dict]:
         vec = basis.vectors[path]
         image = rep.apply_e(0, vec)
         if path[1] == -1:
-            ok = _vec_eq(image, [params.s1 * x for x in vec])
+            ok = image == [params.s1 * x for x in vec]
         else:
-            ok = _vec_zero(image)
+            ok = not any(image)
         out.append(audit(f"b1.e0.{_pname(path)}", ok))
         for i in range(1, n):
             if path[i - 1] != path[i + 1]:
                 out.append(audit(f"b1.slope.e{i}.{_pname(path)}",
-                                 _vec_zero(rep.apply_e(i, vec))))
+                                 not any(rep.apply_e(i, vec))))
     for path in basis.paths:
         for tile in addable_tiles(path):
-            upper = apply_tile(path, tile)
-            h = tile.shoulder
-            i = tile.position
-            lo, hi = basis.vectors[path], basis.vectors[upper]
-            u = tile.spectral_argument()
-            if tile.boundary:
-                c_lo, c_hi = (k_coeff(u, point), k_coeff(-u, point))
-                image_lo = rep.apply_e(n, lo)
-                image_hi = rep.apply_e(n, hi)
-            else:
-                c_lo, c_hi = (r_coeff(u, point), r_coeff(-u, point))
-                image_lo = rep.apply_e(i, lo)
-                image_hi = rep.apply_e(i, hi)
-            ok1 = _vec_eq(image_lo, [c_lo * x + y for x, y in zip(lo, hi)])
-            ok2 = _vec_eq(image_hi,
-                          [c_lo * c_hi * x + c_hi * y for x, y in zip(lo, hi)])
-            tag = "K" if tile.boundary else f"e{i}"
-            out.append(audit(f"b1.block.{tag}.{_pname(path)}.h{h}", ok1 and ok2))
+            lo = basis.vectors[path]
+            hi = basis.vectors[apply_tile(path, tile)]
+            c_lo, c_hi = tile.coeff(point), tile.coeff(point, -1)
+            image_lo = rep.apply_e(tile.position, lo)
+            image_hi = rep.apply_e(tile.position, hi)
+            ok1 = image_lo == [c_lo * x + y for x, y in zip(lo, hi)]
+            ok2 = image_hi == [c_lo * c_hi * x + c_hi * y
+                               for x, y in zip(lo, hi)]
+            out.append(audit(f"b1.block.{tile.tag}.{_pname(path)}"
+                             f".h{tile.shoulder}", ok1 and ok2))
     return out
 
 
@@ -428,7 +415,7 @@ def murphy_audit_b1(basis: BasisB1) -> list[dict]:
             eigs.append(lam)
             image = rep.apply_murphy_b(m, vec)
             out.append(audit(f"b1.murphy.{m}.{_pname(path)}",
-                             _vec_eq(image, [lam * x for x in vec])))
+                             image == [lam * x for x in vec]))
         spectra.append(eigs)
         prod = point.one
         for lam in eigs:
@@ -448,16 +435,20 @@ def murphy_audit_b1(basis: BasisB1) -> list[dict]:
 # the Gram form in path coordinates
 
 
+def _tile_factor(shoulder: int, boundary: bool, point):
+    """c(w1-h) c(-w1+h) for a tile on shoulder h, with c = r or k."""
+    u = _shoulder_argument(shoulder)
+    return _tile_coeff(boundary, u, point) * _tile_coeff(boundary, -u, point)
+
+
 def f_factor(h: int, point):
     """f(h) = r(w1-h) r(-w1+h)."""
-    u = OMEGA1 + HalfExponent.integer(-h)
-    return r_coeff(u, point) * r_coeff(-u, point)
+    return _tile_factor(h, False, point)
 
 
 def g_factor(h: int, point):
     """g(h) = k(w1-h) k(-w1+h)."""
-    u = OMEGA1 + HalfExponent.integer(-h)
-    return k_coeff(u, point) * k_coeff(-u, point)
+    return _tile_factor(h, True, point)
 
 
 def gram_diag_b1(basis: BasisB1) -> dict[Path, object]:
@@ -468,8 +459,7 @@ def gram_diag_b1(basis: BasisB1) -> dict[Path, object]:
     for path in basis.paths:
         d = point.one
         for _pos, shoulder, boundary in tile_multiset(path):
-            d = d * (g_factor(shoulder, point) if boundary
-                     else f_factor(shoulder, point))
+            d = d * _tile_factor(shoulder, boundary, point)
         out[path] = d
     return out
 
@@ -478,30 +468,13 @@ def gram_closed_form_report(n_sites: int, point) -> list[dict]:
     """Factors [x]^mult of the closed determinant, plus the prefactor."""
     n = n_sites
     factors = []
-    if n % 2 == 0:
-        for m in range(0, (n - 2) // 2 + 1):
-            mult = irrep_dim(n, 2 * m + 1)
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    for e3 in (1, -1):
-                        exp = (HalfExponent.integer(1 + 2 * m)
-                               + OMEGA1.scale(e1) + OMEGA2.scale(e2)
-                               + THETA.scale(e3)).halved()
-                        factors.append({"exponent": exp, "mult": mult})
-    else:
-        for e2 in (1, -1):
-            for e3 in (1, -1):
-                exp = (OMEGA1 + OMEGA2.scale(e2) + THETA.scale(e3)).halved()
-                factors.append({"exponent": exp, "mult": 1 << (n - 1)})
-        for m in range(1, (n - 1) // 2 + 1):
-            mult = irrep_dim(n, 2 * m)
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    for e3 in (1, -1):
-                        exp = (HalfExponent.integer(2 * m)
-                               + OMEGA1.scale(e1) + OMEGA2.scale(e2)
-                               + THETA.scale(e3)).halved()
-                        factors.append({"exponent": exp, "mult": mult})
+    # k = 0 occurs for odd N only, with e1 = +1 alone
+    for k in range(1 - n % 2, n, 2):
+        for e1 in ((1,) if k == 0 else (1, -1)):
+            for e2 in (1, -1):
+                for e3 in (1, -1):
+                    factors.append({"exponent": HalfExponent(k, e1, e2, e3),
+                                    "mult": irrep_dim(n, k)})
     pref_mult = -2 * sum(irrep_dim(n, n - 1 - 2 * m) for m in range(n))
     for item in factors:
         item["value"] = point.qnum(item["exponent"])
@@ -542,11 +515,7 @@ def gram_closed_form_halfdiagram(n_sites: int, point, s1=None):
 def exceptional_points(n_sites: int) -> list[tuple[int, int, int, int]]:
     """(sign, m, eps1, eps2) with th = sign*(-m + eps1*w1 + eps2*w2)."""
     out = []
-    if n_sites % 2 == 0:
-        ms = range(1, n_sites, 2)
-    else:
-        ms = range(0, n_sites, 2)
-    for m in ms:
+    for m in range(1 - n_sites % 2, n_sites, 2):
         for e1 in (1, -1):
             if m == 0 and e1 == -1:
                 continue
@@ -578,9 +547,7 @@ def fixed_height_gram(n_sites: int, h_n: int, point):
         mult -= base.get((pos, shoulder, boundary), 0)
         if not mult:
             continue
-        factor = (g_factor(shoulder, point) if boundary
-                  else f_factor(shoulder, point))
-        value = value * factor ** mult
+        value = value * _tile_factor(shoulder, boundary, point) ** mult
     return value
 
 
@@ -600,6 +567,9 @@ def ybe_audit(rep: ModuleRep, battery=None) -> list[dict]:
         ]
     ident = Matrix.identity(rep.dim)
     point = rep.point
+    # (side, tag, bulk neighbour of the wall, wall operator, its coefficient)
+    walls = (("left", "kbar", 1, matrix_kbar, kbar_coeff),
+             ("right", "k", n - 1, matrix_k, k_coeff))
     out = []
     for idx, (u, v) in enumerate(battery):
         for i in range(1, n - 1):
@@ -608,32 +578,33 @@ def ybe_audit(rep: ModuleRep, battery=None) -> list[dict]:
             rhs = (matrix_r(rep, i + 1, v) @ matrix_r(rep, i, u + v)
                    @ matrix_r(rep, i + 1, u))
             out.append(audit(f"ybe.bulk.{idx}.{i}", lhs - rhs))
-        if n >= 2:
-            lhs = (matrix_kbar(rep, v.scale(2)) @ matrix_r(rep, 1, u + v)
-                   @ matrix_kbar(rep, u.scale(2)) @ matrix_r(rep, 1, u - v))
-            rhs = (matrix_r(rep, 1, u - v) @ matrix_kbar(rep, u.scale(2))
-                   @ matrix_r(rep, 1, u + v) @ matrix_kbar(rep, v.scale(2)))
-            out.append(audit(f"ybe.reflect.left.{idx}", lhs - rhs))
-            lhs = (matrix_k(rep, v.scale(2)) @ matrix_r(rep, n - 1, u + v)
-                   @ matrix_k(rep, u.scale(2)) @ matrix_r(rep, n - 1, u - v))
-            rhs = (matrix_r(rep, n - 1, u - v) @ matrix_k(rep, u.scale(2))
-                   @ matrix_r(rep, n - 1, u + v) @ matrix_k(rep, v.scale(2)))
-            out.append(audit(f"ybe.reflect.right.{idx}", lhs - rhs))
         for i in range(1, n):
             prod = matrix_r(rep, i, u) @ matrix_r(rep, i, -u)
             expect = ident.scale(r_coeff(u, point) * r_coeff(-u, point))
             out.append(audit(f"ybe.unitary.r.{idx}.{i}", prod - expect))
-        prod = matrix_k(rep, u) @ matrix_k(rep, -u)
-        expect = ident.scale(k_coeff(u, point) * k_coeff(-u, point))
-        out.append(audit(f"ybe.unitary.k.{idx}", prod - expect))
-        prod = matrix_kbar(rep, u) @ matrix_kbar(rep, -u)
-        expect = ident.scale(kbar_coeff(u, point) * kbar_coeff(-u, point))
-        out.append(audit(f"ybe.unitary.kbar.{idx}", prod - expect))
+        for side, tag, adj, kmat, coeff in walls:
+            k2u, k2v, ku, kmu = (kmat(rep, w)
+                                 for w in (u.scale(2), v.scale(2), u, -u))
+            if n >= 2:
+                r_sum = matrix_r(rep, adj, u + v)
+                r_diff = matrix_r(rep, adj, u - v)
+                lhs = k2v @ r_sum @ k2u @ r_diff
+                rhs = r_diff @ k2u @ r_sum @ k2v
+                out.append(audit(f"ybe.reflect.{side}.{idx}", lhs - rhs))
+            expect = ident.scale(coeff(u, point) * coeff(-u, point))
+            out.append(audit(f"ybe.unitary.{tag}.{idx}", ku @ kmu - expect))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
 # ---------------------------------------------------------------------------
 # boundary and slope identities for the nested idempotent
+
+
+#: by the parity of a level m: the spectral argument of a tile on the
+#: fundamental path's height there (0 for even m, -1 for odd m), and its
+#: label.  The nested idempotent E_N is killed by e_m R_{m+-1}(u_m), by
+#: e_{N-1} K(u_{N+1}) and by e_{N-1} K(u_N - 1) R_{N-1}(u_N).
+_LEVEL_ARGUMENTS = ((OMEGA1, "w1"), (-(OMEGA1 + ONE), "-w1-1"))
 
 
 def idempotent_identities(rep: ModuleRep) -> list[dict]:
@@ -644,33 +615,19 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     n = rep.n_sites
     _, e_full = idempotent_image(rep)
     out = []
-    w1u = OMEGA1
-
-    def rmat(i, u):
-        return matrix_r(rep, i, u)
-
     for m in range(1, n):
+        u, label = _LEVEL_ARGUMENTS[m % 2]
         for target in (m - 1, m + 1):
-            if not 1 <= target <= n - 1:
-                continue
-            if m % 2 == 0:
-                diff = rep.e_matrix(m) @ rmat(target, w1u) @ e_full
-                out.append(audit(f"en.slope.e{m}.R{target}(w1)", diff))
-            else:
-                diff = rep.e_matrix(m) @ rmat(target, -(w1u + ONE)) @ e_full
-                out.append(audit(f"en.slope.e{m}.R{target}(-w1-1)", diff))
-    if n % 2 == 0:
-        diff = rep.e_matrix(n - 1) @ matrix_k(rep, -(w1u + ONE)) @ e_full
-        out.append(audit("en.boundary.first", diff))
-        diff = (rep.e_matrix(n - 1) @ matrix_k(rep, w1u - ONE)
-                @ rmat(n - 1, w1u) @ e_full)
-        out.append(audit("en.boundary.second", diff))
-    else:
-        diff = rep.e_matrix(n - 1) @ matrix_k(rep, w1u) @ e_full
-        out.append(audit("en.boundary.first", diff))
-        diff = (rep.e_matrix(n - 1) @ matrix_k(rep, -(w1u + ONE.scale(2)))
-                @ rmat(n - 1, -(w1u + ONE)) @ e_full)
-        out.append(audit("en.boundary.second", diff))
+            if 1 <= target <= n - 1:
+                diff = rep.e_matrix(m) @ matrix_r(rep, target, u) @ e_full
+                out.append(audit(f"en.slope.e{m}.R{target}({label})", diff))
+    u = _LEVEL_ARGUMENTS[(n + 1) % 2][0]
+    v = _LEVEL_ARGUMENTS[n % 2][0]
+    diff = rep.e_matrix(n - 1) @ matrix_k(rep, u) @ e_full
+    out.append(audit("en.boundary.first", diff))
+    diff = (rep.e_matrix(n - 1) @ matrix_k(rep, v - ONE)
+            @ matrix_r(rep, n - 1, v) @ e_full)
+    out.append(audit("en.boundary.second", diff))
 
     gens = [rep.e_matrix(i) for i in range(n + 1)]
     i1, i2 = (word_product(gens, w) for w in idempotent_words(n))
@@ -690,7 +647,8 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     out.append(audit("en.e0.eigen",
                      rep.e_matrix(0) @ e_full - e_full.scale(params.s1)))
     if n > 1:
-        out.append(audit("en.e0.kill", rep.e_matrix(0) @ rmat(1, w1u) @ e_full))
+        out.append(audit("en.e0.kill",
+                         rep.e_matrix(0) @ matrix_r(rep, 1, OMEGA1) @ e_full))
     return sorted(out, key=lambda r: r["identity_id"])
 
 
@@ -701,7 +659,7 @@ __all__ = [
     "fundamental_path", "g_factor", "gram_closed_form",
     "gram_closed_form_halfdiagram", "gram_closed_form_report", "gram_diag_b1",
     "gram_normalization_exponent", "idempotent_identities",
-    "idempotent_image", "idempotent_matrices", "idempotent_matrix",
+    "idempotent_image", "idempotent_matrix",
     "k_coeff", "kbar_coeff",
     "matrix_k", "matrix_kbar", "matrix_r", "murphy_audit_b1",
     "murphy_eigenvalue", "path_order", "path_weight", "r_coeff",

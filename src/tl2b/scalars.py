@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratback import BACKEND, RAT, rat_from_str, rat_to_str
+from .linalg import _row_reduce
 
 
 class GenericityError(ValueError):
@@ -134,27 +135,13 @@ def _valuation_matrix(values) -> list[list[int]]:
 def _integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the rational kernel of the matrix."""
     mat = [[Fraction(e) for e in row] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        mat[r] = [e / piv for e in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in {c for _, c in pivots}]
+    pivots = _row_reduce(mat, ncols)
+    free_cols = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for fc in free_cols:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for pr, pc in pivots:
+        for pr, pc in enumerate(pivots):
             vec[pc] = -mat[pr][fc]
         lcm = 1
         for e in vec:
@@ -351,14 +338,9 @@ def derive_params(point) -> DerivedParams:
     return DerivedParams(point, delta, s1, s2, b_even, b_odd)
 
 
-def qnum(x: HalfExponent, point):
-    """Module-level alias for ``point.qnum(x)``."""
-    return point.qnum(x)
-
-
 __all__ = [
     "BACKEND", "DerivedParams", "GenericityError", "HalfExponent", "ONE",
     "OMEGA1", "OMEGA2", "ParamPoint", "SingularArgumentError", "THETA",
     "ZERO_EXP", "coprime_basis", "derive_params", "make_param_point",
-    "multiplicative_kernel", "qnum",
+    "multiplicative_kernel",
 ]

@@ -14,14 +14,16 @@ B_s; only when no prime certifies is B_s inverted exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .audit import audit
 from ._ratback import RAT
 from .hecke import (central_element, central_scalar_expected, lift_family,
                     murphy)
 from .linalg import Matrix, commutator, nonsingular_certificate
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
-from .pathbasis import ModuleRep, build_b1, idempotent_matrices
-from .wordrep import ModuleSpec, check_relations, word_product
+from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, build_b1
+from .wordrep import ModuleSpec, check_relations
 
 
 class SpinRep(ModuleRep):
@@ -77,10 +79,16 @@ class SpinRep(ModuleRep):
                 out[s ^ both] = out[s ^ both] - c
         return out
 
-    def e_matrix(self, i: int) -> Matrix:
+    @cached_property
+    def generators(self) -> tuple[Matrix, ...]:
+        """e_0 .. e_N as matrices, each built once from ``apply_e``."""
         units = Matrix.identity(self.dim)
-        return Matrix.from_columns([self.apply_e(i, units.column(j))
-                                    for j in range(self.dim)])
+        return tuple(Matrix.from_columns([self.apply_e(i, units.column(j))
+                                          for j in range(self.dim)])
+                     for i in range(self.n_sites + 1))
+
+    def e_matrix(self, i: int) -> Matrix:
+        return self.generators[i]
 
     def fundamental_vector(self) -> list:
         return ebar(self.n_sites, self.point)
@@ -119,9 +127,7 @@ def spin_relation_audit(n_sites: int, point, params) -> list[dict]:
     """All defining relations, as operator identities on the spin chain."""
     rep = SpinRep(n_sites, point, params)
     gens = [rep.e_matrix(i) for i in range(n_sites + 1)]
-    return sorted(check_relations(n_sites, params,
-                                  lambda word: word_product(gens, word),
-                                  "spin."),
+    return sorted(check_relations(gens, params, "spin."),
                   key=lambda r: r["identity_id"])
 
 
@@ -140,28 +146,37 @@ def twist_symmetry_audit(n_sites: int, point, alphas=(2, 3)) -> list[dict]:
     return sorted(out, key=lambda r: r["identity_id"])
 
 
+def _apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
+    """E_level vec, from E_0 = 1 and E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1},
+    by 2^level - 1 generator applications and no matrix."""
+    if level == 0:
+        return vec
+    s1 = rep.params.s1
+    inner = _apply_idempotent(rep, level - 1, vec)
+    out = _apply_idempotent(rep, level - 1, rep.apply_e(level - 1, inner))
+    c = s1 if level % 2 == 0 else 1 / s1
+    return [c * x for x in out]
+
+
 def ebar_identities(n_sites: int, point, params) -> list[dict]:
-    """E_i ebar = ebar, the left eigenvalue, and the boundary identities."""
+    """E_i ebar = ebar, the left eigenvalue, and the boundary identities,
+    each evaluated on the vector ebar."""
     rep = SpinRep(n_sites, point, params)
     vec = ebar(n_sites, point)
     out = []
-    for level, e_level in enumerate(idempotent_matrices(rep)):
-        image = e_level.apply(vec)
+    for level in range(n_sites + 1):
         out.append(audit(f"spin.ebar.fix.E{level}",
-                         all(x == y for x, y in zip(image, vec))))
+                         _apply_idempotent(rep, level, vec) == vec))
     image = rep.apply_e(0, vec)
     out.append(audit("spin.ebar.e0",
                      all(x == params.s1 * y for x, y in zip(image, vec))))
-    u = -(OMEGA1 + ONE) if n_sites % 2 == 0 else OMEGA1
+    # the boundary identities of pathbasis.idempotent_identities
+    u = _LEVEL_ARGUMENTS[(n_sites + 1) % 2][0]
+    v = _LEVEL_ARGUMENTS[n_sites % 2][0]
     image = rep.apply_e(n_sites - 1, rep.apply_k(u, vec))
     out.append(audit("spin.ebar.boundary.first", not any(image)))
-    if n_sites % 2 == 0:
-        v2 = rep.apply_r(n_sites - 1, OMEGA1, vec)
-        image = rep.apply_e(n_sites - 1, rep.apply_k(OMEGA1 - ONE, v2))
-    else:
-        v2 = rep.apply_r(n_sites - 1, -(OMEGA1 + ONE), vec)
-        image = rep.apply_e(n_sites - 1,
-                            rep.apply_k(-(OMEGA1 + ONE.scale(2)), v2))
+    image = rep.apply_e(n_sites - 1, rep.apply_k(
+        v - ONE, rep.apply_r(n_sites - 1, v, vec)))
     out.append(audit("spin.ebar.boundary.second", not any(image)))
     return sorted(out, key=lambda r: r["identity_id"])
 

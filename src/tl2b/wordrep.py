@@ -246,16 +246,18 @@ def word_product(family, word) -> Matrix:
     return out
 
 
-def check_relations(n_sites: int, params, word, prefix: str = "") -> list[dict]:
+def check_relations(family, params, prefix: str = "") -> list[dict]:
     """One record per defining relation lhs = c * rhs, checked exactly.
 
-    ``word`` maps a generator word, read left to right, to its Matrix in the
-    representation under audit.
+    ``family[i]`` is the Matrix of e_i, i = 0 .. N, in the representation
+    under audit (a sequence, or a dict keyed 0 .. N).
     """
     named = {"one": params.point.one, "delta": params.delta,
              "s1": params.s1, "s2": params.s2}
-    return [audit(prefix + ident, word(lhs) - word(rhs).scale(named[cname]))
-            for ident, lhs, (cname, rhs) in _defining_relations(n_sites)]
+    return [audit(prefix + ident, word_product(family, lhs)
+                  - word_product(family, rhs).scale(named[cname]))
+            for ident, lhs, (cname, rhs)
+            in _defining_relations(len(family) - 1)]
 
 
 def relation_audit(spec: ModuleSpec) -> list[dict]:
@@ -265,8 +267,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
     I2*I1*I2 = b*I2 are audited as well.
     """
     gens = spec.generators
-    records = check_relations(spec.n_sites, spec.params,
-                              lambda word: word_product(gens, word))
+    records = check_relations(gens, spec.params)
     if spec.kind == "big":
         w1, w2 = idempotent_words(spec.n_sites)
         i1, i2 = word_product(gens, w1), word_product(gens, w2)

@@ -49,6 +49,8 @@ def test_inverse_and_rank():
     assert rank(singular) == 1
     with pytest.raises(ZeroDivisionError):
         invert(singular)
+    with pytest.raises(ZeroDivisionError):  # no pivot in the first column
+        invert(Matrix([[0, 0], [0, 1]]))
 
 
 def test_determinant_matches_cofactor_expansion():

@@ -57,9 +57,12 @@ def test_tile_moves_roundtrip():
             for tile in addable_tiles(p):
                 q = apply_tile(p, tile)
                 assert unapply_tile(q, tile) == p
+                assert tile in removable_tiles(q)
                 assert tile_multiset(q) == tuple(sorted(
                     tile_multiset(p) + ((tile.position, tile.shoulder,
                                          tile.boundary),)))
+            for tile in removable_tiles(p):
+                assert tile in addable_tiles(unapply_tile(p, tile))
 
 
 def test_every_path_reachable():

@@ -93,6 +93,24 @@ def test_ebar_identities(points):
             assert_all_pass(ebar_identities(n, point, params))
 
 
+def test_ebar_identities_form_no_matrix_product(monkeypatch, point, params):
+    calls = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append((self.nrows, other.ncols))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    assert_all_pass(ebar_identities(4, point, params))
+    assert calls == []
+
+
+def test_spin_generators_are_built_once(point):
+    rep = SpinRep(3, point)
+    assert all(rep.e_matrix(i) is rep.e_matrix(i) for i in range(4))
+
+
 def test_equivalence(params, point):
     for n in (2, 3, 4):
         assert_all_pass(equivalence_audit(n, point, params))
