@@ -7,7 +7,7 @@ fallback).  This script times the hot kernels under both backends in
 subprocesses:
 
 * building the 2^N Gram matrix,
-* its fraction-free determinant,
+* its determinant,
 * a chain of exact module-matrix products,
 * growing the full path basis.
 

@@ -2,7 +2,7 @@
 
 Every scalar in the numeric pipeline is an exact rational.  When gmpy2 is
 installed its compiled ``mpq`` type is used for the hot kernels (matrix
-products, fraction-free elimination); otherwise the pure-Python
+products, elimination); otherwise the pure-Python
 ``fractions.Fraction`` is used.  Both expose ``.numerator``/``.denominator``
 and identical arithmetic, so the rest of the package never branches on the
 backend.  Set ``TL2B_RATIONAL=fraction`` to force the pure fallback (the

@@ -106,9 +106,8 @@ def _emit(args, doc) -> int:
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as handle:
         if args.format == "json":
-            # streamed, so the text of a large report is never held whole
-            json.dump(doc, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
+            handle.write(json.dumps(doc, indent=2, sort_keys=True,
+                                    default=str) + "\n")
         else:
             handle.write(_to_csv(doc))
     return 0 if doc["status"] == "pass" else 1
@@ -154,7 +153,15 @@ def cmd_relations(args) -> int:
     return _emit(args, doc)
 
 
+#: largest n whose symbolic Gram determinant finishes: at n = 3 the
+#: elimination over Laurent fractions has not finished within minutes
+_SYMBOLIC_GRAM_MAX_N = 2
+
+
 def cmd_gram(args) -> int:
+    if args.backend == "symbolic" and args.n > _SYMBOLIC_GRAM_MAX_N:
+        raise ValueError("symbolic gram is supported for n <= "
+                         f"{_SYMBOLIC_GRAM_MAX_N}, not n = {args.n}")
     point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)

@@ -1,10 +1,11 @@
 """Exact linear algebra over any field with decidable zero tests.
 
 Entries may be backend rationals, ints, or symbolic fractions; zero is
-detected with ``not entry`` and equality with ``==``.  Determinants of
-rational matrices go through fraction-free Bareiss elimination on integers
-(rows are cleared of denominators first); other entry types fall back to
-ordinary field elimination.  A nonzero residue of that integer
+detected with ``not entry`` and equality with ``==``.  Rational and int
+entries are made backend rationals once, on entry to ``exact_det``,
+``invert`` and ``rank``, so that every division is exact.  Determinants,
+inverses and ranks then use one kernel each: plain Gaussian elimination
+over the entries' field.  A nonzero residue of the row-integerised
 determinant modulo one prime (``nonsingular_certificate``) proves a matrix
 nonsingular without computing its determinant.  Pivoting is first-nonzero:
 with exact arithmetic, pivot choice affects speed only.
@@ -185,52 +186,28 @@ def _num_of(x) -> int:
     return int(x.numerator) if not isinstance(x, int) else x
 
 
-def _det_bareiss_int(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            mrow = m[i]
-            krow = m[k]
-            for j in range(k + 1, n):
-                mrow[j] = (pivot * mrow[j] - mik * krow[j]) // prev
-            mrow[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _det_field(rows) -> object:
-    n = len(rows)
-    m = [row[:] for row in rows]
+def _det_field(m: list[list]) -> object:
+    """Determinant of the nonempty square ``m`` by Gaussian elimination in
+    place; only the columns right of each pivot are updated, since those
+    left of it are never read again."""
+    n = len(m)
     det = 1
     for k in range(n):
         pr = next((i for i in range(k, n) if m[i][k]), None)
         if pr is None:
-            return rows[0][0] - rows[0][0] if n else 0
+            return m[0][0] - m[0][0]
         if pr != k:
             m[k], m[pr] = m[pr], m[k]
             det = -det
         piv = m[k][k]
         det = det * piv
-        inv_rows = m[k]
+        tail = m[k][k + 1:]
         for i in range(k + 1, n):
-            f = m[i][k]
-            if not f:
-                continue
-            f = f / piv
-            m[i] = [a - f * b for a, b in zip(m[i], inv_rows)]
+            row = m[i]
+            f = row[k]
+            if f:
+                f = f / piv
+                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], tail)]
     return det
 
 
@@ -268,10 +245,6 @@ def _prime_pool(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _small_primes(count: int) -> tuple[int, ...]:
-    return _prime_pool(((count + 255) // 256) * 256)[:count]
-
-
 def _det_mod_p(rows: list[list[int]], p: int) -> int:
     """det(rows) mod p, by elimination over GF(p) on plain lists."""
     m = [[x % p for x in row] for row in rows]
@@ -294,59 +267,6 @@ def _det_mod_p(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _det_modular_int(rows: list[list[int]]) -> int | None:
-    """Chinese-remainder determinant with a vectorised word-size kernel.
-
-    Exact: reconstructs the integer determinant from residues modulo enough
-    29-bit primes to cover the Hadamard bound.  Returns None when numpy is
-    unavailable so the caller can fall back to Bareiss.
-    """
-    try:
-        import numpy
-    except ImportError:
-        return None
-    n = len(rows)
-    bound_bits = 1
-    for row in rows:
-        norm_sq = sum(x * x for x in row)
-        if not norm_sq:
-            return 0
-        bound_bits += (norm_sq.bit_length() + 1) // 2 + 1
-    need = bound_bits // 28 + 2
-    primes = _small_primes(need)
-    residue = 0
-    modulus = 1
-    for p in primes:
-        m = numpy.array([[x % p for x in row] for row in rows],
-                        dtype=numpy.int64)
-        det = 1
-        for k in range(n):
-            col = m[k:, k]
-            hits = numpy.nonzero(col)[0]
-            if hits.size == 0:
-                det = 0
-                break
-            pr = k + int(hits[0])
-            if pr != k:
-                m[[k, pr]] = m[[pr, k]]
-                det = -det
-            piv = int(m[k, k])
-            det = det * piv % p
-            inv = pow(piv, p - 2, p)
-            if k + 1 < n:
-                facs = (m[k + 1:, k] * inv) % p
-                m[k + 1:, k:] = (m[k + 1:, k:]
-                                 - facs[:, None] * m[k, k:]) % p
-        det %= p
-        # garner step
-        residue = residue + modulus * ((det - residue)
-                                       * pow(modulus, p - 2, p) % p)
-        modulus *= p
-    if residue > modulus // 2:
-        residue -= modulus
-    return residue
-
-
 def _integer_rows(rows: list[list]):
     """(scale, int_rows): each rational row times the lcm of its
     denominators, and the product of those lcms, so that
@@ -363,42 +283,40 @@ def _integer_rows(rows: list[list]):
     return scale, int_rows
 
 
-#: above this dimension the minor growth makes Bareiss impractical and the
-#: modular reconstruction takes over (still exact; cross-checked in tests)
-_MODULAR_DIM = 100
-
 #: how many pool primes ``nonsingular_certificate`` tries
 _CERTIFICATE_PRIMES = 3
 
 
+def _field_rows(rows: list[list]) -> list[list]:
+    """``rows``, with every entry a backend rational when all are rational,
+    so that elimination divides exactly: an int pivot would divide in
+    floating point.  Symbolic rows are returned unchanged."""
+    if all(is_rational(x) for row in rows for x in row):
+        return [[RAT(x) for x in row] for row in rows]
+    return rows
+
+
 def exact_det(matrix: Matrix):
-    """Exact determinant; fraction-free Bareiss over ints for rational
-    entries, with a modular kernel for very large matrices."""
+    """Exact determinant by Gaussian elimination over the entries' field.
+
+    Rational and int entries are made backend rationals first; symbolic
+    entries are eliminated as they are.
+    """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
     if matrix.nrows == 0:
         return RAT(1)
-    rows = matrix.rows
-    if all(is_rational(x) for row in rows for x in row):
-        scale, int_rows = _integer_rows(rows)
-        det = None
-        if matrix.nrows >= _MODULAR_DIM:
-            det = _det_modular_int(int_rows)
-        if det is None:
-            det = _det_bareiss_int(int_rows)
-        return RAT(det) / scale
-    return _det_field(rows)
+    return _det_field(_field_rows(matrix.rows))
 
 
 def nonsingular_certificate(matrix: Matrix) -> int | None:
     """A prime p with det(matrix) != 0 mod p, proving det(matrix) != 0.
 
-    The residue is that of the row-integerised matrix (as in
-    ``exact_det``), whose determinant is det(matrix) times a nonzero
-    integer, so a nonzero residue is a proof.  Returns None when none of a
+    The residue is that of the row-integerised matrix (each row times
+    the lcm of its denominators), whose determinant is det(matrix) times a
+    nonzero integer, so a nonzero residue is a proof.  Returns None when none of a
     few pool primes certifies, or when the entries are not rational; None
-    proves nothing, and the caller must decide exactly.  The kernel is plain
-    Python: a few residues of one matrix are not worth importing numpy.
+    proves nothing, and the caller must decide exactly.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
@@ -440,15 +358,15 @@ def invert(matrix: Matrix) -> Matrix:
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
-    m = [row + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(matrix.rows)]
+    m = _field_rows([row + [1 if i == j else 0 for j in range(n)]
+                     for i, row in enumerate(matrix.rows)])
     if len(_row_reduce(m, n)) < n:
         raise ZeroDivisionError("matrix is singular")
     return Matrix([row[n:] for row in m])
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_row_reduce(matrix.rows, matrix.ncols))
+    return len(_row_reduce(_field_rows(matrix.rows), matrix.ncols))
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:

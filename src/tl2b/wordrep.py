@@ -194,7 +194,7 @@ def gram_matrix(spec: ModuleSpec) -> Matrix:
 
 
 def gram_det_bruteforce(spec: ModuleSpec):
-    """Exact determinant of the Gram matrix by fraction-free elimination."""
+    """Exact determinant of the Gram matrix by fraction elimination."""
     return exact_det(gram_matrix(spec))
 
 

@@ -103,6 +103,22 @@ def test_symbolic_backend_guard():
         run(["relations", "--n", "5", "--backend", "symbolic"])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_symbolic_gram_is_refused_before_any_work(monkeypatch, n):
+    import tl2b.cli as cli
+
+    def no_work(args):
+        pytest.fail("the point was built before the refusal")
+
+    monkeypatch.setattr(cli, "_build_point", no_work)
+    code, out = run(["gram", "--n", str(n), "--backend", "symbolic"])
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
+    assert doc["error"] == ("ValueError: symbolic gram is supported for "
+                            f"n <= 2, not n = {n}")
+
+
 @pytest.mark.parametrize("command", ["gram", "irreps"])
 @pytest.mark.parametrize("theta", ["x,3,+,-", "-,3,+,y"])
 def test_bad_theta_gives_error_record(command, theta):

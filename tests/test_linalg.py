@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tl2b
 from tl2b._ratback import RAT
-from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_bareiss_int,
-                         _det_mod_p, _det_modular_int, _prime_pool, commutator,
-                         exact_det, invert, nonsingular_certificate, rank)
+from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p, _prime_pool,
+                         commutator, exact_det, invert, nonsingular_certificate,
+                         rank)
+
+RAT_TYPE = type(RAT(1))
 
 
 def _random_rational_matrix(n, seed):
@@ -60,14 +68,15 @@ def test_determinant_matches_cofactor_expansion():
     assert exact_det(m) == expected
 
 
-def test_modular_determinant_cross_check():
-    rng = random.Random(9)
-    for n in (4, 9, 17, 33):
-        rows = [[rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)]
-                for _ in range(n)]
-        assert _det_modular_int(rows) == _det_bareiss_int(rows)
-    singular = [[1, 2, 3], [2, 4, 6], [5, 1, 0]]
-    assert _det_modular_int(singular) == _det_bareiss_int(singular) == 0
+@pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], [[2 ** 60 + 1, 1], [1, 1]]])
+def test_int_matrices_are_eliminated_exactly(rows):
+    m = Matrix(rows)
+    inv = invert(m)
+    assert all(isinstance(x, RAT_TYPE) for row in inv.rows for x in row)
+    assert m @ inv == Matrix.identity(2)
+    det = exact_det(m)
+    assert isinstance(det, RAT_TYPE) and det == rows[0][0] - 1
+    assert rank(m) == 2
 
 
 def test_determinant_of_empty_and_permutation():
@@ -169,15 +178,57 @@ def test_stored_zeros_and_the_dense_view():
 # ---------------------------------------------------------------------------
 # the prime certificate of a nonzero determinant
 
-def test_residue_kernel_matches_bareiss():
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@given(data=st.data(), n=st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_determinant_matches_leibniz_expansion(data, n):
+    # mostly zero entries: row swaps and singular draws are common
+    rows = data.draw(dense_rows(n, n))
+    det = exact_det(Matrix(rows))
+    assert isinstance(det, RAT_TYPE)
+    assert det == leibniz_det(rows)
+
+
+def test_residue_kernel_matches_the_determinant():
     rng = random.Random(11)
     cases = [[[rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)]
               for _ in range(n)] for n in (1, 4, 9, 17)]
     # zero leading entries force row swaps
     cases += [[[0, 1], [1, 0]], [[0, 2, 3], [4, 5, 6], [7, 8, 10]]]
     for rows in cases:
+        det = exact_det(Matrix(rows))
+        assert det.denominator == 1
         for p in _prime_pool(_CERTIFICATE_PRIMES):
-            assert _det_mod_p(rows, p) == _det_bareiss_int(rows) % p
+            assert _det_mod_p(rows, p) == int(det) % p
+
+
+def test_determinants_import_no_numpy():
+    # at 120 rows the determinant once took a numpy multimodular path
+    check = ("import sys\n"
+             "from tl2b.linalg import Matrix, exact_det\n"
+             "assert exact_det(Matrix.identity(120)) == 1\n"
+             "print('numpy' in sys.modules)\n")
+    src = str(Path(tl2b.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @given(data=st.data(), n=st.integers(1, 5))
