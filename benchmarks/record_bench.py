@@ -12,8 +12,9 @@ Run:  python benchmarks/record_bench.py --label det_kernel \\
           --side parent=../parent-checkout --side change=. \\
           --workloads determinants critical --seeds 1 2 3
 
-Each checkout runs its own ``perfbench/run.py`` on its own ``src``.  An
-existing ``BENCH_<label>.json`` is extended, not replaced.
+Each checkout runs its own ``perfbench/run.py`` on its own ``src``, untraced,
+for the run length that ``BENCHMARK.json`` sets.  An existing
+``BENCH_<label>.json`` is extended, not replaced.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+
 RSS = re.compile(r"\s(\d+\.\d+) s\s+cpu .* rss\s+(\d+\.\d+) MiB")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0:
@@ -44,8 +47,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     for line in lines:
         if line.startswith("pass "):
             passes.append({"wall_s": 0.0, "peak_rss_mb": 0.0})
-        elif line.startswith("traced pass"):
-            break
         elif passes and (hit := RSS.search(line)):
             passes[-1]["wall_s"] += float(hit.group(1))
             passes[-1]["peak_rss_mb"] = max(passes[-1]["peak_rss_mb"],
@@ -61,9 +62,8 @@ def main() -> int:
                         help="a named checkout to run; repeat for each side")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     sides = []
     for item in args.side:
         name, sep, path = item.partition("=")
@@ -77,11 +77,10 @@ def main() -> int:
         for k, seed in enumerate(args.seeds):
             turn = k % len(sides)
             for name, checkout in sides[turn:] + sides[:turn]:
-                run = run_once(checkout, workload, seed, args.seconds,
-                               args.trace)
+                run = run_once(checkout, workload, seed, seconds)
                 doc["runs"].append({"side": name, "workload": workload,
-                                    "seed": seed, "seconds": args.seconds,
-                                    "trace": args.trace, **run})
+                                    "seed": seed, "seconds": seconds,
+                                    "trace": 0, **run})
                 wall = run["result"]["metrics"]["wall_s"]["value"]
                 print(f"{name:10s} {workload:14s} seed {seed}: "
                       f"wall_s {wall:.2f}", flush=True)

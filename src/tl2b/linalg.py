@@ -312,11 +312,11 @@ def exact_det(matrix: Matrix):
 def nonsingular_certificate(matrix: Matrix) -> int | None:
     """A prime p with det(matrix) != 0 mod p, proving det(matrix) != 0.
 
-    The residue is that of the row-integerised matrix (each row times
-    the lcm of its denominators), whose determinant is det(matrix) times a
-    nonzero integer, so a nonzero residue is a proof.  Returns None when none of a
-    few pool primes certifies, or when the entries are not rational; None
-    proves nothing, and the caller must decide exactly.
+    The residue is that of the row-integerised matrix (each row times the
+    lcm of its denominators), whose determinant is det(matrix) times a
+    nonzero integer, so a nonzero residue is a proof.  Returns None when
+    none of a few pool primes certifies, or when the entries are not
+    rational; None proves nothing, and the caller must decide exactly.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import tl2b
 from tl2b._ratback import RAT
-from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p, _prime_pool,
-                         commutator, exact_det, invert, nonsingular_certificate,
-                         rank)
+from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p,
+                         _prime_pool, commutator, exact_det, invert,
+                         nonsingular_certificate, rank)
 
 RAT_TYPE = type(RAT(1))
 
@@ -68,7 +68,8 @@ def test_determinant_matches_cofactor_expansion():
     assert exact_det(m) == expected
 
 
-@pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], [[2 ** 60 + 1, 1], [1, 1]]])
+@pytest.mark.parametrize("rows", [[[2, 1], [1, 1]],
+                                  [[2 ** 60 + 1, 1], [1, 1]]])
 def test_int_matrices_are_eliminated_exactly(rows):
     m = Matrix(rows)
     inv = invert(m)
@@ -216,7 +217,6 @@ def test_residue_kernel_matches_the_determinant():
 
 
 def test_determinants_import_no_numpy():
-    # at 120 rows the determinant once took a numpy multimodular path
     check = ("import sys\n"
              "from tl2b.linalg import Matrix, exact_det\n"
              "assert exact_det(Matrix.identity(120)) == 1\n"
