@@ -27,15 +27,24 @@ CASES = [
     *(["irreps", "--n", str(n)] for n in range(2, 5)),
     ["irreps", "--n", "4", "--theta=-,3,+,-"],
     ["irreps", "--n", "5", "--theta=+,2,-,+"],
+    *([cmd, "--n", "2", "--backend=symbolic"]
+      for cmd in ("relations", "gram", "basis", "spinchain")),
+    # a larger symbolic change of basis: it gets no residue certificate,
+    # so spinchain inverts it exactly
+    ["spinchain", "--n", "3", "--backend=symbolic"],
 ]
 
 
 def golden_name(argv: list[str]) -> str:
-    """``irreps --n 4 --theta=-,3,+,-`` -> ``irreps_n4_theta_m3pm.json``."""
+    """``irreps --n 4 --theta=-,3,+,-`` -> ``irreps_n4_theta_m3pm.json``,
+    ``gram --n 2 --backend=symbolic`` -> ``gram_n2_symbolic.json``."""
     name = f"{argv[0]}_n{argv[2]}"
     for arg in argv[3:]:
-        twist = arg.split("=", 1)[1]
-        name += "_theta_" + twist.translate(str.maketrans("+-", "pm", ","))
+        flag, value = arg.split("=", 1)
+        if flag == "--backend":
+            name += "_" + value
+        else:
+            name += "_theta_" + value.translate(str.maketrans("+-", "pm", ","))
     return name + ".json"
 
 
