@@ -5,8 +5,9 @@ installed its compiled ``mpq`` type is used for the hot kernels (matrix
 products, elimination); otherwise the pure-Python
 ``fractions.Fraction`` is used.  Both expose ``.numerator``/``.denominator``
 and identical arithmetic, so the rest of the package never branches on the
-backend.  Set ``TL2B_RATIONAL=fraction`` to force the pure fallback (the
-benchmark in ``benchmarks/`` compares the two).
+backend.  Set ``TL2B_RATIONAL=fraction`` to force the pure fallback, for
+instance to regenerate the golden reports, which record the ``Fraction``
+backend, where gmpy2 is installed.
 """
 
 from __future__ import annotations

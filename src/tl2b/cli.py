@@ -65,7 +65,7 @@ def _build_point(args):
     mode, detail = args.twist
     if args.backend == "symbolic":
         if mode != "generic":
-            raise SystemExit("the symbolic backend only supports --theta generic")
+            raise ValueError("the symbolic backend only supports --theta generic")
         return SymbolicPoint()
     if mode == "generic":
         return make_param_point(args.seed, args.bound)
@@ -73,11 +73,8 @@ def _build_point(args):
         espec = irreps.ExceptionalSpec(args.n, *detail)
         return irreps.make_exceptional_point(args.seed, espec, args.bound)
     base = make_param_point(args.seed, args.bound)
-    try:
-        return ParamPoint(base.s, base.a, base.v, detail,
-                          genericity_bound=args.bound, theta_mode="explicit")
-    except GenericityError as exc:
-        raise SystemExit(f"explicit twist rejected: {exc}")
+    return ParamPoint(base.s, base.a, base.v, detail,
+                      genericity_bound=args.bound, theta_mode="explicit")
 
 
 def _envelope(args, command: str, results, extra=None) -> dict:
@@ -325,6 +322,13 @@ def cmd_modules(args) -> int:
     return _emit(args, doc)
 
 
+#: largest n of a command that builds the 2^n-dimensional module, so that a
+#: larger request is refused up front instead of running out of time or
+#: memory; 8 is the largest n any test uses.  ``modules`` only counts
+#: dimensions and is exempt.
+_MAX_N = 8
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tl2b",
@@ -350,6 +354,10 @@ def main(argv=None) -> int:
     if args.backend == "symbolic" and args.n > 4:
         parser.error("the symbolic backend is supported for n <= 4")
     try:
+        if args.command != "modules" and args.n > _MAX_N:
+            raise ValueError(f"{args.command} is supported for n <= {_MAX_N}, "
+                             f"not n = {args.n} (a module of dimension "
+                             f"2^{args.n})")
         args.twist = _parse_theta(args.theta)
         with _unlimited_int_strings():
             return args.func(args)

@@ -15,16 +15,14 @@ tuple, or a dict keyed 0 .. N.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
-from ._ratback import RAT
 from .hecke import central_element, lift_family, murphy
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .linalg import Matrix, invert, rank  # noqa: F401
 from .scalars import (GenericityError, HalfExponent, OMEGA1, OMEGA2,
-                      ParamPoint, derive_params)
+                      ParamPoint, derive_params, draw_rationals)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, exceptional_points,
                         murphy_eigenvalue)
 from .wordrep import ModuleSpec, check_relations, irrep_dim
@@ -66,33 +64,19 @@ def make_exceptional_point(seed: int, espec: ExceptionalSpec,
                            max_retries: int = 200) -> ParamPoint:
     """Generic (s, a, v) with the twist value forced by the spec.
 
-    Rejects draws whose induced q^th collides with a different entry of the
-    critical list (the standing distinctness assumption)."""
+    The point's ``theta_mode="exceptional"`` certificate makes |s|, |a|
+    and |v| multiplicatively independent, and that keeps the induced
+    q^th = t^2 apart from every other entry of the critical list (the
+    standing distinctness assumption): each entry has t = (s^-m a^e1
+    v^e2)^sign, distinct entries have distinct exponent vectors
+    sign * (-m, e1, e2), since m >= 0 and e1 = +1 when m = 0, so two equal
+    values of t^2 would be a relation among |s|, |a| and |v|."""
     rng = random.Random(seed)
-    others = [e for e in exceptional_points(espec.n_sites)
-              if e != (espec.sign, espec.m, espec.eps1, espec.eps2)]
     for _ in range(max_retries):
-        draws = []
-        for _ in range(3):
-            while True:
-                num = rng.randrange(2, 98)
-                den = rng.randrange(2, 98)
-                if num != den and math.gcd(num, den) == 1:
-                    break
-            draws.append(RAT(num, den))
-        s, a, v = draws
-        t = espec.tau(s, a, v)
-        q_theta = t * t
-        collision = False
-        for sign, m, e1, e2 in others:
-            other = (s ** (-m) * a ** e1 * v ** e2) ** sign
-            if other * other == q_theta:
-                collision = True
-                break
-        if collision:
-            continue
+        s, a, v = draw_rationals(rng, 3)
         try:
-            return ParamPoint(s, a, v, t, genericity_bound=genericity_bound,
+            return ParamPoint(s, a, v, espec.tau(s, a, v),
+                              genericity_bound=genericity_bound,
                               theta_mode="exceptional")
         except GenericityError:
             continue

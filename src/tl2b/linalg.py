@@ -5,16 +5,14 @@ detected with ``not entry`` and equality with ``==``.  Rational and int
 entries are made backend rationals once, on entry to ``exact_det``,
 ``invert`` and ``rank``, so that every division is exact.  Determinants,
 inverses and ranks then use one kernel each: plain Gaussian elimination
-over the entries' field.  A nonzero residue of the row-integerised
-determinant modulo one prime (``nonsingular_certificate``) proves a matrix
-nonsingular without computing its determinant.  Pivoting is first-nonzero:
-with exact arithmetic, pivot choice affects speed only.
+over the entries' field.  A nonzero residue of the determinant modulo one
+of three fixed primes (``nonsingular_certificate``) proves a rational matrix
+nonsingular without computing its determinant; the entries must be
+p-integral, that is p divides none of their denominators.  Pivoting is
+first-nonzero: with exact arithmetic, pivot choice affects speed only.
 """
 
 from __future__ import annotations
-
-import math
-from functools import lru_cache
 
 from ._ratback import RAT, is_rational
 
@@ -178,14 +176,6 @@ class Matrix:
 # elimination
 
 
-def _den_of(x) -> int:
-    return int(x.denominator) if not isinstance(x, int) else 1
-
-
-def _num_of(x) -> int:
-    return int(x.numerator) if not isinstance(x, int) else x
-
-
 def _det_field(m: list[list]) -> object:
     """Determinant of the nonempty square ``m`` by Gaussian elimination in
     place; only the columns right of each pivot are updated, since those
@@ -211,40 +201,6 @@ def _det_field(m: list[list]) -> object:
     return det
 
 
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for word-size candidates
-    if n % 2 == 0:
-        return n == 2
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _prime_pool(count: int) -> tuple[int, ...]:
-    out = []
-    candidate = (1 << 29) - 3
-    while len(out) < count:
-        if _is_prime(candidate):
-            out.append(candidate)
-        candidate -= 2
-    return tuple(out)
-
-
 def _det_mod_p(rows: list[list[int]], p: int) -> int:
     """det(rows) mod p, by elimination over GF(p) on plain lists."""
     m = [[x % p for x in row] for row in rows]
@@ -267,24 +223,9 @@ def _det_mod_p(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _integer_rows(rows: list[list]):
-    """(scale, int_rows): each rational row times the lcm of its
-    denominators, and the product of those lcms, so that
-    det(rows) = det(int_rows) / scale."""
-    scale = RAT(1)
-    int_rows = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = _den_of(x)
-            lcm = lcm * d // math.gcd(lcm, d)
-        scale = scale * RAT(lcm)
-        int_rows.append([_num_of(x) * (lcm // _den_of(x)) for x in row])
-    return scale, int_rows
-
-
-#: how many pool primes ``nonsingular_certificate`` tries
-_CERTIFICATE_PRIMES = 3
+#: the primes ``nonsingular_certificate`` tries, in order: the three
+#: largest primes below 2^29
+_CERTIFICATE_PRIMES = (536870909, 536870879, 536870869)
 
 
 def _field_rows(rows: list[list]) -> list[list]:
@@ -312,20 +253,24 @@ def exact_det(matrix: Matrix):
 def nonsingular_certificate(matrix: Matrix) -> int | None:
     """A prime p with det(matrix) != 0 mod p, proving det(matrix) != 0.
 
-    The residue is that of the row-integerised matrix (each row times the
-    lcm of its denominators), whose determinant is det(matrix) times a
-    nonzero integer, so a nonzero residue is a proof.  Returns None when
-    none of a few pool primes certifies, or when the entries are not
-    rational; None proves nothing, and the caller must decide exactly.
+    Each entry num/den is reduced to num * den^-1 mod p, which needs p to
+    divide no denominator; a prime that divides one is passed over.  The
+    reduction is then a ring map from the p-integral rationals to GF(p), so
+    a nonzero residue of the determinant proves it nonzero.  Returns None
+    when none of ``_CERTIFICATE_PRIMES`` certifies, or when the entries are
+    not rational; None proves nothing, and the caller must decide exactly.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
     rows = matrix.rows
     if not all(is_rational(x) for row in rows for x in row):
         return None
-    _, int_rows = _integer_rows(rows)
-    for p in _prime_pool(_CERTIFICATE_PRIMES):
-        if _det_mod_p(int_rows, p):
+    for p in _CERTIFICATE_PRIMES:
+        if any(int(x.denominator) % p == 0 for row in rows for x in row):
+            continue
+        residues = [[int(x.numerator) * pow(int(x.denominator), -1, p)
+                     for x in row] for row in rows]
+        if _det_mod_p(residues, p):
             return p
     return None
 

@@ -274,6 +274,19 @@ class ParamPoint:
         return True
 
 
+def draw_rationals(rng: random.Random, count: int) -> list:
+    """``count`` rationals num/den with coprime num != den in 2..97."""
+    draws = []
+    for _ in range(count):
+        while True:
+            num = rng.randrange(2, 98)
+            den = rng.randrange(2, 98)
+            if num != den and math.gcd(num, den) == 1:
+                break
+        draws.append(RAT(num, den))
+    return draws
+
+
 def make_param_point(seed: int, genericity_bound: int = 40,
                      max_retries: int = 200) -> ParamPoint:
     """Deterministic pseudo-random generic point with small rational heights.
@@ -283,16 +296,9 @@ def make_param_point(seed: int, genericity_bound: int = 40,
     """
     rng = random.Random(seed)
     for _ in range(max_retries):
-        draws = []
-        for _ in range(4):
-            while True:
-                num = rng.randrange(2, 98)
-                den = rng.randrange(2, 98)
-                if num != den and math.gcd(num, den) == 1:
-                    break
-            draws.append(RAT(num, den))
         try:
-            return ParamPoint(*draws, genericity_bound=genericity_bound)
+            return ParamPoint(*draw_rationals(rng, 4),
+                              genericity_bound=genericity_bound)
         except GenericityError:
             continue
     raise GenericityError(f"no generic point found after {max_retries} draws")
@@ -341,6 +347,6 @@ def derive_params(point) -> DerivedParams:
 __all__ = [
     "BACKEND", "DerivedParams", "GenericityError", "HalfExponent", "ONE",
     "OMEGA1", "OMEGA2", "ParamPoint", "SingularArgumentError", "THETA",
-    "ZERO_EXP", "coprime_basis", "derive_params", "make_param_point",
-    "multiplicative_kernel",
+    "ZERO_EXP", "coprime_basis", "derive_params", "draw_rationals",
+    "make_param_point", "multiplicative_kernel",
 ]

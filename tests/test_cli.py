@@ -119,6 +119,42 @@ def test_symbolic_gram_is_refused_before_any_work(monkeypatch, n):
                             f"n <= 2, not n = {n}")
 
 
+@pytest.mark.parametrize("command", ["relations", "gram", "basis", "spinchain",
+                                     "irreps", "modules"])
+@pytest.mark.parametrize("n", [9, 30])
+def test_oversized_chain_is_refused_before_any_work(monkeypatch, command, n):
+    import tl2b.cli as cli
+
+    def no_work(*args):
+        raise ValueError("work started")
+
+    monkeypatch.setattr(cli, "_build_point", no_work)
+    monkeypatch.setattr(cli.irreps, "conjecture_check", no_work)
+    code, out = run([command, "--n", str(n)])
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
+    if command == "modules":  # counts dimensions only: not refused
+        assert doc["error"] == "ValueError: work started"
+    else:
+        assert doc["error"] == (f"ValueError: {command} is supported for "
+                                f"n <= 8, not n = {n} (a module of "
+                                f"dimension 2^{n})")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--theta", "0"], "GenericityError: t must be a nonzero rational"),
+    (["--backend", "symbolic", "--theta=+,1,+,+"],
+     "ValueError: the symbolic backend only supports --theta generic"),
+])
+def test_rejected_twist_gives_error_record(argv, error):
+    code, out = run(["gram", "--n", "2"] + argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
+    assert doc["error"] == error
+
+
 @pytest.mark.parametrize("command", ["gram", "irreps"])
 @pytest.mark.parametrize("theta", ["x,3,+,-", "-,3,+,y"])
 def test_bad_theta_gives_error_record(command, theta):

@@ -35,6 +35,21 @@ def test_exceptional_point_construction():
     assert g in (kv, tuple(-x for x in kv))
 
 
+def test_exceptional_point_is_distinct_from_every_other_twist():
+    # the standing distinctness assumption, implied by the point's
+    # certificate rather than checked when the point is drawn
+    for n in range(2, 7):
+        specs = [ExceptionalSpec(n, *e) for e in exceptional_points(n)]
+        for espec in specs:
+            for seed in (1, 2, 3):
+                point = make_exceptional_point(seed, espec)
+                q_theta = point.t ** 2
+                for other in specs:
+                    if other != espec:
+                        tau = other.tau(point.s, point.a, point.v)
+                        assert tau ** 2 != q_theta
+
+
 def test_determinant_vanishes_at_every_exceptional_twist(params):
     for n in (2, 3, 4):
         for (sign, m, e1, e2) in exceptional_points(n):

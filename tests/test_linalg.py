@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 import tl2b
 from tl2b._ratback import RAT
-from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p,
-                         _prime_pool, commutator, exact_det, invert,
-                         nonsingular_certificate, rank)
+from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p, commutator,
+                         exact_det, invert, nonsingular_certificate, rank)
 
 RAT_TYPE = type(RAT(1))
 
@@ -212,7 +211,7 @@ def test_residue_kernel_matches_the_determinant():
     for rows in cases:
         det = exact_det(Matrix(rows))
         assert det.denominator == 1
-        for p in _prime_pool(_CERTIFICATE_PRIMES):
+        for p in _CERTIFICATE_PRIMES:
             assert _det_mod_p(rows, p) == int(det) % p
 
 
@@ -238,7 +237,7 @@ def test_certificate_proves_a_nonzero_determinant(data, n):
     m = Matrix(data.draw(dense_rows(n, n)))
     p = nonsingular_certificate(m)
     if p is not None:
-        assert p in _prime_pool(_CERTIFICATE_PRIMES)
+        assert p in _CERTIFICATE_PRIMES
         assert exact_det(m) != 0
 
 
@@ -253,8 +252,22 @@ def test_singular_matrices_get_no_certificate():
     assert nonsingular_certificate(Matrix.zeros(3, 3)) is None
 
 
+def test_certificate_primes_are_prime():
+    # a residue is a proof only in a field
+    for p in _CERTIFICATE_PRIMES:
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_certificate_passes_over_a_prime_dividing_a_denominator():
+    first, second, _ = _CERTIFICATE_PRIMES
+    # 1/first has no residue mod first: the second prime certifies
+    m = Matrix([[RAT(1, first), RAT(2, 3)], [RAT(5, 7), 1]])
+    assert exact_det(m) != 0
+    assert nonsingular_certificate(m) == second
+
+
 def test_certificate_passes_over_a_prime_dividing_the_determinant():
-    first, second, *_ = primes = _prime_pool(_CERTIFICATE_PRIMES)
+    first, second, *_ = primes = _CERTIFICATE_PRIMES
     # the integerised rows are [[first, 0], [0, 1]]: det = first
     m = Matrix([[RAT(first), 0], [0, RAT(1, 3)]])
     assert nonsingular_certificate(m) == second
