@@ -14,7 +14,9 @@ Run:  python benchmarks/record_bench.py --label det_kernel \\
 
 Each checkout runs its own ``perfbench/run.py`` on its own ``src``, untraced,
 for the run length that ``BENCHMARK.json`` sets.  An existing
-``BENCH_<label>.json`` is extended, not replaced.
+``BENCH_<label>.json`` is extended, not replaced.  After the runs, one line
+per workload and side gives the median over seeds of each gated end-to-end
+metric and the number of seeds on which that side had the lowest wall_s.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +32,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 RSS = re.compile(r"\s(\d+\.\d+) s\s+cpu .* rss\s+(\d+\.\d+) MiB")
+
+#: the end-to-end metrics that BENCHMARK.json gates
+GATED = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -54,6 +60,30 @@ def run_once(checkout: Path, workload: str, seed: int,
     return {"meta": meta, "passes": passes, "result": json.loads(lines[-1])}
 
 
+def metric(run: dict, name: str) -> float:
+    return run["result"]["metrics"][name]["value"]
+
+
+def summarize(runs: list[dict], sides: list[str]) -> None:
+    """Print, per workload and side, the median over seeds of each gated
+    metric and the number of seeds on which the side had the lowest wall_s."""
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        ours = [run for run in runs if run["workload"] == workload]
+        walls: dict[int, dict[str, float]] = {}
+        for run in ours:
+            walls.setdefault(run["seed"], {})[run["side"]] = metric(run,
+                                                                    "wall_s")
+        for side in sides:
+            mine = [run for run in ours if run["side"] == side]
+            medians = "  ".join(
+                f"{name} {statistics.median(metric(r, name) for r in mine):.3f}"
+                for name in GATED)
+            wins = sum(min(by_side, key=by_side.get) == side
+                       for by_side in walls.values())
+            print(f"{side:10s} {workload:14s} median of {len(mine)} seeds: "
+                  f"{medians}  lower wall_s on {wins} of {len(walls)}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
@@ -73,19 +103,21 @@ def main() -> int:
     out = Path(f"BENCH_{args.label}.json")
     doc = (json.loads(out.read_text()) if out.exists()
            else {"label": args.label, "runs": []})
+    runs = []
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
             turn = k % len(sides)
             for name, checkout in sides[turn:] + sides[:turn]:
-                run = run_once(checkout, workload, seed, seconds)
-                doc["runs"].append({"side": name, "workload": workload,
-                                    "seed": seed, "seconds": seconds,
-                                    "trace": 0, **run})
-                wall = run["result"]["metrics"]["wall_s"]["value"]
+                run = {"side": name, "workload": workload, "seed": seed,
+                       "seconds": seconds, "trace": 0,
+                       **run_once(checkout, workload, seed, seconds)}
+                runs.append(run)
+                doc["runs"].append(run)
                 print(f"{name:10s} {workload:14s} seed {seed}: "
-                      f"wall_s {wall:.2f}", flush=True)
+                      f"wall_s {metric(run, 'wall_s'):.2f}", flush=True)
                 out.write_text(json.dumps(doc, indent=2, sort_keys=True)
                                + "\n")
+    summarize(runs, [name for name, _ in sides])
     return 0
 
 

@@ -3,6 +3,9 @@
 Every command writes one JSON document (schema ``tl2b/1``) that embeds the
 point, the seed and the library version, and exits nonzero if any audited
 identity fails.  Reports are byte-identical for identical configuration.
+``_check_request`` refuses, before any work, a chain length or twist that
+the command and backend do not serve; that and every other bad input get
+the ``tl2b/1`` error record and exit code 2.
 """
 
 from __future__ import annotations
@@ -61,27 +64,61 @@ def _unlimited_int_strings():
         sys.set_int_max_str_digits(old)
 
 
+#: largest n served, by backend and command; a command missing from a
+#: backend's table is not served on it.  Numeric commands build modules of
+#: dimension up to 2^n, and 8 is the largest n any test uses.  Symbolic
+#: ``relations`` takes 18 s and ``spinchain`` 6 minutes at n = 4, and the
+#: symbolic Gram determinant does not finish at n = 3.
+_MAX_N = {
+    "numeric": {"relations": 8, "gram": 8, "basis": 8, "spinchain": 8,
+                "irreps": 8, "modules": 8},
+    "symbolic": {"relations": 4, "gram": 2, "basis": 4, "spinchain": 4,
+                 "modules": 4},
+}
+
+
+def _check_request(args) -> None:
+    """Refuse a request that is not served, before any work, and set
+    ``args.twist`` to ``(mode, detail)``; a critical twist's detail is its
+    ``ExceptionalSpec``."""
+    if args.n < 2:
+        raise ValueError(f"chain length must be at least 2, not n = {args.n}")
+    symbolic = "symbolic " if args.backend == "symbolic" else ""
+    limit = _MAX_N[args.backend].get(args.command)
+    if limit is None:
+        raise ValueError(f"{symbolic}{args.command} is not supported")
+    if args.n > limit:
+        raise ValueError(f"{symbolic}{args.command} is supported for "
+                         f"n <= {limit}, not n = {args.n}")
+    mode, detail = _parse_theta(args.theta)
+    if symbolic and mode != "generic":
+        raise ValueError("the symbolic backend only supports --theta generic")
+    if args.command == "irreps" and mode == "explicit":
+        raise ValueError("irreps takes --theta generic or a critical twist, "
+                         "not an explicit value")
+    if mode == "exceptional":
+        detail = irreps.ExceptionalSpec(args.n, *detail)
+    args.twist = (mode, detail)
+
+
 def _build_point(args):
     mode, detail = args.twist
     if args.backend == "symbolic":
-        if mode != "generic":
-            raise ValueError("the symbolic backend only supports --theta generic")
         return SymbolicPoint()
-    if mode == "generic":
-        return make_param_point(args.seed, args.bound)
     if mode == "exceptional":
-        espec = irreps.ExceptionalSpec(args.n, *detail)
-        return irreps.make_exceptional_point(args.seed, espec, args.bound)
+        return irreps.make_exceptional_point(args.seed, detail, args.bound)
     base = make_param_point(args.seed, args.bound)
+    if mode == "generic":
+        return base
     return ParamPoint(base.s, base.a, base.v, detail,
                       genericity_bound=args.bound, theta_mode="explicit")
 
 
-def _envelope(args, command: str, results, extra=None) -> dict:
+def _envelope(args, results, extra) -> dict:
     failures = [r for r in results if r.get("status") == "fail"]
     doc = {
         "schema": "tl2b/1",
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "backend": BACKEND if args.backend == "numeric" else "symbolic",
         "config": {
@@ -94,20 +131,19 @@ def _envelope(args, command: str, results, extra=None) -> dict:
         "first_failure": failures[0] if failures else None,
         "results": results,
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra)
     return doc
 
 
-def _emit(args, doc) -> int:
+def _emit(args, report) -> int:
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as handle:
         if args.format == "json":
-            handle.write(json.dumps(doc, indent=2, sort_keys=True,
+            handle.write(json.dumps(report, indent=2, sort_keys=True,
                                     default=str) + "\n")
         else:
-            handle.write(_to_csv(doc))
-    return 0 if doc["status"] == "pass" else 1
+            handle.write(_to_csv(report))
+    return 0 if report["status"] == "pass" else 1
 
 
 def _to_csv(doc) -> str:
@@ -129,7 +165,7 @@ def _to_csv(doc) -> str:
 # commands
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(args) -> tuple[list, dict]:
     point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)
@@ -145,20 +181,10 @@ def cmd_relations(args) -> int:
     rep = pathbasis.ModuleRep(spec)
     results += pathbasis.ybe_audit(rep)
     results.sort(key=lambda r: r["identity_id"])
-    doc = _envelope(args, "relations", results,
-                    {"point": point.to_json()})
-    return _emit(args, doc)
+    return results, {"point": point.to_json()}
 
 
-#: largest n whose symbolic Gram determinant finishes: at n = 3 the
-#: elimination over Laurent fractions has not finished within minutes
-_SYMBOLIC_GRAM_MAX_N = 2
-
-
-def cmd_gram(args) -> int:
-    if args.backend == "symbolic" and args.n > _SYMBOLIC_GRAM_MAX_N:
-        raise ValueError("symbolic gram is supported for n <= "
-                         f"{_SYMBOLIC_GRAM_MAX_N}, not n = {args.n}")
+def cmd_gram(args) -> tuple[list, dict]:
     point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)
@@ -167,37 +193,30 @@ def cmd_gram(args) -> int:
     closed = pathbasis.gram_closed_form(args.n, point)
     closed_half = pathbasis.gram_closed_form_halfdiagram(args.n, point,
                                                          params.s1)
-    factors = pathbasis.gram_closed_form_report(args.n, point)
     results = [audit("gram.det.halfdiagram_basis",
                      None if brute == closed_half else "mismatch")]
-    basis = [str(h) for h in spec.basis]
+    factor_table = []
+    for item in pathbasis.gram_closed_form_report(args.n, point):
+        e = item.get("exponent")
+        factor = (item.get("prefactor_base")
+                  or f"[({e.m} {e.c1}w1 {e.c2}w2 {e.c3}th)/2]")
+        factor_table.append({"factor": factor, "mult": item["mult"],
+                             "value": str(item["value"])})
     exc = [{"sign": s, "m": m, "eps1": e1, "eps2": e2}
            for (s, m, e1, e2) in pathbasis.exceptional_points(args.n)]
-    factor_table = []
-    for item in factors:
-        if "prefactor_base" in item:
-            factor_table.append({"factor": item["prefactor_base"],
-                                 "mult": item["mult"],
-                                 "value": str(item["value"])})
-        else:
-            e = item["exponent"]
-            factor_table.append({"factor": f"[({e.m} {e.c1}w1 {e.c2}w2 {e.c3}th)/2]",
-                                 "mult": item["mult"],
-                                 "value": str(item["value"])})
-    doc = _envelope(args, "gram", results, {
+    return results, {
         "point": point.to_json(),
-        "basis": basis,
+        "basis": [str(h) for h in spec.basis],
         "gram_matrix": [[str(x) for x in row] for row in gram.rows],
         "det_halfdiagram_basis": str(brute),
         "det_tile_basis": str(closed),
         "normalization_exponent": pathbasis.gram_normalization_exponent(args.n),
         "factor_table": factor_table,
         "exceptional_points": exc,
-    })
-    return _emit(args, doc)
+    }
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple[list, dict]:
     point = _build_point(args)
     params = derive_params(point)
     spec = wordrep.ModuleSpec.big(args.n, params)
@@ -210,16 +229,15 @@ def cmd_basis(args) -> int:
     results += pathbasis.idempotent_identities(rep)
     diag = pathbasis.gram_diag_b1(basis)
     results.sort(key=lambda r: r["identity_id"])
-    doc = _envelope(args, "basis", results, {
+    return results, {
         "point": point.to_json(),
         "paths": [list(p) for p in basis.paths],
         "gram_diagonal": {",".join(map(str, p)): str(diag[p])
                           for p in basis.paths},
-    })
-    return _emit(args, doc)
+    }
 
 
-def cmd_spinchain(args) -> int:
+def cmd_spinchain(args) -> tuple[list, dict]:
     point = _build_point(args)
     params = derive_params(point)
     results = spinchain.spin_relation_audit(args.n, point, params)
@@ -227,20 +245,17 @@ def cmd_spinchain(args) -> int:
     results += spinchain.equivalence_audit(args.n, point, params)
     results.sort(key=lambda r: r["identity_id"])
     ground = spinchain.ebar(args.n, point)
-    doc = _envelope(args, "spinchain", results, {
+    return results, {
         "point": point.to_json(),
         "ebar": spinchain.spin_vector_to_json(ground, args.n),
-    })
-    return _emit(args, doc)
+    }
 
 
-def cmd_irreps(args) -> int:
-    mode, detail = args.twist
+def cmd_irreps(args) -> tuple[list, dict]:
+    mode, espec = args.twist
     results = []
-    extra = {}
     if mode == "exceptional":
-        espec = irreps.ExceptionalSpec(args.n, *detail)
-        point = irreps.make_exceptional_point(args.seed, espec, args.bound)
+        point = _build_point(args)
         params = derive_params(point)
         spec = wordrep.ModuleSpec.big(args.n, params)
         basis = pathbasis.build_b1(pathbasis.ModuleRep(spec))
@@ -273,21 +288,16 @@ def cmd_irreps(args) -> int:
         extra = {"verdicts": verdicts,
                  "note": "equivalence verdicts are desk-scale evidence"}
     results.sort(key=lambda r: r["identity_id"])
-    doc = _envelope(args, "irreps", results, extra)
-    return _emit(args, doc)
+    return results, extra
 
 
-def cmd_modules(args) -> int:
+def cmd_modules(args) -> tuple[list, dict]:
     point = _build_point(args)
     params = derive_params(point)
     nodes = []
     edges = []
     n = args.n
-    start = 1 if n % 2 == 0 else 2
-    ns = list(range(start, n + 1, 2))
-    if n % 2 == 1:
-        ns = [0] + ns
-    for nn in ns:
+    for nn in range(1 - n % 2, n, 2):
         for e1 in (1, -1):
             for e2 in (1, -1):
                 n_through = nn + (e1 + e2) // 2
@@ -314,19 +324,11 @@ def cmd_modules(args) -> int:
     results = [audit(f"modules.dim.{d['module']}",
                      None if d["dim"] == d["expected_dim"]
                      else f"dim {d['dim']}") for d in nodes]
-    doc = _envelope(args, "modules", results, {
+    return results, {
         "point": point.to_json(),
         "modules": nodes,
         "embedding_edges": edges,
-    })
-    return _emit(args, doc)
-
-
-#: largest n of a command that builds the 2^n-dimensional module, so that a
-#: larger request is refused up front instead of running out of time or
-#: memory; 8 is the largest n any test uses.  ``modules`` only counts
-#: dimensions and is exempt.
-_MAX_N = 8
+    }
 
 
 def main(argv=None) -> int:
@@ -349,18 +351,11 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    if args.n < 2:
-        parser.error("chain length must be at least 2")
-    if args.backend == "symbolic" and args.n > 4:
-        parser.error("the symbolic backend is supported for n <= 4")
     try:
-        if args.command != "modules" and args.n > _MAX_N:
-            raise ValueError(f"{args.command} is supported for n <= {_MAX_N}, "
-                             f"not n = {args.n} (a module of dimension "
-                             f"2^{args.n})")
-        args.twist = _parse_theta(args.theta)
+        _check_request(args)
         with _unlimited_int_strings():
-            return args.func(args)
+            results, extra = args.func(args)
+            return _emit(args, _envelope(args, results, extra))
     except (GenericityError, ValueError, ArithmeticError) as exc:
         record = {"schema": "tl2b/1", "command": args.command,
                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}

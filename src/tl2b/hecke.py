@@ -190,7 +190,7 @@ def hecke_relation_audit(gens: HeckeGenSet) -> list[dict]:
                - gens.g[n - 1].scale(q(-1) * c2) + gens.g[n].scale(q(-2))
                - ident.scale(q(-2) * c2))
         out.append(audit("hecke.kernel.right", mat))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 def murphy_commutation_audit(fam: MurphyFamily) -> list[dict]:
@@ -226,7 +226,7 @@ def murphy_commutation_audit(fam: MurphyFamily) -> list[dict]:
     if fam.kind in ("B", "C"):
         out.append(audit(f"murphy.g0j0pair.{fam.kind}",
                          commutator(gens.g[0], js[0] + fam.jinv[0])))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 def equivalent_presentation_audit(fam: MurphyFamily) -> list[dict]:
@@ -257,7 +257,7 @@ def equivalent_presentation_audit(fam: MurphyFamily) -> list[dict]:
     for i in range(1, n):
         rebuild = rebuild @ gens.ginv[i]
     out.append(audit("equiv.gn_rebuild", rebuild - g[n]))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 def central_element(fam: MurphyFamily) -> Matrix:
@@ -287,7 +287,7 @@ def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
         lam = central_scalar_expected(fam.gens.point, spec.n_sites)
         out.append(audit("centre.scalar",
                          z - Matrix.identity(z.nrows).scale(lam)))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     b = spec.b
     out.append(audit("iji.assembled.121", i1 @ i2 @ i1 - i1.scale(b)))
     out.append(audit("iji.assembled.212", i2 @ i1 @ i2 - i2.scale(b)))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 __all__ = [

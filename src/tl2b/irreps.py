@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .hecke import central_element, lift_family, murphy
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .linalg import Matrix, invert, rank  # noqa: F401
-from .scalars import (GenericityError, HalfExponent, OMEGA1, OMEGA2,
-                      ParamPoint, derive_params, draw_rationals)
+from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
+                      OMEGA2, ParamPoint, derive_params, draw_rationals)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, exceptional_points,
                         murphy_eigenvalue)
 from .wordrep import ModuleSpec, check_relations, irrep_dim
@@ -60,8 +60,7 @@ class ExceptionalSpec:
 
 
 def make_exceptional_point(seed: int, espec: ExceptionalSpec,
-                           genericity_bound: int = 40,
-                           max_retries: int = 200) -> ParamPoint:
+                           genericity_bound: int = 40) -> ParamPoint:
     """Generic (s, a, v) with the twist value forced by the spec.
 
     The point's ``theta_mode="exceptional"`` certificate makes |s|, |a|
@@ -72,7 +71,7 @@ def make_exceptional_point(seed: int, espec: ExceptionalSpec,
     sign * (-m, e1, e2), since m >= 0 and e1 = +1 when m = 0, so two equal
     values of t^2 would be a relation among |s|, |a| and |v|."""
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         s, a, v = draw_rationals(rng, 3)
         try:
             return ParamPoint(s, a, v, espec.tau(s, a, v),
@@ -81,7 +80,7 @@ def make_exceptional_point(seed: int, espec: ExceptionalSpec,
         except GenericityError:
             continue
     raise GenericityError(
-        f"no admissible exceptional point found after {max_retries} draws")
+        f"no admissible exceptional point found after {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +134,7 @@ def detect_invariant(basis: BasisB1, espec: ExceptionalSpec) -> SubQuotientPair:
 def family_relation_audit(family: tuple[Matrix, ...], params,
                           prefix: str = "family.") -> list[dict]:
     """Defining relations on an arbitrary generator family."""
-    records = check_relations(family, params, prefix)
-    return sorted(records, key=lambda r: r["identity_id"])
+    return check_relations(family, params, prefix)
 
 
 # ---------------------------------------------------------------------------

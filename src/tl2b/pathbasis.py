@@ -475,7 +475,7 @@ def gram_closed_form_report(n_sites: int, point) -> list[dict]:
                 for e3 in (1, -1):
                     factors.append({"exponent": HalfExponent(k, e1, e2, e3),
                                     "mult": irrep_dim(n, k)})
-    pref_mult = -2 * sum(irrep_dim(n, n - 1 - 2 * m) for m in range(n))
+    pref_mult = -gram_normalization_exponent(n)
     for item in factors:
         item["value"] = point.qnum(item["exponent"])
     return [{"prefactor_base": "[w1][w2+1]", "mult": pref_mult,
@@ -555,23 +555,22 @@ def fixed_height_gram(n_sites: int, h_n: int, point):
 # spectral-equation audit
 
 
-def ybe_audit(rep: ModuleRep, battery=None) -> list[dict]:
+#: the generic spectral pairs (u, v) of ``ybe_audit``
+_YBE_BATTERY = ((OMEGA1, ONE), (OMEGA2 + ONE.scale(2), THETA - ONE),
+                (OMEGA1 + OMEGA2, THETA + ONE.scale(2)))
+
+
+def ybe_audit(rep: ModuleRep) -> list[dict]:
     """Yang-Baxter, both reflection equations, and the unitarity relations,
-    for a battery of generic exponent pairs."""
+    for each pair of ``_YBE_BATTERY``."""
     n = rep.n_sites
-    if battery is None:
-        battery = [
-            (OMEGA1, ONE),
-            (OMEGA2 + ONE.scale(2), THETA - ONE.scale(1)),
-            (OMEGA1 + OMEGA2, THETA + ONE.scale(2)),
-        ]
     ident = Matrix.identity(rep.dim)
     point = rep.point
     # (side, tag, bulk neighbour of the wall, wall operator, its coefficient)
     walls = (("left", "kbar", 1, matrix_kbar, kbar_coeff),
              ("right", "k", n - 1, matrix_k, k_coeff))
     out = []
-    for idx, (u, v) in enumerate(battery):
+    for idx, (u, v) in enumerate(_YBE_BATTERY):
         for i in range(1, n - 1):
             lhs = (matrix_r(rep, i, u) @ matrix_r(rep, i + 1, u + v)
                    @ matrix_r(rep, i, v))
@@ -593,7 +592,7 @@ def ybe_audit(rep: ModuleRep, battery=None) -> list[dict]:
                 out.append(audit(f"ybe.reflect.{side}.{idx}", lhs - rhs))
             expect = ident.scale(coeff(u, point) * coeff(-u, point))
             out.append(audit(f"ybe.unitary.{tag}.{idx}", ku @ kmu - expect))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +648,7 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     if n > 1:
         out.append(audit("en.e0.kill",
                          rep.e_matrix(0) @ matrix_r(rep, 1, OMEGA1) @ e_full))
-    return sorted(out, key=lambda r: r["identity_id"])
+    return out
 
 
 __all__ = [

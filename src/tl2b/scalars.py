@@ -274,6 +274,10 @@ class ParamPoint:
         return True
 
 
+#: draws a point constructor makes before it gives up
+MAX_DRAWS = 200
+
+
 def draw_rationals(rng: random.Random, count: int) -> list:
     """``count`` rationals num/den with coprime num != den in 2..97."""
     draws = []
@@ -287,21 +291,20 @@ def draw_rationals(rng: random.Random, count: int) -> list:
     return draws
 
 
-def make_param_point(seed: int, genericity_bound: int = 40,
-                     max_retries: int = 200) -> ParamPoint:
+def make_param_point(seed: int, genericity_bound: int = 40) -> ParamPoint:
     """Deterministic pseudo-random generic point with small rational heights.
 
     Numerators and denominators are coprime and at most 97, which keeps
     big-integer growth manageable inside exact determinants up to N = 10.
     """
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         try:
             return ParamPoint(*draw_rationals(rng, 4),
                               genericity_bound=genericity_bound)
         except GenericityError:
             continue
-    raise GenericityError(f"no generic point found after {max_retries} draws")
+    raise GenericityError(f"no generic point found after {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
         i1, i2 = word_product(gens, w1), word_product(gens, w2)
         records.append(audit("quotient.121", i1 @ i2 @ i1 - i1.scale(spec.b)))
         records.append(audit("quotient.212", i2 @ i1 @ i2 - i2.scale(spec.b)))
-    return sorted(records, key=lambda r: r["identity_id"])
+    return records
 
 
 __all__ = [

@@ -17,6 +17,31 @@ def run(argv):
     return code, buf.getvalue()
 
 
+class WorkStarted(Exception):
+    """Raised by the patched entry points of every command's work."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the first step of every command raise ``WorkStarted``."""
+    import tl2b.cli as cli
+
+    def started(*args):
+        raise WorkStarted
+
+    monkeypatch.setattr(cli, "_build_point", started)
+    monkeypatch.setattr(cli.irreps, "conjecture_check", started)
+
+
+def refusal(argv):
+    """The error text of a request refused with the error record."""
+    code, out = run(argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
+    return doc["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["relations", "--n", "2"],
     ["gram", "--n", "2"],
@@ -87,9 +112,9 @@ def test_csv_format(tmp_path):
     assert len(lines) == 5
 
 
-def test_bad_chain_length():
-    with pytest.raises(SystemExit):
-        run(["relations", "--n", "1"])
+def test_bad_chain_length(no_work):
+    assert refusal(["relations", "--n", "1"]) == (
+        "ValueError: chain length must be at least 2, not n = 1")
 
 
 def test_explicit_twist_roundtrip():
@@ -98,48 +123,59 @@ def test_explicit_twist_roundtrip():
     assert code == 0 and doc["point"]["t"] == "5/9"
 
 
-def test_symbolic_backend_guard():
-    with pytest.raises(SystemExit):
-        run(["relations", "--n", "5", "--backend", "symbolic"])
+def test_symbolic_backend_guard(no_work):
+    assert refusal(["relations", "--n", "5", "--backend", "symbolic"]) == (
+        "ValueError: symbolic relations is supported for n <= 4, not n = 5")
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_symbolic_gram_is_refused_before_any_work(monkeypatch, n):
-    import tl2b.cli as cli
-
-    def no_work(args):
-        pytest.fail("the point was built before the refusal")
-
-    monkeypatch.setattr(cli, "_build_point", no_work)
-    code, out = run(["gram", "--n", str(n), "--backend", "symbolic"])
-    doc = json.loads(out)
-    assert code == 2
-    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
-    assert doc["error"] == ("ValueError: symbolic gram is supported for "
-                            f"n <= 2, not n = {n}")
+def test_symbolic_gram_is_refused_before_any_work(no_work, n):
+    assert refusal(["gram", "--n", str(n), "--backend", "symbolic"]) == (
+        f"ValueError: symbolic gram is supported for n <= 2, not n = {n}")
 
 
 @pytest.mark.parametrize("command", ["relations", "gram", "basis", "spinchain",
                                      "irreps", "modules"])
 @pytest.mark.parametrize("n", [9, 30])
-def test_oversized_chain_is_refused_before_any_work(monkeypatch, command, n):
-    import tl2b.cli as cli
+def test_oversized_chain_is_refused_before_any_work(no_work, command, n):
+    assert refusal([command, "--n", str(n)]) == (
+        f"ValueError: {command} is supported for n <= 8, not n = {n}")
 
-    def no_work(*args):
-        raise ValueError("work started")
 
-    monkeypatch.setattr(cli, "_build_point", no_work)
-    monkeypatch.setattr(cli.irreps, "conjecture_check", no_work)
-    code, out = run([command, "--n", str(n)])
-    doc = json.loads(out)
-    assert code == 2
-    assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
-    if command == "modules":  # counts dimensions only: not refused
-        assert doc["error"] == "ValueError: work started"
-    else:
-        assert doc["error"] == (f"ValueError: {command} is supported for "
-                                f"n <= 8, not n = {n} (a module of "
-                                f"dimension 2^{n})")
+#: the largest n served, by backend and command
+LIMITS = [("numeric", command, 8) for command in (
+    "relations", "gram", "basis", "spinchain", "irreps", "modules")] + [
+    ("symbolic", "relations", 4), ("symbolic", "gram", 2),
+    ("symbolic", "basis", 4), ("symbolic", "spinchain", 4),
+    ("symbolic", "modules", 4)]
+
+
+@pytest.mark.parametrize("backend, command, limit", LIMITS)
+def test_each_limit_is_served_and_the_next_n_refused(no_work, backend,
+                                                     command, limit):
+    argv = [command, "--backend", backend, "--n"]
+    with pytest.raises(WorkStarted):
+        run(argv + [str(limit)])
+    prefix = "symbolic " if backend == "symbolic" else ""
+    assert refusal(argv + [str(limit + 1)]) == (
+        f"ValueError: {prefix}{command} is supported for n <= {limit}, "
+        f"not n = {limit + 1}")
+
+
+def test_symbolic_irreps_is_refused(no_work):
+    assert refusal(["irreps", "--n", "2", "--backend", "symbolic"]) == (
+        "ValueError: symbolic irreps is not supported")
+
+
+def test_irreps_refuses_an_explicit_twist(no_work):
+    assert refusal(["irreps", "--n", "3", "--theta", "3/2"]) == (
+        "ValueError: irreps takes --theta generic or a critical twist, "
+        "not an explicit value")
+
+
+def test_critical_irreps_builds_its_point_with_every_command(no_work):
+    with pytest.raises(WorkStarted):
+        run(["irreps", "--n", "4", "--theta=-,3,+,-"])
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -13,6 +13,7 @@ from tl2b.linalg import exact_det
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, THETA,
                           SingularArgumentError, derive_params,
                           make_param_point)
+from tl2b.spinchain import SpinRep
 from tl2b.symbolic import LaurentPoly, SymbolicPoint
 from tl2b.wordrep import ModuleSpec, gram_matrix, relation_audit
 
@@ -85,6 +86,25 @@ def test_backend_agreement_battery(sym, sym_params):
     direct = (point.qnum(OMEGA1) * point.qnum(THETA)
               / point.qnum(OMEGA2 + ONE) + point.q_power(ONE) ** -3)
     assert expr.evaluate(point) == direct
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symbolic_models_specialise_to_the_numeric_ones(sym, sym_params,
+                                                        point, params, n):
+    # the half-diagram module and the spin chain over the parameter field,
+    # specialised at the point entry by entry, give the numeric generators
+    def at_point(x):
+        return x if isinstance(x, int) else x.evaluate(point)
+
+    models = ((ModuleSpec.big(n, sym_params).generators,
+               ModuleSpec.big(n, params).generators),
+              (SpinRep(n, sym, sym_params).generators,
+               SpinRep(n, point, params).generators))
+    for symbolic, numeric in models:
+        assert len(symbolic) == len(numeric) == n + 1
+        for sym_mat, num_mat in zip(symbolic, numeric):
+            assert [[at_point(x) for x in row]
+                    for row in sym_mat.rows] == num_mat.rows
 
 
 def test_symbolic_relation_audit(sym_params):
