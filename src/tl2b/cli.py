@@ -265,8 +265,7 @@ def cmd_irreps(args) -> tuple[list, dict]:
         results += irreps.family_relation_audit(pair.quo, params,
                                                 "irreps.quo.family.")
         lam_s, err = irreps.central_character(pair.sub, point)
-        expected = irreps.expected_character(point, args.n,
-                                             espec.theta_exponent())
+        expected = hecke.central_scalar(point, args.n, espec.theta_exponent())
         if err is not None:  # the centre is not scalar on the block
             deviation = f"entry{err}"
         else:
@@ -297,18 +296,16 @@ def cmd_modules(args) -> tuple[list, dict]:
     nodes = []
     edges = []
     n = args.n
-    for nn in range(1 - n % 2, n, 2):
-        for e1 in (1, -1):
-            for e2 in (1, -1):
-                n_through = nn + (e1 + e2) // 2
-                if not 1 <= n_through <= n:
-                    continue
-                spec = wordrep.ModuleSpec.through_lines(n, nn, e1, e2, params)
-                name = f"W({n},{nn})[{'+' if e1 == 1 else '-'}{'+' if e2 == 1 else '-'}]"
-                nodes.append({"module": name, "n": nn, "eps1": e1, "eps2": e2,
-                              "through_lines": n_through,
-                              "dim": spec.dim,
-                              "expected_dim": wordrep.irrep_dim(n, nn)})
+    for nn, e1, e2 in pathbasis.critical_labels(n):
+        n_through = nn + (e1 + e2) // 2
+        if n_through < 1:
+            continue
+        spec = wordrep.ModuleSpec.through_lines(n, nn, e1, e2, params)
+        name = f"W({n},{nn})[{'+' if e1 == 1 else '-'}{'+' if e2 == 1 else '-'}]"
+        nodes.append({"module": name, "n": nn, "eps1": e1, "eps2": e2,
+                      "through_lines": n_through,
+                      "dim": spec.dim,
+                      "expected_dim": wordrep.irrep_dim(n, nn)})
     nodes.append({"module": f"W({n})(b)", "n": None, "through_lines": 0,
                   "dim": 1 << n, "expected_dim": 1 << n})
     by_key = {(d["n"], d.get("eps1"), d.get("eps2")): d["module"]
@@ -331,8 +328,16 @@ def cmd_modules(args) -> tuple[list, dict]:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise, so that they get the error
+    record; ``--help`` still prints and exits."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tl2b",
         description="exact audits for the two-boundary Temperley-Lieb algebra")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -350,13 +355,16 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=fn)
-    args = parser.parse_args(argv)
+    # argparse sets ``command`` before it parses the command's arguments,
+    # so the error record names it even when those do not parse
+    args = argparse.Namespace(command=None)
     try:
+        parser.parse_args(argv, namespace=args)
         _check_request(args)
         with _unlimited_int_strings():
             results, extra = args.func(args)
             return _emit(args, _envelope(args, results, extra))
-    except (GenericityError, ValueError, ArithmeticError) as exc:
+    except (GenericityError, ValueError, ArithmeticError, OSError) as exc:
         record = {"schema": "tl2b/1", "command": args.command,
                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}
         sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -190,20 +190,16 @@ def identity_diagram(n_sites: int) -> FullDiagram:
     return FullDiagram("|" * n_sites, "|" * n_sites, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def _generator_pattern(i: int, n_sites: int) -> str:
-    if i == 0:
-        return ")" + "|" * (n_sites - 1)
-    if i == n_sites:
-        return "|" * (n_sites - 1) + "("
-    return "|" * (i - 1) + "()" + "|" * (n_sites - 1 - i)
-
-
 def generator_diagram(i: int, n_sites: int) -> FullDiagram:
     """The diagram of e_i: boundary arcs for i = 0 and i = N, else a cup-cap."""
     if not 0 <= i <= n_sites:
         raise IndexError(f"generator index {i} out of range 0..{n_sites}")
-    pat = _generator_pattern(i, n_sites)
+    if i == 0:
+        pat = ")" + "|" * (n_sites - 1)
+    elif i == n_sites:
+        pat = "|" * (n_sites - 1) + "("
+    else:
+        pat = "|" * (i - 1) + "()" + "|" * (n_sites - 1 - i)
     return FullDiagram(pat, pat, 0, 1)
 
 
@@ -470,40 +466,26 @@ def word_to_element(word: Word, params: DerivedParams,
 # action on half-diagrams
 
 
-def act_on_half(i: int, x: HalfDiagram, params: DerivedParams,
+def act_on_half(d: FullDiagram, x: HalfDiagram, params: DerivedParams,
                 quotient_b=None):
-    """Left action of e_i on a module basis vector.
+    """Left action of the diagram ``d`` on a module basis vector, by
+    ``compose`` with the diagram that has x as both halves.
 
     Returns ``(scalar, HalfDiagram)``; a zero scalar (with None) signals
     annihilation, which for through-line modules is the cellular quotient by
-    diagrams with fewer through lines.  Half-diagrams without through lines
-    carry their derived horizontal line, so ``quotient_b`` is mandatory
-    there.
+    diagrams with fewer through lines: a through line of x that does not
+    survive changes the top half.  Half-diagrams without through lines
+    carry their derived horizontal line, on each half, so ``quotient_b`` is
+    mandatory there; each further pair of horizontal lines is traded for it.
     """
-    n = x.n_sites
     if x.n_through == 0 and quotient_b is None:
         raise ValueError("the no-through-line module needs the quotient scalar")
-    gen_pat = _generator_pattern(i, n)
-    glue = _Glue(gen_pat, x.pattern)
-    gen_bot = _strand_map(gen_pat)
-    base_left = sum(1 for s in gen_bot if s[0] == "left")
-    base_right = sum(1 for s in gen_bot if s[0] == "right")
-    factor, born, bottom_ends, top_ends = glue.resolve(params, base_left, base_right)
-    if any(other[1][0] != "thru" for _, other in top_ends):
+    out = compose(d, FullDiagram(x.pattern, x.pattern, 2 * x.hline), params)
+    if out.top != x.pattern:
         return params.point.zero, None
-    new_pattern = _rewrite_edge(gen_pat, bottom_ends, far_is_top=True)
-    result = HalfDiagram(new_pattern)
-    if result.n_through < x.n_through:
-        return params.point.zero, None
-    if x.n_through:
-        assert born == 0
-        return factor, result
-    stock = int(x.hline) + born
-    drop = stock - int(result.hline)
-    assert drop >= 0 and drop % 2 == 0
-    for _ in range(drop // 2):
-        factor = factor * quotient_b
-    return factor, result
+    result = HalfDiagram(out.bottom)
+    pairs = (out.hlines - x.hline - result.hline) // 2
+    return (out.coeff * quotient_b ** pairs if pairs else out.coeff), result
 
 
 __all__ = [

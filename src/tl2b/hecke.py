@@ -139,57 +139,42 @@ def hecke_relation_audit(gens: HeckeGenSet) -> list[dict]:
     of the surjection onto the diagram algebra."""
     point = gens.point
     n = gens.n_sites
+    g = gens.g
     ident = Matrix.identity(gens.dim)
     q = lambda k: point.q_power(ONE.scale(k))
-    qe = point.q_power
-    out = []
-    for i in range(n + 1):
-        out.append(audit(f"hecke.inverse.{i}", gens.g[i] @ gens.ginv[i] - ident))
+
+    def quadratic(i, root, other):
+        return (g[i] - ident.scale(root)) @ (g[i] - ident.scale(other))
+
+    def kernel(a, w, c):
+        """The cubic reduction of g_a g_w g_a: c is q^w + q^-w at a wall
+        with parameter w, and -1/q in the bulk."""
+        return (gens.word((a, w, a))
+                + (gens.word((w, a)) + gens.word((a, w))).scale(q(-1))
+                - g[a].scale(q(-1) * c) + g[w].scale(q(-2))
+                - ident.scale(q(-2) * c))
+
+    out = [audit(f"hecke.inverse.{i}", g[i] @ gens.ginv[i] - ident)
+           for i in range(n + 1)]
     for i in range(1, n):
-        quad = ((gens.g[i] - ident.scale(q(1)))
-                @ (gens.g[i] + ident.scale(q(-1))))
-        out.append(audit(f"hecke.quadratic.bulk.{i}", quad))
-    quad0 = ((gens.g[0] - ident.scale(qe(OMEGA1)))
-             @ (gens.g[0] - ident.scale(qe(-OMEGA1))))
-    out.append(audit("hecke.quadratic.left", quad0))
-    quadn = ((gens.g[n] - ident.scale(qe(OMEGA2)))
-             @ (gens.g[n] - ident.scale(qe(-OMEGA2))))
-    out.append(audit("hecke.quadratic.right", quadn))
+        out.append(audit(f"hecke.quadratic.bulk.{i}",
+                         quadratic(i, q(1), -q(-1))))
     for i in range(1, n - 1):
         out.append(audit(f"hecke.braid.{i}",
                          gens.word((i, i + 1, i)) - gens.word((i + 1, i, i + 1))))
-    if n >= 2:
-        out.append(audit("hecke.braid.left",
-                         gens.word((0, 1, 0, 1)) - gens.word((1, 0, 1, 0))))
-        out.append(audit("hecke.braid.right",
-                         gens.word((n, n - 1, n, n - 1))
-                         - gens.word((n - 1, n, n - 1, n))))
+        out.append(audit(f"hecke.kernel.bulk.{i}", kernel(i, i + 1, -q(-1))))
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out.append(audit(f"hecke.comm.{i}.{j}",
-                             commutator(gens.g[i], gens.g[j])))
-    # kernel of the surjection: the cubic reductions
-    for i in range(1, n - 1):
-        mat = (gens.word((i, i + 1, i))
-               + gens.word((i, i + 1)).scale(q(-1))
-               + gens.word((i + 1, i)).scale(q(-1))
-               + gens.g[i].scale(q(-2)) + gens.g[i + 1].scale(q(-2))
-               + ident.scale(q(-3)))
-        out.append(audit(f"hecke.kernel.bulk.{i}", mat))
-    if n >= 1:
-        c1 = qe(OMEGA1) + qe(-OMEGA1)
-        mat = (gens.word((1, 0, 1))
-               + gens.word((0, 1)).scale(q(-1)) + gens.word((1, 0)).scale(q(-1))
-               - gens.g[1].scale(q(-1) * c1) + gens.g[0].scale(q(-2))
-               - ident.scale(q(-2) * c1))
-        out.append(audit("hecke.kernel.left", mat))
-        c2 = qe(OMEGA2) + qe(-OMEGA2)
-        mat = (gens.word((n - 1, n, n - 1))
-               + gens.word((n, n - 1)).scale(q(-1))
-               + gens.word((n - 1, n)).scale(q(-1))
-               - gens.g[n - 1].scale(q(-1) * c2) + gens.g[n].scale(q(-2))
-               - ident.scale(q(-2) * c2))
-        out.append(audit("hecke.kernel.right", mat))
+            out.append(audit(f"hecke.comm.{i}.{j}", commutator(g[i], g[j])))
+    # (side, wall generator, its bulk neighbour, wall parameter)
+    for side, w, a, omega in (("left", 0, 1, OMEGA1),
+                              ("right", n, n - 1, OMEGA2)):
+        root, other = point.q_power(omega), point.q_power(-omega)
+        out.append(audit(f"hecke.quadratic.{side}", quadratic(w, root, other)))
+        if n >= 2:
+            out.append(audit(f"hecke.braid.{side}", gens.word((w, a, w, a))
+                             - gens.word((a, w, a, w))))
+        out.append(audit(f"hecke.kernel.{side}", kernel(a, w, root + other)))
     return out
 
 
@@ -271,10 +256,11 @@ def central_element(fam: MurphyFamily) -> Matrix:
     return out
 
 
-def central_scalar_expected(point, n_sites: int):
-    """[N] * [2*th] / [th]."""
+def central_scalar(point, n_sites: int, x: HalfExponent):
+    """[N] (q^x + q^-x), the scalar of Z_N at twist x, written pole-free:
+    it equals [N] [2x] / [x] wherever [x] != 0."""
     return (point.qnum(HalfExponent.integer(n_sites))
-            * point.qnum(THETA.scale(2)) / point.qnum_nonzero(THETA))
+            * (point.q_power(x) + point.q_power(-x)))
 
 
 def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
@@ -284,7 +270,7 @@ def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     out = [audit(f"centre.comm.e{i}", commutator(z, e_mat))
            for i, e_mat in enumerate(fam.gens.e)]
     if spec.kind == "big":
-        lam = central_scalar_expected(fam.gens.point, spec.n_sites)
+        lam = central_scalar(fam.gens.point, spec.n_sites, THETA)
         out.append(audit("centre.scalar",
                          z - Matrix.identity(z.nrows).scale(lam)))
     return out
@@ -421,7 +407,7 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
 
 
 __all__ = [
-    "HeckeGenSet", "MurphyFamily", "central_element", "central_scalar_expected",
+    "HeckeGenSet", "MurphyFamily", "central_element", "central_scalar",
     "centre_audit", "equivalent_presentation_audit", "g_coefficients",
     "hecke_relation_audit", "iji_audit", "inverse_word", "lift_family",
     "lift_to_hecke", "murphy", "murphy_commutation_audit", "murphy_word",

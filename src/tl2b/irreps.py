@@ -18,13 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .hecke import central_element, lift_family, murphy
+from .hecke import central_element, central_scalar, lift_family, murphy
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .linalg import Matrix, invert, rank  # noqa: F401
 from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
                       OMEGA2, ParamPoint, derive_params, draw_rationals)
-from .pathbasis import (BasisB1, ModuleRep, build_b1, exceptional_points,
-                        murphy_eigenvalue)
+from .pathbasis import (BasisB1, ModuleRep, build_b1, critical_labels,
+                        exceptional_points, murphy_eigenvalue)
 from .wordrep import ModuleSpec, check_relations, irrep_dim
 
 
@@ -152,12 +152,6 @@ def central_character(family: tuple[Matrix, ...], point):
     if c is None:
         return None, z.first_nonzero()
     return c, None
-
-
-def expected_character(point, n_sites: int, x: HalfExponent):
-    """[N] (q^x + q^-x), the central scalar written pole-free."""
-    return (point.qnum(HalfExponent.integer(n_sites))
-            * (point.q_power(x) + point.q_power(-x)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +294,7 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
     }
     dims_ok = fam_w[0].nrows == fam_v[0].nrows == irrep_dim(n_sites, n)
     x = espec.theta_exponent()
-    lam_expect = expected_character(point, n_sites, x)
+    lam_expect = central_scalar(point, n_sites, x)
     lam_w, err_w = central_character(fam_w, point)
     lam_v, err_v = central_character(fam_v, point)
     central_ok = (err_w is None and err_v is None
@@ -322,24 +316,18 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
 
 
 def conjecture_cases(n_sites: int) -> list[tuple[int, int, int]]:
-    """(n, eps1, eps2) triples covered by the identification conjecture;
-    only parities that leave at least one through line name a module."""
-    out = []
-    start = 1 if n_sites % 2 == 0 else 2
-    for n in range(start, n_sites, 2):
-        for e1 in (1, -1):
-            for e2 in (1, -1):
-                if n + (e1 + e2) // 2 >= 1:
-                    out.append((n, e1, e2))
-    if n_sites % 2 == 1:
-        out.append((0, 1, 1))
-    return out
+    """(n, eps1, eps2) triples covered by the identification conjecture, n = 0
+    last; only critical labels that leave at least one through line name a
+    module."""
+    cases = [(n, e1, e2) for n, e1, e2 in critical_labels(n_sites)
+             if n + (e1 + e2) // 2 >= 1]
+    return sorted(cases, key=lambda case: case[0] == 0)
 
 
 __all__ = [
     "ExceptionalSpec", "SubQuotientPair", "central_character",
     "conjecture_cases", "conjecture_check", "detect_invariant",
-    "expected_character", "family_relation_audit", "make_exceptional_point",
+    "family_relation_audit", "make_exceptional_point",
     "murphy_spectrum_match", "random_word_traces_agree",
     "traces_agree_all_words",
 ]

@@ -464,18 +464,24 @@ def gram_diag_b1(basis: BasisB1) -> dict[Path, object]:
     return out
 
 
+def critical_labels(n_sites: int) -> list[tuple[int, int, int]]:
+    """The labels (m, eps1, eps2) of the critical list, m = 0 first.
+
+    m runs over 1 - N % 2, 3 - N % 2, .. N - 1, and m = 0 (odd N only)
+    takes eps1 = +1 alone.  Each label gives two critical twists
+    th = sign*(-m + eps1*w1 + eps2*w2), two factors of the closed Gram
+    determinant and, when m + (eps1 + eps2)/2 >= 1, a through-line module.
+    """
+    return [(m, e1, e2) for m in range(1 - n_sites % 2, n_sites, 2)
+            for e1 in ((1,) if m == 0 else (1, -1)) for e2 in (1, -1)]
+
+
 def gram_closed_form_report(n_sites: int, point) -> list[dict]:
     """Factors [x]^mult of the closed determinant, plus the prefactor."""
-    n = n_sites
-    factors = []
-    # k = 0 occurs for odd N only, with e1 = +1 alone
-    for k in range(1 - n % 2, n, 2):
-        for e1 in ((1,) if k == 0 else (1, -1)):
-            for e2 in (1, -1):
-                for e3 in (1, -1):
-                    factors.append({"exponent": HalfExponent(k, e1, e2, e3),
-                                    "mult": irrep_dim(n, k)})
-    pref_mult = -gram_normalization_exponent(n)
+    factors = [{"exponent": HalfExponent(m, e1, e2, e3),
+                "mult": irrep_dim(n_sites, m)}
+               for m, e1, e2 in critical_labels(n_sites) for e3 in (1, -1)]
+    pref_mult = -gram_normalization_exponent(n_sites)
     for item in factors:
         item["value"] = point.qnum(item["exponent"])
     return [{"prefactor_base": "[w1][w2+1]", "mult": pref_mult,
@@ -514,15 +520,8 @@ def gram_closed_form_halfdiagram(n_sites: int, point, s1=None):
 
 def exceptional_points(n_sites: int) -> list[tuple[int, int, int, int]]:
     """(sign, m, eps1, eps2) with th = sign*(-m + eps1*w1 + eps2*w2)."""
-    out = []
-    for m in range(1 - n_sites % 2, n_sites, 2):
-        for e1 in (1, -1):
-            if m == 0 and e1 == -1:
-                continue
-            for e2 in (1, -1):
-                for sign in (1, -1):
-                    out.append((sign, m, e1, e2))
-    return out
+    return [(sign, m, e1, e2) for m, e1, e2 in critical_labels(n_sites)
+            for sign in (1, -1)]
 
 
 def fixed_height_gram(n_sites: int, h_n: int, point):
@@ -654,8 +653,8 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
 __all__ = [
     "BasisB1", "ModuleRep", "Path", "TileEvent", "action_audit_b1",
     "addable_tiles", "all_paths", "apply_tile",
-    "build_b1", "exceptional_points", "f_factor", "fixed_height_gram",
-    "fundamental_path", "g_factor", "gram_closed_form",
+    "build_b1", "critical_labels", "exceptional_points", "f_factor",
+    "fixed_height_gram", "fundamental_path", "g_factor", "gram_closed_form",
     "gram_closed_form_halfdiagram", "gram_closed_form_report", "gram_diag_b1",
     "gram_normalization_exponent", "idempotent_identities",
     "idempotent_image", "idempotent_matrix",

@@ -18,8 +18,7 @@ from functools import cached_property
 
 from .audit import audit
 from ._ratback import RAT
-from .hecke import (central_element, central_scalar_expected, lift_family,
-                    murphy)
+from .hecke import central_element, central_scalar, lift_family, murphy
 from .linalg import Matrix, commutator, nonsingular_certificate
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
 from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, build_b1
@@ -92,10 +91,6 @@ class SpinRep(ModuleRep):
 
     def fundamental_vector(self) -> list:
         return ebar(self.n_sites, self.point)
-
-
-def spin_generator(i: int, n_sites: int, point) -> Matrix:
-    return SpinRep(n_sites, point).e_matrix(i)
 
 
 def ebar(n_sites: int, point) -> list:
@@ -210,7 +205,7 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
         out.append(audit(f"spin.equiv.e{i}", spin_gens[i] @ cob - cob @ md))
     # centre: the sum of the affine Murphy elements and their inverses
     z = central_element(murphy("C", lift_family(spin_gens, point)))
-    lam = central_scalar_expected(point, n_sites)
+    lam = central_scalar(point, n_sites, THETA)
     out.append(audit("spin.centre.scalar",
                      z - Matrix.identity(spin_rep.dim).scale(lam)))
     return out
@@ -218,6 +213,5 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
 
 __all__ = [
     "SpinRep", "ebar", "ebar_identities", "equivalence_audit",
-    "spin_generator", "spin_relation_audit", "spin_vector_to_json",
-    "twist_symmetry_audit",
+    "spin_relation_audit", "spin_vector_to_json", "twist_symmetry_audit",
 ]

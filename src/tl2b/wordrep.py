@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .audit import audit
-from .diagrams import HalfDiagram, act_on_half, compose, FullDiagram
-from .linalg import Matrix, exact_det
+from .diagrams import (FullDiagram, HalfDiagram, act_on_half, compose,
+                       generator_diagram)
+from .linalg import Matrix
 from .scalars import DerivedParams
 
 
@@ -136,9 +137,10 @@ def action_table(spec: ModuleSpec, i: int) -> list:
     """Sparse column map: entry j is (row, scalar) or None."""
     basis = spec.basis
     index = {h.pattern: r for r, h in enumerate(basis)}
+    gen = generator_diagram(i, spec.n_sites)
     table = []
     for h in basis:
-        scalar, image = act_on_half(i, h, spec.params, spec.quotient_b)
+        scalar, image = act_on_half(gen, h, spec.params, spec.quotient_b)
         if image is None or not scalar:
             table.append(None)
         else:
@@ -193,11 +195,6 @@ def gram_matrix(spec: ModuleSpec) -> Matrix:
     return Matrix(rows)
 
 
-def gram_det_bruteforce(spec: ModuleSpec):
-    """Exact determinant of the Gram matrix by fraction elimination."""
-    return exact_det(gram_matrix(spec))
-
-
 # ---------------------------------------------------------------------------
 # relation audit
 
@@ -231,11 +228,6 @@ def idempotent_words(n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         i1 = tuple(range(1, n_sites, 2)) + (n_sites,)
         i2 = tuple(range(0, n_sites, 2))
     return i1, i2
-
-
-def word_matrix(spec: ModuleSpec, word: tuple[int, ...]) -> Matrix:
-    """Matrix of the product of generators, read left to right."""
-    return word_product(spec.generators, word)
 
 
 def word_product(family, word) -> Matrix:
@@ -278,7 +270,6 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
 
 __all__ = [
     "ModuleSpec", "action_table", "ballot", "bilinear", "check_relations",
-    "enumerate_basis", "generator_matrix", "gram_det_bruteforce",
-    "gram_matrix", "idempotent_words", "irrep_dim", "relation_audit",
-    "word_matrix", "word_product",
+    "enumerate_basis", "generator_matrix", "gram_matrix", "idempotent_words",
+    "irrep_dim", "relation_audit", "word_product",
 ]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from tl2b.diagrams import act_on_half
+from tl2b.linalg import Matrix
 from tl2b.scalars import derive_params, make_param_point
 
 SEEDS = (1, 2, 3)
@@ -30,3 +32,17 @@ def points():
 def assert_all_pass(records):
     bad = [r for r in records if r["status"] != "pass"]
     assert not bad, f"failed identities: {[r['identity_id'] for r in bad]}"
+
+
+def diagram_matrix(d, spec):
+    """The Matrix of the full diagram ``d`` on the module ``spec``, one
+    column per basis vector from ``act_on_half``."""
+    row = {h: r for r, h in enumerate(spec.basis)}
+    cols = []
+    for h in spec.basis:
+        col = [0] * spec.dim
+        scalar, image = act_on_half(d, h, spec.params, spec.quotient_b)
+        if image is not None:
+            col[row[image]] = scalar
+        cols.append(col)
+    return Matrix.from_columns(cols)

@@ -125,8 +125,8 @@ def test_criterion_5_central_element():
             basis = pathbasis.build_b1(
                 pathbasis.ModuleRep(wordrep.ModuleSpec.big(n, params)))
             pair = irreps.detect_invariant(basis, espec)
-            expected = irreps.expected_character(point, n,
-                                                 espec.theta_exponent())
+            expected = hecke.central_scalar(point, n,
+                                            espec.theta_exponent())
             for family in (pair.sub, pair.quo):
                 lam, err = irreps.central_character(family, point)
                 ok = ok and err is None and lam == expected

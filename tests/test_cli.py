@@ -83,6 +83,18 @@ def test_modules_table_n3():
     assert any(e["to"] == "W(3)(b)" for e in doc["embedding_edges"])
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_module_nodes_are_the_conjecture_cases(n):
+    from tl2b.irreps import conjecture_cases
+
+    _, out = run(["modules", "--n", str(n)])
+    nodes = [(d["n"], d["eps1"], d["eps2"])
+             for d in json.loads(out)["modules"] if d["n"] is not None]
+    # both list the same labels; the modules table puts n = 0 first
+    assert nodes[0][0] == 1 - n % 2
+    assert sorted(nodes, key=lambda node: node[0] == 0) == conjecture_cases(n)
+
+
 def test_exceptional_report():
     code, out = run(["irreps", "--n", "4", "--theta=-,3,+,-"])
     doc = json.loads(out)
@@ -189,6 +201,44 @@ def test_rejected_twist_gives_error_record(argv, error):
     assert code == 2
     assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
     assert doc["error"] == error
+
+
+@pytest.mark.parametrize("argv, command, error", [
+    (["relations", "--n", "x"], "relations", "argument --n: invalid int"),
+    (["relations", "--n", "2", "--backend", "foo"], "relations",
+     "argument --backend: invalid choice"),
+    (["relations"], "relations", "required: --n"),
+    (["gram", "--n", "2", "--bogus"], "gram", "unrecognized arguments"),
+    ([], None, "required: command"),
+    (["bogus", "--n", "2"], None, "argument command: invalid choice"),
+], ids=["n-not-int", "unknown-backend", "missing-n", "unknown-flag",
+        "no-command", "unknown-command"])
+def test_unparsable_arguments_give_error_record(no_work, capsys, argv,
+                                                command, error):
+    code, out = run(argv)
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "error"
+    assert doc["command"] == command
+    assert doc["error"].startswith("ValueError: ") and error in doc["error"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gram", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert buf.getvalue().startswith("usage: tl2b")
+
+
+def test_unwritable_out_gives_error_record(tmp_path):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out = run(["gram", "--n", "2", "--out", str(target)])
+    doc = json.loads(out)
+    assert code == 2 and doc["command"] == "gram"
+    assert doc["error"].startswith("FileNotFoundError: ")
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["gram", "irreps"])

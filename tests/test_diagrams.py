@@ -112,17 +112,20 @@ def test_half_diagram_decomposition_table(params):
 
 
 def test_act_on_half_examples(params):
-    scalar, image = act_on_half(1, HalfDiagram("))|"), params)
+    scalar, image = act_on_half(generator_diagram(1, 3), HalfDiagram("))|"),
+                                params)
     assert scalar == 1 and image.pattern == "()|"
-    scalar, image = act_on_half(0, HalfDiagram("))|"), params)
+    scalar, image = act_on_half(generator_diagram(0, 3), HalfDiagram("))|"),
+                                params)
     assert scalar == params.s1 and image.pattern == "))|"
-    scalar, image = act_on_half(2, HalfDiagram("|||"), params)
+    scalar, image = act_on_half(generator_diagram(2, 3), HalfDiagram("|||"),
+                                params)
     assert image is None and not scalar
 
 
 def test_act_on_half_needs_quotient_for_capped_module(params):
     with pytest.raises(ValueError):
-        act_on_half(1, HalfDiagram(")("), params)
+        act_on_half(generator_diagram(1, 2), HalfDiagram(")("), params)
 
 
 words = st.lists(st.integers(0, 4), min_size=1, max_size=5)

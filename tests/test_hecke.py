@@ -6,12 +6,12 @@ import pytest
 
 from conftest import assert_all_pass
 from tl2b.linalg import Matrix, commutator
-from tl2b.hecke import (central_element, central_scalar_expected,
-                        centre_audit, equivalent_presentation_audit,
-                        hecke_relation_audit, iji_audit, lift_to_hecke,
-                        murphy, murphy_commutation_audit)
+from tl2b.hecke import (central_element, central_scalar, centre_audit,
+                        equivalent_presentation_audit, hecke_relation_audit,
+                        iji_audit, lift_to_hecke, murphy,
+                        murphy_commutation_audit)
 from tl2b.pathbasis import ModuleRep
-from tl2b.scalars import OMEGA1, HalfExponent
+from tl2b.scalars import OMEGA1, THETA, HalfExponent
 from tl2b.wordrep import ModuleSpec
 
 
@@ -61,7 +61,11 @@ def test_iji_audit(params):
 def test_central_scalar_value(params, point):
     spec = ModuleSpec.big(3, params)
     z = central_element(murphy("C", lift_to_hecke(spec)))
-    assert z.scalar_multiple_of_identity() == central_scalar_expected(point, 3)
+    lam = central_scalar(point, 3, THETA)
+    assert z.scalar_multiple_of_identity() == lam
+    # the pole-free form is [N] [2th] / [th]
+    assert lam == (point.qnum(HalfExponent.integer(3))
+                   * point.qnum(THETA.scale(2)) / point.qnum(THETA))
 
 
 def test_symmetric_functions_of_type_b_murphys_are_central(params):

@@ -4,12 +4,13 @@ import pytest
 
 from conftest import assert_all_pass
 from tl2b._ratback import RAT
+from tl2b.hecke import central_scalar
 from tl2b.linalg import exact_det
 from tl2b.scalars import derive_params
 from tl2b.pathbasis import ModuleRep, build_b1, exceptional_points
 from tl2b.irreps import (ExceptionalSpec, central_character, conjecture_cases,
                          conjecture_check, detect_invariant,
-                         expected_character, family_relation_audit,
+                         family_relation_audit,
                          make_exceptional_point, murphy_spectrum_match,
                          random_word_traces_agree, traces_agree_all_words)
 from tl2b.wordrep import (ModuleSpec, enumerate_basis, generator_matrix,
@@ -83,7 +84,7 @@ def test_block_structure_and_characters():
             assert err is None
             lam_quo, err = central_character(pair.quo, point)
             assert err is None
-            assert lam_sub == lam_quo == expected_character(
+            assert lam_sub == lam_quo == central_scalar(
                 point, n, espec.theta_exponent())
 
 

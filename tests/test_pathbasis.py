@@ -9,7 +9,8 @@ from tl2b.pathbasis import (ModuleRep, action_audit_b1, addable_tiles,
                             all_paths, apply_tile, build_b1,
                             exceptional_points, f_factor, fixed_height_gram,
                             fundamental_path, g_factor, gram_closed_form,
-                            gram_closed_form_halfdiagram, gram_diag_b1,
+                            gram_closed_form_halfdiagram,
+                            gram_closed_form_report, gram_diag_b1,
                             gram_normalization_exponent,
                             idempotent_identities, idempotent_image, k_coeff,
                             kbar_coeff, murphy_audit_b1,
@@ -285,6 +286,23 @@ def test_exceptional_point_lists():
     assert len(points3) == 12
     assert {m for (_s, m, _e1, _e2) in points3} == {0, 2}
     assert all(e1 == 1 for (_s, m, e1, _e2) in points3 if m == 0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_each_critical_twist_zeroes_one_gram_factor(n):
+    from tl2b.irreps import ExceptionalSpec, make_exceptional_point
+
+    twists = exceptional_points(n)
+    assert len(twists) == 4 * n
+    for sign, m, e1, e2 in twists:
+        point = make_exceptional_point(1, ExceptionalSpec(n, sign, m, e1, e2))
+        zeros = [item["exponent"]
+                 for item in gram_closed_form_report(n, point)[1:]
+                 if not item["value"]]
+        # th = sign*(-m + e1*w1 + e2*w2) makes m - e1*w1 - e2*w2 + sign*th
+        # vanish; for m = 0 the table holds that exponent negated (+w1)
+        assert zeros in ([HalfExponent(m, -e1, -e2, sign)],
+                         [HalfExponent(-m, e1, e2, -sign)]), (sign, m, e1, e2)
 
 
 def test_determinant_swap_symmetries(point):

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_all_pass
+from conftest import assert_all_pass, diagram_matrix
 from tl2b._ratback import RAT
 from tl2b import pathbasis, spinchain
+from tl2b.diagrams import Word, word_to_element
 from tl2b.linalg import Matrix
 from tl2b.pathbasis import ModuleRep, build_b1
 from tl2b.scalars import OMEGA1, OMEGA2, ONE, THETA
 from tl2b.spinchain import (SpinRep, ebar, ebar_identities, equivalence_audit,
-                            spin_generator, spin_relation_audit,
-                            spin_vector_to_json, twist_symmetry_audit)
+                            spin_relation_audit, spin_vector_to_json,
+                            twist_symmetry_audit)
 from tl2b.wordrep import ModuleSpec, word_product
 
 
@@ -40,9 +41,9 @@ def test_bulk_local_action(point):
 
 def test_boundary_local_action(point, params):
     rep = SpinRep(1, point)
-    e0 = spin_generator(0, 1, point)
+    e0 = rep.e_matrix(0)
     assert e0.rows[1][1] + e0.rows[0][0] == params.s1  # trace
-    e1 = spin_generator(1, 1, point)
+    e1 = rep.e_matrix(1)
     assert e1.rows[1][1] + e1.rows[0][0] == params.s2
     # the twist enters only the right boundary off-diagonal entries
     up, down = 1, 0
@@ -160,6 +161,11 @@ def test_random_word_agrees_in_diagram_and_spin_models(two_models, data, n):
         assert mat == _letter_by_letter(rep, word)
         mats.append(basis.in_coordinates(mat))
     assert mats[0] == mats[1]
+    # the diagram calculus: the word's diagram acts as the matrix product
+    spec = diagram.spec
+    [d] = word_to_element(Word(tuple(word), n), spec.params,
+                          spec.quotient_b).diagrams()
+    assert diagram_matrix(d, spec) == word_product(spec.generators, word)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
-from conftest import assert_all_pass
-from tl2b.diagrams import HalfDiagram
+from conftest import assert_all_pass, diagram_matrix
+from tl2b.diagrams import HalfDiagram, Word, word_to_element
+from tl2b.irreps import conjecture_cases
 from tl2b.linalg import exact_det
 from tl2b.wordrep import (ModuleSpec, ballot, bilinear, enumerate_basis,
-                          generator_matrix, gram_det_bruteforce, gram_matrix,
-                          idempotent_words, irrep_dim, relation_audit,
-                          word_matrix)
+                          generator_matrix, gram_matrix, idempotent_words,
+                          irrep_dim, relation_audit, word_product)
 
 
 def test_ballot_values():
@@ -112,7 +114,7 @@ def test_gram_symmetric_and_intertwining(params):
 
 def test_lines_module_gram_nondegenerate(params):
     spec = ModuleSpec.through_lines(3, 0, 1, 1, params)
-    assert gram_det_bruteforce(spec)
+    assert exact_det(gram_matrix(spec))
 
 
 def test_relation_audit_passes(params):
@@ -145,8 +147,22 @@ def test_idempotent_annihilation_on_lines_modules(params):
     for n, nn, e1, e2 in [(3, 2, 1, 1), (4, 1, 1, -1), (5, 2, -1, -1)]:
         spec = ModuleSpec.through_lines(n, nn, e1, e2, params)
         w1, w2 = idempotent_words(n)
-        assert word_matrix(spec, w1).is_zero()
-        assert word_matrix(spec, w2).is_zero()
+        assert word_product(spec.generators, w1).is_zero()
+        assert word_product(spec.generators, w2).is_zero()
+
+
+@pytest.mark.parametrize("n_sites", (2, 3, 4))
+def test_word_diagrams_act_on_through_line_modules_as_products(params,
+                                                                n_sites):
+    # every word of length 1 to 3, on every module with a through line
+    words = [w for k in (1, 2, 3)
+             for w in product(range(n_sites + 1), repeat=k)]
+    for n, e1, e2 in conjecture_cases(n_sites):
+        spec = ModuleSpec.through_lines(n_sites, n, e1, e2, params)
+        for w in words:
+            [d] = word_to_element(Word(w, n_sites), params).diagrams()
+            assert (diagram_matrix(d, spec)
+                    == word_product(spec.generators, w)), (n, e1, e2, w)
 
 
 def test_generator_matrix_example(params):
