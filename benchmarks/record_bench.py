@@ -16,7 +16,9 @@ Each checkout runs its own ``perfbench/run.py`` on its own ``src``, untraced,
 for the run length that ``BENCHMARK.json`` sets.  An existing
 ``BENCH_<label>.json`` is extended, not replaced.  After the runs, one line
 per workload and side gives the median over seeds of each gated end-to-end
-metric and the number of seeds on which that side had the lowest wall_s.
+metric, with that side's interquartile range over seeds, and the number of
+seeds on which that side had the lowest wall_s.  Two sides whose medians
+differ by less than their interquartile ranges are not told apart.
 """
 
 from __future__ import annotations
@@ -64,9 +66,17 @@ def metric(run: dict, name: str) -> float:
     return run["result"]["metrics"][name]["value"]
 
 
+def median_iqr(values: list[float]) -> str:
+    """The median and the interquartile range, as ``median (IQR x)``."""
+    q1, q3 = (statistics.quantiles(values, n=4, method="inclusive")[::2]
+              if len(values) > 1 else (values[0], values[0]))
+    return f"{statistics.median(values):.3f} (IQR {q3 - q1:.3f})"
+
+
 def summarize(runs: list[dict], sides: list[str]) -> None:
     """Print, per workload and side, the median over seeds of each gated
-    metric and the number of seeds on which the side had the lowest wall_s."""
+    metric with its interquartile range, and the number of seeds on which
+    the side had the lowest wall_s."""
     for workload in dict.fromkeys(run["workload"] for run in runs):
         ours = [run for run in runs if run["workload"] == workload]
         walls: dict[int, dict[str, float]] = {}
@@ -76,7 +86,7 @@ def summarize(runs: list[dict], sides: list[str]) -> None:
         for side in sides:
             mine = [run for run in ours if run["side"] == side]
             medians = "  ".join(
-                f"{name} {statistics.median(metric(r, name) for r in mine):.3f}"
+                f"{name} {median_iqr([metric(r, name) for r in mine])}"
                 for name in GATED)
             wins = sum(min(by_side, key=by_side.get) == side
                        for by_side in walls.values())

@@ -14,11 +14,12 @@ Composition stacks one diagram below another and removes what closes up:
 * pairs of horizontal lines         -> factor b   (only in the quotient)
 
 An arc's parity is the parity of the number of wall endpoints strictly below
-its lowest point.  Planarity forces a unique vertical order of endpoints on
-each wall, which is what ``_slot_order`` encodes: on the left wall the lower
-diagram's endpoints sit under its own horizontal lines, which sit under the
-interface endpoints (lower-side strands in descending site order, then
-upper-side strands in ascending site order); the right wall mirrors this.
+its lowest point.  ``compose`` traces each strand of the interface once, from
+one free end to the other, and reads its fate off its two ends.  Planarity
+forces the vertical order of the ends on each wall: on the left wall the
+lower diagram's bottom-half ends sit under its own horizontal lines, which
+sit under the interface ends (the lower side's in descending site order,
+then the upper side's in ascending site order); the right wall mirrors this.
 """
 
 from __future__ import annotations
@@ -178,9 +179,6 @@ class FullDiagram:
     def shape(self) -> tuple[str, str, int]:
         return (self.bottom, self.top, self.hlines)
 
-    def scaled(self, c) -> FullDiagram:
-        return FullDiagram(self.bottom, self.top, self.hlines, self.coeff * c)
-
     def to_json(self) -> dict:
         return {"bottom": self.bottom, "top": self.top,
                 "hlines": self.hlines, "coeff": str(self.coeff)}
@@ -203,168 +201,88 @@ def generator_diagram(i: int, n_sites: int) -> FullDiagram:
     return FullDiagram(pat, pat, 0, 1)
 
 
-# ---------------------------------------------------------------------------
-# the gluing engine
-
-
-class _Glue:
-    """Resolve the interface between a lower top-pattern and an upper
-    bottom-pattern: trace every line, classify the pieces, and record wall
-    endpoints in their forced vertical order."""
-
-    __slots__ = ("below", "above", "n", "loops", "components")
-
-    def __init__(self, lower_top: str, upper_bottom: str):
-        self.below = _strand_map(lower_top)
-        self.above = _strand_map(upper_bottom)
-        self.n = len(lower_top)
-        self.loops = 0
-        self.components: list[tuple] = []
-        self._trace()
-
-    def _strand(self, side: int, i: int):
-        return self.below[i] if side == 0 else self.above[i]
-
-    def _trace(self):
-        used = [[False] * self.n, [False] * self.n]
-
-        def follow(side: int, i: int):
-            while True:
-                used[side][i] = True
-                c = self._strand(side, i)
-                if c[0] != "pair":
-                    return (side, c, i)
-                used[side][c[1]] = True
-                side, i = 1 - side, c[1]
-
-        for side in (0, 1):
-            for i in range(self.n):
-                c = self._strand(side, i)
-                if c[0] == "pair" or used[side][i]:
-                    continue
-                used[side][i] = True
-                end_a = (side, c, i)
-                end_b = follow(1 - side, i)
-                self.components.append((end_a, end_b))
-        for start in range(self.n):
-            if used[0][start]:
-                continue
-            side, i = 0, start
-            while not used[side][i]:
-                c = self._strand(side, i)
-                used[side][i] = used[side][c[1]] = True
-                side, i = 1 - side, c[1]
-            self.loops += 1
-
-    def _slot_order(self, wall: str) -> dict[tuple[int, int], int]:
-        """(side, site) -> vertical slot of interface endpoints on a wall."""
-        below_sites = [i for i in range(self.n) if self.below[i] == (wall,)]
-        above_sites = [i for i in range(self.n) if self.above[i] == (wall,)]
-        if wall == "left":
-            ordered = sorted(below_sites, reverse=True)
-            ordered_above = sorted(above_sites)
-        else:
-            ordered = sorted(below_sites)
-            ordered_above = sorted(above_sites, reverse=True)
-        slots = {(0, i): k for k, i in enumerate(ordered)}
-        slots.update({(1, i): len(ordered) + k for k, i in enumerate(ordered_above)})
-        return slots
-
-    def resolve(self, params: DerivedParams, base_left: int, base_right: int):
-        """Scalar factor, horizontal-line count and the end-assignments.
-
-        ``base_left``/``base_right`` count wall points of the lower diagram
-        that sit below every interface endpoint (its bottom-half connections
-        plus its own horizontal lines); they decide arc parities.
-        """
-        slots_l = self._slot_order("left")
-        slots_r = self._slot_order("right")
-        factor = params.point.one
-        new_hlines = 0
-        bottom_ends: list[tuple[int, tuple]] = []
-        top_ends: list[tuple[int, tuple]] = []
-        for end_a, end_b in self.components:
-            kinds = {end_a[1][0], end_b[1][0]}
-            if kinds == {"left"}:
-                low = min(slots_l[(e[0], e[2])] for e in (end_a, end_b))
-                if (base_left + low) % 2:
-                    factor = factor * params.s1
-            elif kinds == {"right"}:
-                low = min(slots_r[(e[0], e[2])] for e in (end_a, end_b))
-                if (base_right + low) % 2:
-                    factor = factor * params.s2
-            elif kinds == {"left", "right"}:
-                new_hlines += 1
-            else:
-                for end, other in ((end_a, end_b), (end_b, end_a)):
-                    side, conn, _site = end
-                    if conn[0] == "thru":
-                        if side == 0:
-                            bottom_ends.append((conn[1], other))
-                        else:
-                            top_ends.append((conn[1], other))
-        if self.loops:
-            factor = factor * params.delta ** self.loops
-        return factor, new_hlines, bottom_ends, top_ends
-
-
-def _thru_sites(pattern: str) -> list[int]:
-    return [i for i, ch in enumerate(pattern) if ch == "|"]
-
-
 def compose(a: FullDiagram, b: FullDiagram, params: DerivedParams,
             quotient_b=None) -> FullDiagram:
     """The product a·b: a is placed below b and the interface is reduced.
 
-    With ``quotient_b`` set, pairs of horizontal lines are removed with a
-    factor b each until at most one remains.
+    Each strand of the interface is followed from one free end to the other
+    and classified by its two ends.  A free end is a through line of ``a``
+    (side 0, ending on the new bottom edge), a through line of ``b`` (side
+    1, ending on the new top edge) or a wall:
+
+    * two through lines of the same edge     -> a new arc on that edge
+    * a through line and a wall              -> the site becomes ')' or '('
+    * through lines of both edges            -> the through line stays
+    * the same wall at both ends             -> s1 or s2 if the arc is odd
+    * the left and the right wall            -> one more horizontal line
+
+    Interface sites that no strand reaches lie on closed loops, each worth
+    delta.  With ``quotient_b`` set, pairs of horizontal lines are removed
+    with a factor b each until at most one remains.
     """
     if a.n_sites != b.n_sites:
         raise InvalidDiagramError("cannot compose diagrams of different widths")
-    glue = _Glue(a.top, b.bottom)
-    a_bot = _strand_map(a.bottom)
-    base_left = sum(1 for s in a_bot if s[0] == "left") + a.hlines
-    base_right = sum(1 for s in a_bot if s[0] == "right") + a.hlines
-    factor, born, bottom_ends, top_ends = glue.resolve(params, base_left, base_right)
+    n = a.n_sites
+    halves = (_strand_map(a.top), _strand_map(b.bottom))
+    edges = (list(a.bottom), list(b.top))
+    thru = [[i for i, ch in enumerate(edge) if ch == "|"] for edge in edges]
+    # the vertical slot of each wall end, counted from the bottom of the
+    # wall: under the interface lie a's bottom-half ends and its own lines
+    a_bottom = _strand_map(a.bottom)
+    slot = {}
+    for wall, step in (("left", -1), ("right", 1)):
+        ends = [(0, i) for i in range(n)[::step] if halves[0][i] == (wall,)]
+        ends += [(1, i) for i in range(n)[::-step] if halves[1][i] == (wall,)]
+        below = a.hlines + sum(1 for s in a_bottom if s == (wall,))
+        slot.update((end, below + k) for k, end in enumerate(ends))
+    seen = [[False] * n, [False] * n]
 
-    new_bottom = _rewrite_edge(a.bottom, bottom_ends, far_is_top=True)
-    new_top = _rewrite_edge(b.top, top_ends, far_is_top=False)
+    def walk(side: int, i: int):
+        """Cross the interface at site i into ``side`` and follow arcs to a
+        free end ``(side, site, connector)``; None on a closed loop."""
+        while not seen[side][i]:
+            seen[side][i] = True
+            c = halves[side][i]
+            if c[0] != "pair":
+                return side, i, c
+            seen[side][c[1]] = True
+            side, i = 1 - side, c[1]
+        return None
+
+    factor, born = params.point.one, 0
+    for side in (0, 1):
+        for i, c in enumerate(halves[side]):
+            if c[0] == "pair" or seen[side][i]:
+                continue
+            seen[side][i] = True
+            ends = [(side, i, c), walk(1 - side, i)]
+            if c[0] != "thru":
+                ends.reverse()  # a through-line end, if any, comes first
+            (s, i1, c1), (t, i2, c2) = ends
+            if c2[0] == "thru":
+                if s == t:
+                    lo, hi = sorted((thru[s][c1[1]], thru[s][c2[1]]))
+                    edges[s][lo], edges[s][hi] = "(", ")"
+            elif c1[0] == "thru":
+                edges[s][thru[s][c1[1]]] = ")" if c2 == ("left",) else "("
+            elif c1 != c2:
+                born += 1
+            elif min(slot[s, i1], slot[t, i2]) % 2:
+                factor *= params.s1 if c1 == ("left",) else params.s2
+    loops = 0
+    for i in range(n):
+        if not seen[0][i]:
+            walk(0, i)
+            loops += 1
+    if loops:
+        factor *= params.delta ** loops
     hlines = a.hlines + b.hlines + born
     coeff = a.coeff * b.coeff * factor
     if quotient_b is not None:
         while hlines >= 2:
             hlines -= 2
             coeff = coeff * quotient_b
-    return FullDiagram(new_bottom, new_top, hlines, coeff)
-
-
-def _rewrite_edge(pattern: str, ends: list[tuple[int, tuple]],
-                  far_is_top: bool) -> str:
-    """Reassign the through-line sites of an outer edge after gluing."""
-    sites = _thru_sites(pattern)
-    chars = list(pattern)
-    surviving = "thru"
-    # group the ends of components that link two through lines of this edge
-    pair_partner: dict[int, int] = {}
-    for k, other in ends:
-        side, conn, site = other
-        if conn[0] == surviving and ((side == 1) == far_is_top):
-            continue  # still a through line
-        if conn[0] == "left":
-            chars[sites[k]] = ")"
-        elif conn[0] == "right":
-            chars[sites[k]] = "("
-        elif conn[0] == surviving:
-            # both ends are through lines of this same edge: a new arc
-            pair_partner[k] = conn[1]
-    done = set()
-    for k, k2 in pair_partner.items():
-        if k in done or k2 in done:
-            continue
-        lo, hi = sorted((sites[k], sites[k2]))
-        chars[lo], chars[hi] = "(", ")"
-        done.update((k, k2))
-    return "".join(chars)
+    return FullDiagram("".join(edges[0]), "".join(edges[1]), hlines, coeff)
 
 
 def transpose(d: FullDiagram) -> FullDiagram:
@@ -372,94 +290,13 @@ def transpose(d: FullDiagram) -> FullDiagram:
     return FullDiagram(d.top, d.bottom, d.hlines, d.coeff)
 
 
-# ---------------------------------------------------------------------------
-# linear combinations
-
-
-class AlgebraElement:
-    """Finite linear combination of reduced diagrams, keyed by shape."""
-
-    __slots__ = ("n_sites", "terms")
-
-    def __init__(self, n_sites: int, terms=None):
-        self.n_sites = n_sites
-        self.terms: dict[tuple, object] = {}
-        for shape, c in (terms or {}).items():
-            if c:
-                self.terms[shape] = c
-
-    @staticmethod
-    def from_diagram(d: FullDiagram) -> AlgebraElement:
-        return AlgebraElement(d.n_sites, {d.shape: d.coeff})
-
-    @staticmethod
-    def one(n_sites: int) -> AlgebraElement:
-        return AlgebraElement.from_diagram(identity_diagram(n_sites))
-
-    def diagrams(self):
-        for (bottom, top, hlines), c in sorted(self.terms.items()):
-            yield FullDiagram(bottom, top, hlines, c)
-
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        out = dict(self.terms)
-        for shape, c in other.terms.items():
-            out[shape] = out.get(shape, 0) + c
-        return AlgebraElement(self.n_sites, out)
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.n_sites,
-                              {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        return self + (-other)
-
-    def scaled(self, c) -> AlgebraElement:
-        return AlgebraElement(self.n_sites,
-                              {s: c * x for s, x in self.terms.items()})
-
-    def mul(self, other: AlgebraElement, params: DerivedParams,
-            quotient_b=None) -> AlgebraElement:
-        out = AlgebraElement(self.n_sites)
-        for d1 in self.diagrams():
-            for d2 in other.diagrams():
-                prod = compose(d1, d2, params, quotient_b)
-                out = out + AlgebraElement.from_diagram(prod)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        shapes = set(self.terms) | set(other.terms)
-        return all(self.terms.get(s, 0) == other.terms.get(s, 0) for s in shapes)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        bits = [f"{c!r}*{shape}" for shape, c in sorted(self.terms.items())]
-        return " + ".join(bits) if bits else "0"
-
-
-@dataclass(frozen=True)
-class Word:
-    """A product of generator indices, applied left to right."""
-
-    letters: tuple[int, ...]
-    n_sites: int
-
-    def __post_init__(self):
-        for i in self.letters:
-            if not 0 <= i <= self.n_sites:
-                raise IndexError(f"letter {i} out of range 0..{self.n_sites}")
-
-
-def word_to_element(word: Word, params: DerivedParams,
-                    quotient_b=None) -> AlgebraElement:
-    """Evaluate a generator word to its single reduced diagram."""
-    acc = identity_diagram(word.n_sites)
-    for i in word.letters:
-        acc = compose(acc, generator_diagram(i, word.n_sites), params, quotient_b)
-    return AlgebraElement.from_diagram(acc)
+def word_to_element(letters, n_sites: int, params: DerivedParams,
+                    quotient_b=None) -> FullDiagram:
+    """The reduced diagram of a generator word, letters applied left to right."""
+    acc = identity_diagram(n_sites)
+    for i in letters:
+        acc = compose(acc, generator_diagram(i, n_sites), params, quotient_b)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +326,7 @@ def act_on_half(d: FullDiagram, x: HalfDiagram, params: DerivedParams,
 
 
 __all__ = [
-    "AlgebraElement", "FullDiagram", "HalfDiagram", "InvalidDiagramError",
-    "Word", "act_on_half", "compose", "generator_diagram", "identity_diagram",
-    "pattern_sort_key", "transpose", "word_to_element",
+    "FullDiagram", "HalfDiagram", "InvalidDiagramError", "act_on_half",
+    "compose", "generator_diagram", "identity_diagram", "pattern_sort_key",
+    "transpose", "word_to_element",
 ]

@@ -241,6 +241,12 @@ def test_unwritable_out_gives_error_record(tmp_path):
     assert not target.parent.exists()
 
 
+def test_unwritable_out_is_refused_before_any_work(no_work, tmp_path):
+    target = tmp_path / "missing-dir" / "x.json"
+    assert refusal(["gram", "--n", "6", "--out", str(target)]).startswith(
+        "FileNotFoundError: ")
+
+
 @pytest.mark.parametrize("command", ["gram", "irreps"])
 @pytest.mark.parametrize("theta", ["x,3,+,-", "-,3,+,y"])
 def test_bad_theta_gives_error_record(command, theta):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tl2b.diagrams import (AlgebraElement, FullDiagram, HalfDiagram,
-                           InvalidDiagramError, Word, act_on_half, compose,
-                           generator_diagram, identity_diagram, transpose,
-                           word_to_element)
+from tl2b.diagrams import (FullDiagram, HalfDiagram, InvalidDiagramError,
+                           act_on_half, compose, generator_diagram,
+                           identity_diagram, transpose, word_to_element)
 from tl2b.scalars import derive_params, make_param_point
 
 
@@ -71,30 +70,51 @@ def test_defining_products(params):
 
 def test_word_examples(params):
     n = 2
-    assert word_to_element(Word((), n), params) == AlgebraElement.one(n)
-    doubled = word_to_element(Word((0, 0), n), params)
-    e0 = AlgebraElement.from_diagram(generator_diagram(0, n))
-    assert doubled == e0.scaled(params.s1)
-    assert word_to_element(Word((1, 0, 1), n), params) == \
-        AlgebraElement.from_diagram(generator_diagram(1, n))
+    one = word_to_element((), n, params)
+    assert one.shape == identity_diagram(n).shape and one.coeff == 1
+    doubled = word_to_element((0, 0), n, params)
+    assert doubled.shape == generator_diagram(0, n).shape
+    assert doubled.coeff == params.s1
+    x = word_to_element((1, 0, 1), n, params)
+    assert x.shape == generator_diagram(1, n).shape and x.coeff == 1
+    with pytest.raises(IndexError):
+        word_to_element((1, 3), n, params)
 
 
 def test_horizontal_line_growth(params):
     # the length-six word alternating both boundaries cannot be reduced
-    x = word_to_element(Word((1, 0, 2, 1, 0, 2), 2), params)
-    [diagram] = list(x.diagrams())
-    assert diagram.hlines == 3
+    assert word_to_element((1, 0, 2, 1, 0, 2), 2, params).hlines == 3
     b = params.b_for(2)
-    quotiented = word_to_element(Word((1, 0, 2, 1, 0, 2), 2), params, b)
-    single = word_to_element(Word((1, 0, 2), 2), params, b)
-    assert quotiented == single.scaled(b)
+    quotiented = word_to_element((1, 0, 2, 1, 0, 2), 2, params, b)
+    single = word_to_element((1, 0, 2), 2, params, b)
+    assert quotiented.shape == single.shape
+    assert quotiented.coeff == single.coeff * b
 
 
 def test_transpose_involution_and_antihomomorphism(params):
-    d = list(word_to_element(Word((1, 0), 3), params).diagrams())[0]
+    d = word_to_element((1, 0), 3, params)
     assert transpose(transpose(d)).shape == d.shape
-    t = list(word_to_element(Word((0, 1), 3), params).diagrams())[0]
-    assert transpose(d).shape == t.shape
+    t = word_to_element((0, 1), 3, params)
+    assert transpose(d).shape == t.shape and transpose(d).coeff == t.coeff
+
+
+@given(data=st.data(), n=st.integers(2, 5), quotient=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_transpose_is_an_antihomomorphism(data, n, quotient):
+    # flipping reverses products, coefficients included, so the wall slots
+    # of the upper side mirror those of the lower side on both walls
+    params = derive_params(make_param_point(1))
+    b = params.b_for(n) if quotient else None
+    word = st.lists(st.integers(0, n), max_size=6)
+    w1, w2 = data.draw(word), data.draw(word)
+    x, y = (word_to_element(w, n, params, b) for w in (w1, w2))
+    flipped = transpose(compose(x, y, params, b))
+    reversed_ = compose(transpose(y), transpose(x), params, b)
+    assert flipped.shape == reversed_.shape
+    assert flipped.coeff == reversed_.coeff
+    mirrored = word_to_element(w1[::-1], n, params, b)
+    assert transpose(x).shape == mirrored.shape
+    assert transpose(x).coeff == mirrored.coeff
 
 
 def test_half_diagram_decomposition_table(params):
@@ -107,8 +127,8 @@ def test_half_diagram_decomposition_table(params):
         (1, 3, 0, 2): ("()(", ")()", 1),
     }
     for word, shape in cases.items():
-        [diagram] = list(word_to_element(Word(word, 3), params).diagrams())
-        assert diagram.shape == shape, (word, diagram.shape)
+        diagram = word_to_element(word, 3, params)
+        assert diagram.shape == shape and diagram.coeff, (word, diagram)
 
 
 def test_act_on_half_examples(params):
@@ -136,8 +156,7 @@ words = st.lists(st.integers(0, 4), min_size=1, max_size=5)
 def test_compose_associative(w1, w2, w3):
     params = derive_params(make_param_point(1))
     n = 4
-    a, b, c = (list(word_to_element(Word(tuple(w), n), params).diagrams())[0]
-               for w in (w1, w2, w3))
+    a, b, c = (word_to_element(w, n, params) for w in (w1, w2, w3))
     left = compose(compose(a, b, params), c, params)
     right = compose(a, compose(b, c, params), params)
     assert left.shape == right.shape and left.coeff == right.coeff
@@ -147,23 +166,24 @@ def test_compose_associative(w1, w2, w3):
 @settings(max_examples=60, deadline=None)
 def test_hline_parity_invariant(w):
     params = derive_params(make_param_point(1))
-    [d] = list(word_to_element(Word(tuple(w), 3), params).diagrams())
+    d = word_to_element(w, 3, params)
     mismatch = (HalfDiagram(d.bottom).n_right + HalfDiagram(d.top).n_right) % 2
     assert d.hlines % 2 == mismatch
 
 
 def test_quotient_identities_as_elements(params):
-    # both sandwich identities hold at the level of linear combinations of
-    # diagrams, for chains up to length eight
+    # both sandwich identities hold at the level of diagrams, for chains up
+    # to length eight
     from tl2b.wordrep import idempotent_words
 
     for n in range(2, 9):
         b = params.b_for(n)
         w1, w2 = idempotent_words(n)
-        i1 = word_to_element(Word(w1, n), params, b)
-        i2 = word_to_element(Word(w2, n), params, b)
-        assert i1.mul(i2, params, b).mul(i1, params, b) == i1.scaled(b)
-        assert i2.mul(i1, params, b).mul(i2, params, b) == i2.scaled(b)
+        i1 = word_to_element(w1, n, params, b)
+        i2 = word_to_element(w2, n, params, b)
+        for x, y in ((i1, i2), (i2, i1)):
+            xyx = compose(compose(x, y, params, b), x, params, b)
+            assert xyx.shape == x.shape and xyx.coeff == x.coeff * b
 
 
 def test_full_diagram_validation():
@@ -177,7 +197,7 @@ def test_full_diagram_validation():
 
 
 def test_full_diagram_json(params):
-    [d] = list(word_to_element(Word((1, 0, 2), 2), params, params.b_for(2)).diagrams())
+    d = word_to_element((1, 0, 2), 2, params, params.b_for(2))
     data = d.to_json()
     assert data["bottom"] == "()" and data["hlines"] == 1
     assert set(data) == {"bottom", "top", "hlines", "coeff"}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import assert_all_pass, diagram_matrix
 from tl2b._ratback import RAT
 from tl2b import pathbasis, spinchain
-from tl2b.diagrams import Word, word_to_element
+from tl2b.diagrams import word_to_element
 from tl2b.linalg import Matrix
 from tl2b.pathbasis import ModuleRep, build_b1
 from tl2b.scalars import OMEGA1, OMEGA2, ONE, THETA
@@ -163,8 +163,7 @@ def test_random_word_agrees_in_diagram_and_spin_models(two_models, data, n):
     assert mats[0] == mats[1]
     # the diagram calculus: the word's diagram acts as the matrix product
     spec = diagram.spec
-    [d] = word_to_element(Word(tuple(word), n), spec.params,
-                          spec.quotient_b).diagrams()
+    d = word_to_element(word, n, spec.params, spec.quotient_b)
     assert diagram_matrix(d, spec) == word_product(spec.generators, word)
 
 

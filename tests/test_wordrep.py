@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import assert_all_pass, diagram_matrix
-from tl2b.diagrams import HalfDiagram, Word, word_to_element
+from tl2b.diagrams import HalfDiagram, word_to_element
 from tl2b.irreps import conjecture_cases
 from tl2b.linalg import exact_det
 from tl2b.wordrep import (ModuleSpec, ballot, bilinear, enumerate_basis,
@@ -160,7 +160,7 @@ def test_word_diagrams_act_on_through_line_modules_as_products(params,
     for n, e1, e2 in conjecture_cases(n_sites):
         spec = ModuleSpec.through_lines(n_sites, n, e1, e2, params)
         for w in words:
-            [d] = word_to_element(Word(w, n_sites), params).diagrams()
+            d = word_to_element(w, n_sites, params)
             assert (diagram_matrix(d, spec)
                     == word_product(spec.generators, w)), (n, e1, e2, w)
 
