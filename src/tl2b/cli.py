@@ -135,12 +135,14 @@ def _envelope(args, results, extra) -> dict:
     return doc
 
 
-def _emit(handle, args, report) -> int:
-    if args.format == "json":
-        handle.write(json.dumps(report, indent=2, sort_keys=True,
-                                default=str) + "\n")
-    else:
-        handle.write(_to_csv(report))
+def _emit(args, report) -> int:
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        if args.format == "json":
+            handle.write(json.dumps(report, indent=2, sort_keys=True,
+                                    default=str) + "\n")
+        else:
+            handle.write(_to_csv(report))
     return 0 if report["status"] == "pass" else 1
 
 
@@ -359,12 +361,11 @@ def main(argv=None) -> int:
     try:
         parser.parse_args(argv, namespace=args)
         _check_request(args)
-        # ``--out`` is opened before the work, so that it fails up front
-        with (open(args.out, "w", encoding="utf-8") if args.out
-              else contextlib.nullcontext(sys.stdout)) as handle, \
-                _unlimited_int_strings():
+        if args.out:  # an unwritable path fails here, before any work
+            open(args.out, "a", encoding="utf-8").close()
+        with _unlimited_int_strings():
             results, extra = args.func(args)
-            return _emit(handle, args, _envelope(args, results, extra))
+            return _emit(args, _envelope(args, results, extra))
     except (GenericityError, ValueError, ArithmeticError, OSError) as exc:
         record = {"schema": "tl2b/1", "command": args.command,
                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}

@@ -232,7 +232,7 @@ def test_help_prints_usage_and_exits_zero(argv):
     assert buf.getvalue().startswith("usage: tl2b")
 
 
-def test_unwritable_out_gives_error_record(tmp_path):
+def test_unwritable_out_gives_error_record(no_work, tmp_path):
     target = tmp_path / "missing-dir" / "x.json"
     code, out = run(["gram", "--n", "2", "--out", str(target)])
     doc = json.loads(out)
@@ -241,10 +241,12 @@ def test_unwritable_out_gives_error_record(tmp_path):
     assert not target.parent.exists()
 
 
-def test_unwritable_out_is_refused_before_any_work(no_work, tmp_path):
-    target = tmp_path / "missing-dir" / "x.json"
-    assert refusal(["gram", "--n", "6", "--out", str(target)]).startswith(
-        "FileNotFoundError: ")
+def test_failed_command_keeps_an_existing_out_file(tmp_path):
+    target = tmp_path / "x.json"
+    target.write_text("kept\n")
+    assert refusal(["gram", "--n", "2", "--theta", "0", "--out",
+                    str(target)]).startswith("GenericityError: ")
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["gram", "irreps"])
