@@ -16,9 +16,12 @@ Each checkout runs its own ``perfbench/run.py`` on its own ``src``, untraced,
 for the run length that ``BENCHMARK.json`` sets.  An existing
 ``BENCH_<label>.json`` is extended, not replaced.  After the runs, one line
 per workload and side gives the median over seeds of each gated end-to-end
-metric, with that side's interquartile range over seeds, and the number of
-seeds on which that side had the lowest wall_s.  Two sides whose medians
-differ by less than their interquartile ranges are not told apart.
+metric, with that side's interquartile range over seeds, the number of
+seeds on which that side had the lowest wall_s, and the number of its runs
+that were not correct or had a failed operation.  Two sides whose medians
+differ by less than their interquartile ranges are not told apart.  The
+script exits 1 when any run was not correct or had a failed operation, since
+its timings do not time the work.
 """
 
 from __future__ import annotations
@@ -73,10 +76,12 @@ def median_iqr(values: list[float]) -> str:
     return f"{statistics.median(values):.3f} (IQR {q3 - q1:.3f})"
 
 
-def summarize(runs: list[dict], sides: list[str]) -> None:
+def summarize(runs: list[dict], sides: list[str]) -> int:
     """Print, per workload and side, the median over seeds of each gated
-    metric with its interquartile range, and the number of seeds on which
-    the side had the lowest wall_s."""
+    metric with its interquartile range, the number of seeds on which the
+    side had the lowest wall_s, and the number of runs that were not correct
+    or had a failed operation; return the total of those runs."""
+    bad_runs = 0
     for workload in dict.fromkeys(run["workload"] for run in runs):
         ours = [run for run in runs if run["workload"] == workload]
         walls: dict[int, dict[str, float]] = {}
@@ -90,8 +95,13 @@ def summarize(runs: list[dict], sides: list[str]) -> None:
                 for name in GATED)
             wins = sum(min(by_side, key=by_side.get) == side
                        for by_side in walls.values())
+            bad = sum(not r["result"]["correct"] or r["result"]["failed"] > 0
+                      for r in mine)
+            bad_runs += bad
             print(f"{side:10s} {workload:14s} median of {len(mine)} seeds: "
-                  f"{medians}  lower wall_s on {wins} of {len(walls)}")
+                  f"{medians}  lower wall_s on {wins} of {len(walls)}  "
+                  f"{bad} runs not correct or with failures")
+    return bad_runs
 
 
 def main() -> int:
@@ -127,8 +137,7 @@ def main() -> int:
                       f"wall_s {metric(run, 'wall_s'):.2f}", flush=True)
                 out.write_text(json.dumps(doc, indent=2, sort_keys=True)
                                + "\n")
-    summarize(runs, [name for name, _ in sides])
-    return 0
+    return 1 if summarize(runs, [name for name, _ in sides]) else 0
 
 
 if __name__ == "__main__":

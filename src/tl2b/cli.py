@@ -15,6 +15,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -362,10 +363,16 @@ def main(argv=None) -> int:
         parser.parse_args(argv, namespace=args)
         _check_request(args)
         if args.out:  # an unwritable path fails here, before any work
+            created = not os.path.exists(args.out)
             open(args.out, "a", encoding="utf-8").close()
-        with _unlimited_int_strings():
-            results, extra = args.func(args)
-            return _emit(args, _envelope(args, results, extra))
+        try:
+            with _unlimited_int_strings():
+                results, extra = args.func(args)
+                return _emit(args, _envelope(args, results, extra))
+        except BaseException:  # a failed command leaves no file it made
+            if args.out and created:
+                os.remove(args.out)
+            raise
     except (GenericityError, ValueError, ArithmeticError, OSError) as exc:
         record = {"schema": "tl2b/1", "command": args.command,
                   "status": "error", "error": f"{type(exc).__name__}: {exc}"}

@@ -5,13 +5,16 @@ an arc between two sites, an unmatched ')' runs to the left wall, an
 unmatched '(' to the right wall, and '|' is a through line.  A full diagram
 is a bottom half, a top half and a count of horizontal wall-to-wall lines.
 
-Composition stacks one diagram below another and removes what closes up:
+Composition stacks one diagram below another and counts what closes up in
+the product's ``weight``, its exponents of (delta, s1, s2):
 
-* closed loops                      -> factor delta
-* even wall-to-wall arcs            -> factor 1
-* odd arcs at the left wall         -> factor s1
-* odd arcs at the right wall        -> factor s2
-* pairs of horizontal lines         -> factor b   (only in the quotient)
+* closed loops                      -> delta
+* even wall-to-wall arcs            -> nothing
+* odd arcs at the left wall         -> s1
+* odd arcs at the right wall        -> s2
+* left-to-right wall strands        -> kept as horizontal lines
+
+No scalar is formed here: ``wordrep.ModuleSpec.weigh`` evaluates weights.
 
 An arc's parity is the parity of the number of wall endpoints strictly below
 its lowest point.  ``compose`` traces each strand of the interface once, from
@@ -26,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-from .scalars import DerivedParams
 
 _ORDER = {")": 0, "(": 1, "|": 2}
 
@@ -97,10 +98,6 @@ class HalfDiagram:
         object.__setattr__(self, "sort_index", pattern_sort_key(self.pattern))
 
     @property
-    def n_sites(self) -> int:
-        return len(self.pattern)
-
-    @property
     def strands(self) -> tuple:
         return _strand_map(self.pattern)
 
@@ -146,12 +143,12 @@ class HalfDiagram:
 
 @dataclass(frozen=True)
 class FullDiagram:
-    """Reduced diagram: bottom half, top half, horizontal lines, coefficient."""
+    """Reduced diagram: halves, horizontal lines, (delta, s1, s2) exponents."""
 
     bottom: str
     top: str
     hlines: int = 0
-    coeff: object = field(default=1, compare=False)
+    weight: tuple[int, int, int] = field(default=(0, 0, 0), compare=False)
 
     def __post_init__(self):
         bot, top = _strand_map(self.bottom), _strand_map(self.top)
@@ -179,13 +176,9 @@ class FullDiagram:
     def shape(self) -> tuple[str, str, int]:
         return (self.bottom, self.top, self.hlines)
 
-    def to_json(self) -> dict:
-        return {"bottom": self.bottom, "top": self.top,
-                "hlines": self.hlines, "coeff": str(self.coeff)}
-
 
 def identity_diagram(n_sites: int) -> FullDiagram:
-    return FullDiagram("|" * n_sites, "|" * n_sites, 0, 1)
+    return FullDiagram("|" * n_sites, "|" * n_sites)
 
 
 def generator_diagram(i: int, n_sites: int) -> FullDiagram:
@@ -198,11 +191,10 @@ def generator_diagram(i: int, n_sites: int) -> FullDiagram:
         pat = "|" * (n_sites - 1) + "("
     else:
         pat = "|" * (i - 1) + "()" + "|" * (n_sites - 1 - i)
-    return FullDiagram(pat, pat, 0, 1)
+    return FullDiagram(pat, pat)
 
 
-def compose(a: FullDiagram, b: FullDiagram, params: DerivedParams,
-            quotient_b=None) -> FullDiagram:
+def compose(a: FullDiagram, b: FullDiagram) -> FullDiagram:
     """The product a·b: a is placed below b and the interface is reduced.
 
     Each strand of the interface is followed from one free end to the other
@@ -217,8 +209,8 @@ def compose(a: FullDiagram, b: FullDiagram, params: DerivedParams,
     * the left and the right wall            -> one more horizontal line
 
     Interface sites that no strand reaches lie on closed loops, each worth
-    delta.  With ``quotient_b`` set, pairs of horizontal lines are removed
-    with a factor b each until at most one remains.
+    delta.  The product's weight is ``a.weight + b.weight`` plus these
+    counts, and its horizontal lines are all of a's, b's and the new ones.
     """
     if a.n_sites != b.n_sites:
         raise InvalidDiagramError("cannot compose diagrams of different widths")
@@ -249,7 +241,7 @@ def compose(a: FullDiagram, b: FullDiagram, params: DerivedParams,
             side, i = 1 - side, c[1]
         return None
 
-    factor, born = params.point.one, 0
+    weight, born = [x + y for x, y in zip(a.weight, b.weight)], 0
     for side in (0, 1):
         for i, c in enumerate(halves[side]):
             if c[0] == "pair" or seen[side][i]:
@@ -268,34 +260,25 @@ def compose(a: FullDiagram, b: FullDiagram, params: DerivedParams,
             elif c1 != c2:
                 born += 1
             elif min(slot[s, i1], slot[t, i2]) % 2:
-                factor *= params.s1 if c1 == ("left",) else params.s2
-    loops = 0
+                weight[1 if c1 == ("left",) else 2] += 1
     for i in range(n):
         if not seen[0][i]:
             walk(0, i)
-            loops += 1
-    if loops:
-        factor *= params.delta ** loops
-    hlines = a.hlines + b.hlines + born
-    coeff = a.coeff * b.coeff * factor
-    if quotient_b is not None:
-        while hlines >= 2:
-            hlines -= 2
-            coeff = coeff * quotient_b
-    return FullDiagram("".join(edges[0]), "".join(edges[1]), hlines, coeff)
+            weight[0] += 1
+    return FullDiagram("".join(edges[0]), "".join(edges[1]),
+                       a.hlines + b.hlines + born, tuple(weight))
 
 
 def transpose(d: FullDiagram) -> FullDiagram:
     """Reflection about the horizontal axis; an involutive antihomomorphism."""
-    return FullDiagram(d.top, d.bottom, d.hlines, d.coeff)
+    return FullDiagram(d.top, d.bottom, d.hlines, d.weight)
 
 
-def word_to_element(letters, n_sites: int, params: DerivedParams,
-                    quotient_b=None) -> FullDiagram:
+def word_to_element(letters, n_sites: int) -> FullDiagram:
     """The reduced diagram of a generator word, letters applied left to right."""
     acc = identity_diagram(n_sites)
     for i in letters:
-        acc = compose(acc, generator_diagram(i, n_sites), params, quotient_b)
+        acc = compose(acc, generator_diagram(i, n_sites))
     return acc
 
 
@@ -303,26 +286,21 @@ def word_to_element(letters, n_sites: int, params: DerivedParams,
 # action on half-diagrams
 
 
-def act_on_half(d: FullDiagram, x: HalfDiagram, params: DerivedParams,
-                quotient_b=None):
+def act_on_half(d: FullDiagram, x: HalfDiagram):
     """Left action of the diagram ``d`` on a module basis vector, by
     ``compose`` with the diagram that has x as both halves.
 
-    Returns ``(scalar, HalfDiagram)``; a zero scalar (with None) signals
-    annihilation, which for through-line modules is the cellular quotient by
-    diagrams with fewer through lines: a through line of x that does not
-    survive changes the top half.  Half-diagrams without through lines
-    carry their derived horizontal line, on each half, so ``quotient_b`` is
-    mandatory there; each further pair of horizontal lines is traded for it.
+    Returns None on annihilation (for through-line modules, the cellular
+    quotient by diagrams with fewer through lines: a through line of x that
+    does not survive changes the top half), else ``(weight, pairs, image)``.
+    A half-diagram without through lines carries its horizontal line on
+    each half; the lines beyond the image's own make ``pairs``, each b.
     """
-    if x.n_through == 0 and quotient_b is None:
-        raise ValueError("the no-through-line module needs the quotient scalar")
-    out = compose(d, FullDiagram(x.pattern, x.pattern, 2 * x.hline), params)
+    out = compose(d, FullDiagram(x.pattern, x.pattern, 2 * x.hline))
     if out.top != x.pattern:
-        return params.point.zero, None
+        return None
     result = HalfDiagram(out.bottom)
-    pairs = (out.hlines - x.hline - result.hline) // 2
-    return (out.coeff * quotient_b ** pairs if pairs else out.coeff), result
+    return out.weight, (out.hlines - x.hline - result.hline) // 2, result
 
 
 __all__ = [

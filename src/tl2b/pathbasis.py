@@ -510,10 +510,8 @@ def gram_normalization_exponent(n_sites: int) -> int:
                    for m in range(n_sites))
 
 
-def gram_closed_form_halfdiagram(n_sites: int, point, s1=None):
+def gram_closed_form_halfdiagram(n_sites: int, point, s1):
     """Closed determinant in the half-diagram basis normalisation."""
-    if s1 is None:
-        s1 = point.qnum(OMEGA1) / point.qnum_nonzero(OMEGA1 + ONE)
     return (gram_closed_form(n_sites, point)
             * s1 ** gram_normalization_exponent(n_sites))
 

@@ -65,14 +65,18 @@ class ModuleSpec:
         return ModuleSpec(n_sites, "lines", params, n, eps1, eps2)
 
     @staticmethod
-    def big(n_sites: int, params: DerivedParams, b=None) -> ModuleSpec:
-        if b is None:
-            b = params.b_for(n_sites)
-        return ModuleSpec(n_sites, "big", params, b=b)
+    def big(n_sites: int, params: DerivedParams) -> ModuleSpec:
+        return ModuleSpec(n_sites, "big", params, b=params.b_for(n_sites))
 
-    @property
-    def quotient_b(self):
-        return self.b if self.kind == "big" else None
+    def weigh(self, weight: tuple[int, int, int], pairs: int):
+        """delta^i s1^j s2^k b^pairs for ``weight`` = (i, j, k): the one place
+        where a diagram product's or pairing's exponents become a scalar."""
+        p = self.params
+        out = p.point.one
+        for base, k in zip((p.delta, p.s1, p.s2, self.b), (*weight, pairs)):
+            if k:
+                out *= base ** k
+        return out
 
     @property
     def dim(self) -> int:
@@ -140,11 +144,9 @@ def action_table(spec: ModuleSpec, i: int) -> list:
     gen = generator_diagram(i, spec.n_sites)
     table = []
     for h in basis:
-        scalar, image = act_on_half(gen, h, spec.params, spec.quotient_b)
-        if image is None or not scalar:
-            table.append(None)
-        else:
-            table.append((index[image.pattern], scalar))
+        hit = act_on_half(gen, h)
+        scalar = hit and spec.weigh(hit[0], hit[1])
+        table.append((index[hit[2].pattern], scalar) if scalar else None)
     return table
 
 
@@ -164,8 +166,8 @@ def generator_matrix(spec: ModuleSpec, i: int) -> Matrix:
 # bilinear form
 
 
-def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
-    """Pairing of two half-diagrams by closing the top of x onto y.
+def _pairing(x: HalfDiagram, y: HalfDiagram, big: bool):
+    """``(weight, b exponent)`` of the pairing of x and y, or None for zero.
 
     Zero whenever the closure is not proportional to the required shape
     (through-line loss).  In the 2^N module each half-diagram brings its
@@ -173,25 +175,33 @@ def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
     the freshly closed horizontal lines for powers of b, which stays
     division-free even where b vanishes.
     """
-    params = spec.params
     fx, fy = int(x.hline), int(y.hline)
-    a = FullDiagram(x.pattern, x.pattern, 2 * fx)
-    b = FullDiagram(y.pattern, y.pattern, 2 * fy)
-    out = compose(a, b, params, None)
-    if spec.kind != "big":
+    out = compose(FullDiagram(x.pattern, x.pattern, 2 * fx),
+                  FullDiagram(y.pattern, y.pattern, 2 * fy))
+    if not big:
         if out.shape != (x.pattern, y.pattern, 0):
-            return params.point.zero
-        return out.coeff
+            return None
+        return out.weight, 0
     born = out.hlines - 2 * fx - 2 * fy
-    exponent = max(fx, fy) + born // 2
-    return out.coeff * spec.b ** exponent
+    return out.weight, max(fx, fy) + born // 2
+
+
+def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
+    """Pairing of two half-diagrams by closing the top of x onto y."""
+    key = _pairing(x, y, spec.kind == "big")
+    return spec.params.point.zero if key is None else spec.weigh(*key)
 
 
 def gram_matrix(spec: ModuleSpec) -> Matrix:
-    basis = spec.basis
+    """The matrix of ``bilinear`` on the basis; each distinct pairing is
+    weighed once."""
+    basis, big = spec.basis, spec.kind == "big"
+    values = {None: spec.params.point.zero}
     rows = []
     for x in basis:
-        rows.append([bilinear(x, y, spec) for y in basis])
+        keys = [_pairing(x, y, big) for y in basis]
+        values.update((k, spec.weigh(*k)) for k in set(keys) - values.keys())
+        rows.append([values[k] for k in keys])
     return Matrix(rows)
 
 

@@ -36,13 +36,14 @@ def assert_all_pass(records):
 
 def diagram_matrix(d, spec):
     """The Matrix of the full diagram ``d`` on the module ``spec``, one
-    column per basis vector from ``act_on_half``."""
+    column per basis vector from ``act_on_half``, weighed by the module."""
     row = {h: r for r, h in enumerate(spec.basis)}
     cols = []
     for h in spec.basis:
         col = [0] * spec.dim
-        scalar, image = act_on_half(d, h, spec.params, spec.quotient_b)
-        if image is not None:
-            col[row[image]] = scalar
+        hit = act_on_half(d, h)
+        if hit is not None:
+            weight, pairs, image = hit
+            col[row[image]] = spec.weigh(weight, pairs)
         cols.append(col)
     return Matrix.from_columns(cols)

@@ -249,6 +249,25 @@ def test_failed_command_keeps_an_existing_out_file(tmp_path):
     assert target.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+def test_failed_command_removes_the_out_file_it_created(monkeypatch,
+                                                        tmp_path, error):
+    import tl2b.cli as cli
+
+    def fail(args):
+        raise error("late")
+
+    monkeypatch.setattr(cli, "cmd_gram", fail)
+    target = tmp_path / "x.json"
+    argv = ["gram", "--n", "2", "--out", str(target)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run(argv)
+    else:
+        assert refusal(argv) == "ArithmeticError: late"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("command", ["gram", "irreps"])
 @pytest.mark.parametrize("theta", ["x,3,+,-", "-,3,+,y"])
 def test_bad_theta_gives_error_record(command, theta):

@@ -163,7 +163,7 @@ def test_random_word_agrees_in_diagram_and_spin_models(two_models, data, n):
     assert mats[0] == mats[1]
     # the diagram calculus: the word's diagram acts as the matrix product
     spec = diagram.spec
-    d = word_to_element(word, n, spec.params, spec.quotient_b)
+    d = word_to_element(word, n)
     assert diagram_matrix(d, spec) == word_product(spec.generators, word)
 
 

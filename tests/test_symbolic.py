@@ -91,20 +91,22 @@ def test_backend_agreement_battery(sym, sym_params):
 @pytest.mark.parametrize("n", [2, 3])
 def test_symbolic_models_specialise_to_the_numeric_ones(sym, sym_params,
                                                         point, params, n):
-    # the half-diagram module and the spin chain over the parameter field,
-    # specialised at the point entry by entry, give the numeric generators
+    # the half-diagram module, its Gram matrix and the spin chain over the
+    # parameter field, specialised at the point entry by entry, give the
+    # numeric ones
     def at_point(x):
         return x if isinstance(x, int) else x.evaluate(point)
 
-    models = ((ModuleSpec.big(n, sym_params).generators,
-               ModuleSpec.big(n, params).generators),
-              (SpinRep(n, sym, sym_params).generators,
-               SpinRep(n, point, params).generators))
-    for symbolic, numeric in models:
+    big_sym, big_num = ModuleSpec.big(n, sym_params), ModuleSpec.big(n, params)
+    pairs = [(gram_matrix(big_sym), gram_matrix(big_num))]
+    for symbolic, numeric in ((big_sym.generators, big_num.generators),
+                              (SpinRep(n, sym, sym_params).generators,
+                               SpinRep(n, point, params).generators)):
         assert len(symbolic) == len(numeric) == n + 1
-        for sym_mat, num_mat in zip(symbolic, numeric):
-            assert [[at_point(x) for x in row]
-                    for row in sym_mat.rows] == num_mat.rows
+        pairs += zip(symbolic, numeric)
+    for sym_mat, num_mat in pairs:
+        assert [[at_point(x) for x in row]
+                for row in sym_mat.rows] == num_mat.rows
 
 
 def test_symbolic_relation_audit(sym_params):

@@ -137,7 +137,7 @@ def test_centre_scalar_negative_control(params):
     # central scalar, which is the only place the tie is observable
     from tl2b.hecke import centre_audit, lift_to_hecke, murphy
 
-    spec = ModuleSpec.big(3, params, b=params.b_for(3) + 1)
+    spec = ModuleSpec(3, "big", params, b=params.b_for(3) + 1)
     records = centre_audit(spec, murphy("C", lift_to_hecke(spec)))
     bad = {r["identity_id"] for r in records if r["status"] == "fail"}
     assert "centre.scalar" in bad
@@ -160,7 +160,7 @@ def test_word_diagrams_act_on_through_line_modules_as_products(params,
     for n, e1, e2 in conjecture_cases(n_sites):
         spec = ModuleSpec.through_lines(n_sites, n, e1, e2, params)
         for w in words:
-            d = word_to_element(w, n_sites, params)
+            d = word_to_element(w, n_sites)
             assert (diagram_matrix(d, spec)
                     == word_product(spec.generators, w)), (n, e1, e2, w)
 
