@@ -240,15 +240,15 @@ def cmd_basis(args) -> tuple[list, dict]:
 
 def cmd_spinchain(args) -> tuple[list, dict]:
     point = _build_point(args)
-    params = derive_params(point)
-    results = spinchain.spin_relation_audit(args.n, point, params)
-    results += spinchain.twist_symmetry_audit(args.n, point)
-    results += spinchain.equivalence_audit(args.n, point, params)
+    rep = spinchain.SpinRep(args.n, derive_params(point))
+    results = spinchain.spin_relation_audit(rep)
+    results += spinchain.twist_symmetry_audit(rep)
+    results += spinchain.equivalence_audit(rep)
     results.sort(key=lambda r: r["identity_id"])
-    ground = spinchain.ebar(args.n, point)
     return results, {
         "point": point.to_json(),
-        "ebar": spinchain.spin_vector_to_json(ground, args.n),
+        "ebar": spinchain.spin_vector_to_json(rep.fundamental_vector(),
+                                              args.n),
     }
 
 
@@ -265,13 +265,8 @@ def cmd_irreps(args) -> tuple[list, dict]:
                                                 "irreps.sub.family.")
         results += irreps.family_relation_audit(pair.quo, params,
                                                 "irreps.quo.family.")
-        lam_s, err = irreps.central_character(pair.sub, point)
-        expected = hecke.central_scalar(point, args.n, espec.theta_exponent())
-        if err is not None:  # the centre is not scalar on the block
-            deviation = f"entry{err}"
-        else:
-            deviation = None if lam_s == expected else f"character {lam_s}"
-        results.append(audit("irreps.central.sub", deviation))
+        results.append(audit("irreps.central.sub", irreps.central_character(
+            pair.sub, point, espec.theta_exponent())))
         sub_dim = wordrep.irrep_dim(args.n, espec.m)
         extra = {"point": point.to_json(),
                  "dims": {"sub": pair.dims[0], "quo": pair.dims[1]},

@@ -44,10 +44,7 @@ class HeckeGenSet:
 
     def word(self, letters) -> Matrix:
         """Product of g letters; negative index -i-1 means g_i^-1."""
-        out = Matrix.identity(self.dim)
-        for ell in letters:
-            out = out @ (self.g[ell] if ell >= 0 else self.ginv[-ell - 1])
-        return out
+        return word_product(self.g + self.ginv[::-1], letters)
 
 
 def g_coefficients(point, n_sites: int, i: int, sign: int):
@@ -263,16 +260,24 @@ def central_scalar(point, n_sites: int, x: HalfExponent):
             * (point.q_power(x) + point.q_power(-x)))
 
 
+def centre_offset(fam: MurphyFamily, x: HalfExponent) -> Matrix:
+    """Z_N - [N] (q^x + q^-x) 1 for the affine family ``fam``: zero exactly
+    when the centre acts by the scalar of twist x, and otherwise nonzero
+    first where Z_N differs from that scalar."""
+    z = central_element(fam)
+    lam = central_scalar(fam.gens.point, fam.gens.n_sites, x)
+    return z - Matrix.identity(z.nrows).scale(lam)
+
+
 def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     """Z_N of the affine family ``fam`` on ``spec`` commutes with every
-    generator; on the 2^N module it is the expected scalar."""
-    z = central_element(fam)
-    out = [audit(f"centre.comm.e{i}", commutator(z, e_mat))
+    generator; on the 2^N module it is the expected scalar.  The offset
+    Z_N - lambda 1 has the same commutators as Z_N."""
+    offset = centre_offset(fam, THETA)
+    out = [audit(f"centre.comm.e{i}", commutator(offset, e_mat))
            for i, e_mat in enumerate(fam.gens.e)]
     if spec.kind == "big":
-        lam = central_scalar(fam.gens.point, spec.n_sites, THETA)
-        out.append(audit("centre.scalar",
-                         z - Matrix.identity(z.nrows).scale(lam)))
+        out.append(audit("centre.scalar", offset))
     return out
 
 
@@ -281,7 +286,7 @@ def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
 
 
 def _iji_sandwich_identities(spec: ModuleSpec, sign: int):
-    """Expected right-hand sides for I J_0^(sign) I, as (id, lhs, rhs) pairs.
+    """Expected right-hand sides of I J_j^(sign) I, as (id, I, j, rhs).
 
     ``sign`` +1 gives the Murphy identities, -1 the inverse-Murphy ones:
     the two differ exactly by q -> 1/q in every explicit power.
@@ -297,15 +302,15 @@ def _iji_sandwich_identities(spec: ModuleSpec, sign: int):
     w1_, w2_ = qn(OMEGA1), qn(OMEGA2)
     if n % 2 == 0:
         idents = [
-            ("iji.j0.11", ("I1", 0, "I1"),
+            ("iji.j0.11", "I1", 0,
              lambda i1, i121: (i1.scale(qn((OMEGA1 + OMEGA2 + ONE).scale(2)) / qn(OMEGA1 + OMEGA2 + ONE))
                                - i121.scale(dq * dq * w1p1 * w2p1)
                                ).scale(qe(ONE.scale(-2)) * two ** ((n - 2) // 2))),
-            ("iji.j0.22", ("I2", 0, "I2"),
+            ("iji.j0.22", "I2", 0,
              lambda i2, i212: (i2.scale(qe(-OMEGA2) * w1_ * w2_ / (w1p1 * w2p1))
                                + i212.scale(dqs * qn(OMEGA2 - ONE))
                                ).scale(qe(-OMEGA1) * two ** ((n - 2) // 2))),
-            ("iji.jlast.22", ("I2", n - 1, "I2"),
+            ("iji.jlast.22", "I2", n - 1,
              lambda i2, i212: (i2.scale(qe(-(ONE + OMEGA1)) * w1_ * w2_ / (w1p1 * w2p1))
                                + i212.scale(dqs * w1_)
                                ).scale(qe(-(OMEGA2 + ONE.scale(n - 1))) * two ** ((n - 2) // 2))),
@@ -314,27 +319,27 @@ def _iji_sandwich_identities(spec: ModuleSpec, sign: int):
             # J_1 sits next to the right boundary when N = 2, where the
             # jlast evaluation applies instead
             idents.append(
-                ("iji.j1.22", ("I2", 1, "I2"),
+                ("iji.j1.22", "I2", 1,
                  lambda i2, i212: (i2.scale(w1_ * w2_ * qn((OMEGA1 + OMEGA2).scale(2))
                                             / (w1p1 * w2p1 * qn(OMEGA1 + OMEGA2)))
                                    - i212.scale(dq * dq * w1_ * qn(OMEGA2 - ONE))
                                    ).scale(qe(ONE.scale(-3)) * two ** ((n - 4) // 2))))
         return idents
     return [
-        ("iji.j0.11", ("I1", 0, "I1"),
+        ("iji.j0.11", "I1", 0,
          lambda i1, i121: (i1.scale(w2_ * qn((ONE + OMEGA1 - OMEGA2).scale(2))
                                     / (w2p1 * qn(ONE + OMEGA1 - OMEGA2)))
                            - i121.scale(dq * dq * w1p1 * qn(ONE - OMEGA2))
                            ).scale(qe(ONE.scale(-2)) * two ** ((n - 3) // 2))),
-        ("iji.jlast.11", ("I1", n - 1, "I1"),
+        ("iji.jlast.11", "I1", n - 1,
          lambda i1, i121: (i1.scale(qe(OMEGA1) * w2_ / w2p1)
                            - i121.scale(dqs * w1p1)
                            ).scale(qe(-(OMEGA2 + ONE.scale(n - 1))) * two ** ((n - 1) // 2))),
-        ("iji.j0.22", ("I2", 0, "I2"),
+        ("iji.j0.22", "I2", 0,
          lambda i2, i212: (i2.scale(qe(OMEGA2) * w1_ / w1p1)
                            - i212.scale(dqs * qn(ONE + OMEGA2))
                            ).scale(qe(-OMEGA1) * two ** ((n - 1) // 2))),
-        ("iji.j1.22", ("I2", 1, "I2"),
+        ("iji.j1.22", "I2", 1,
          lambda i2, i212: (i2.scale(w1_ * qn((OMEGA1 - OMEGA2).scale(2))
                                     / (w1p1 * qn(OMEGA1 - OMEGA2)))
                            + i212.scale(dq * dq * w1_ * w2p1)
@@ -378,15 +383,15 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
                                  - (imat @ fam_j[lo] @ imat).scale(1 / step)))
     # (b) explicit evaluations, Murphy and inverse-Murphy
     mats = {"I1": i1, "I2": i2}
+    sandwiches = {"I1": i1 @ i2 @ i1, "I2": i2 @ i1 @ i2}
     for sign, tag in ((1, ""), (-1, ".inv")):
         fam_j = fam.j if sign == 1 else fam.jinv
-        for ident, (left, jidx, _right), rhs in _iji_sandwich_identities(spec, sign):
+        for ident, name, jidx, rhs in _iji_sandwich_identities(spec, sign):
             if jidx >= n:
                 continue
-            imat = mats[left]
-            sandwich = imat @ mats["I2" if left == "I1" else "I1"] @ imat
+            imat = mats[name]
             lhs = imat @ fam_j[jidx] @ imat
-            out.append(audit(ident + tag, lhs - rhs(imat, sandwich)))
+            out.append(audit(ident + tag, lhs - rhs(imat, sandwiches[name])))
     # (c) idempotent normalisations
     qn = point.qnum
     two = qn(HalfExponent.integer(2))
@@ -401,14 +406,15 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     out.append(audit("iji.sq.I2", i2 @ i2 - i2.scale(norm2)))
     # (d) the assembled quotient
     b = spec.b
-    out.append(audit("iji.assembled.121", i1 @ i2 @ i1 - i1.scale(b)))
-    out.append(audit("iji.assembled.212", i2 @ i1 @ i2 - i2.scale(b)))
+    out.append(audit("iji.assembled.121", sandwiches["I1"] - i1.scale(b)))
+    out.append(audit("iji.assembled.212", sandwiches["I2"] - i2.scale(b)))
     return out
 
 
 __all__ = [
     "HeckeGenSet", "MurphyFamily", "central_element", "central_scalar",
-    "centre_audit", "equivalent_presentation_audit", "g_coefficients",
-    "hecke_relation_audit", "iji_audit", "inverse_word", "lift_family",
-    "lift_to_hecke", "murphy", "murphy_commutation_audit", "murphy_word",
+    "centre_audit", "centre_offset", "equivalent_presentation_audit",
+    "g_coefficients", "hecke_relation_audit", "iji_audit", "inverse_word",
+    "lift_family", "lift_to_hecke", "murphy", "murphy_commutation_audit",
+    "murphy_word",
 ]

@@ -5,7 +5,7 @@ At the twist values where the closed Gram determinant vanishes, the 2^N
 module becomes reducible but indecomposable: the paths with final height
 beyond a threshold span an invariant coordinate block.  The block and its
 complement give two smaller representations whose dimensions, central
-scalars and single-boundary Murphy spectra are computed here, together with
+characters and single-boundary Murphy spectra are checked here, together with
 an exact trace-comparison engine that gathers evidence (never proof) that
 the sub-representation matches the corresponding through-line module.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .hecke import central_element, central_scalar, lift_family, murphy
+from .hecke import centre_offset, lift_family, murphy
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .linalg import Matrix, invert, rank  # noqa: F401
 from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
@@ -141,17 +141,13 @@ def family_relation_audit(family: tuple[Matrix, ...], params,
 # central characters
 
 
-def central_character(family: tuple[Matrix, ...], point):
-    """The scalar by which the centre acts, or an error report.
-
-    Returns (scalar, None) when the central matrix is exactly scalar, and
-    (None, offending entry) otherwise; a non-scalar centre signals that the
-    family is reducible."""
-    z = central_element(murphy("C", lift_family(family, point)))
-    c = z.scalar_multiple_of_identity()
-    if c is None:
-        return None, z.first_nonzero()
-    return c, None
+def central_character(family: tuple[Matrix, ...], point,
+                      x: HalfExponent) -> Matrix:
+    """Z_N - [N] (q^x + q^-x) 1 on the family: zero exactly when the centre
+    acts by the scalar of twist x, and otherwise nonzero first at the entry
+    that differs; a non-scalar centre signals that the family is
+    reducible."""
+    return centre_offset(murphy("C", lift_family(family, point)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +290,8 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
     }
     dims_ok = fam_w[0].nrows == fam_v[0].nrows == irrep_dim(n_sites, n)
     x = espec.theta_exponent()
-    lam_expect = central_scalar(point, n_sites, x)
-    lam_w, err_w = central_character(fam_w, point)
-    lam_v, err_v = central_character(fam_v, point)
-    central_ok = (err_w is None and err_v is None
-                  and lam_w == lam_v == lam_expect)
+    central_ok = (central_character(fam_w, point, x).is_zero()
+                  and central_character(fam_v, point, x).is_zero())
     report["central_match"] = central_ok
     murphy_ok = (murphy_spectrum_match(fam_w, point, pair.sub_paths)
                  and murphy_spectrum_match(fam_v, point, pair.sub_paths))

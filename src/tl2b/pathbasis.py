@@ -313,14 +313,13 @@ def _add_tile(rep: ModuleRep, tile: TileEvent, vec: list) -> list:
     return _shift(rep, tile.position, tile.coeff(rep.point), vec)
 
 
-def build_b1(rep: ModuleRep, fundamental: list | None = None) -> BasisB1:
+def build_b1(rep: ModuleRep) -> BasisB1:
     """Grow all 2^N vectors from the fundamental one by tile addition."""
     n = rep.n_sites
     if rep.dim != 1 << n:
         raise ValueError("the path basis lives on a 2^N-dimensional module")
-    fund = rep.fundamental_vector() if fundamental is None else fundamental
     paths = path_order(n)
-    vectors: dict[Path, list] = {fundamental_path(n): fund}
+    vectors: dict[Path, list] = {fundamental_path(n): rep.fundamental_vector()}
     for path in paths:
         if path in vectors:
             continue

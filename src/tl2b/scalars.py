@@ -230,8 +230,6 @@ class ParamPoint:
     def one(self):
         return RAT(1)
 
-    backend = "numeric"
-
     # -- wire format ---------------------------------------------------------
 
     def to_json(self) -> dict:

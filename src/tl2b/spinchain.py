@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .audit import audit
 from ._ratback import RAT
-from .hecke import central_element, central_scalar, lift_family, murphy
+from .hecke import centre_offset, lift_family, murphy
 from .linalg import Matrix, commutator, nonsingular_certificate
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
 from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, build_b1
@@ -28,12 +28,12 @@ from .wordrep import ModuleSpec, check_relations
 class SpinRep(ModuleRep):
     """The spin chain as a module: site-local e_i kernels on 2^N states."""
 
-    def __init__(self, n_sites: int, point, params=None):
+    def __init__(self, n_sites: int, params):
         self.n_sites = n_sites
-        self.point = point
         self.params = params
+        self.point = params.point
         self.dim = 1 << n_sites
-        qp = point.q_power
+        qp = self.point.q_power
         d1 = qp(ONE + OMEGA1) - qp(-(ONE + OMEGA1))
         d2 = qp(ONE + OMEGA2) - qp(-(ONE + OMEGA2))
         if not d1 or not d2:
@@ -118,17 +118,16 @@ def spin_vector_to_json(vec: list, n_sites: int) -> dict:
 # audits
 
 
-def spin_relation_audit(n_sites: int, point, params) -> list[dict]:
+def spin_relation_audit(rep: SpinRep) -> list[dict]:
     """All defining relations, as operator identities on the spin chain."""
-    rep = SpinRep(n_sites, point, params)
-    gens = [rep.e_matrix(i) for i in range(n_sites + 1)]
-    return check_relations(gens, params, "spin.")
+    return check_relations([rep.e_matrix(i) for i in range(rep.n_sites + 1)],
+                           rep.params, "spin.")
 
 
-def twist_symmetry_audit(n_sites: int, point) -> list[dict]:
+def twist_symmetry_audit(rep: SpinRep) -> list[dict]:
     """Bulk generators commute with the diagonal twists of alpha = 2 and 3,
     exactly."""
-    rep = SpinRep(n_sites, point)
+    n_sites = rep.n_sites
     states = range(rep.dim)
     out = []
     for alpha in (2, 3):
@@ -153,18 +152,18 @@ def _apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
     return [c * x for x in out]
 
 
-def ebar_identities(n_sites: int, point, params) -> list[dict]:
+def ebar_identities(rep: SpinRep) -> list[dict]:
     """E_i ebar = ebar, the left eigenvalue, and the boundary identities,
     each evaluated on the vector ebar."""
-    rep = SpinRep(n_sites, point, params)
-    vec = ebar(n_sites, point)
+    n_sites = rep.n_sites
+    vec = rep.fundamental_vector()
     out = []
     for level in range(n_sites + 1):
         out.append(audit(f"spin.ebar.fix.E{level}",
                          _apply_idempotent(rep, level, vec) == vec))
     image = rep.apply_e(0, vec)
     out.append(audit("spin.ebar.e0",
-                     all(x == params.s1 * y for x, y in zip(image, vec))))
+                     all(x == rep.params.s1 * y for x, y in zip(image, vec))))
     # the boundary identities of pathbasis.idempotent_identities
     u = _LEVEL_ARGUMENTS[(n_sites + 1) % 2][0]
     v = _LEVEL_ARGUMENTS[n_sites % 2][0]
@@ -176,7 +175,7 @@ def ebar_identities(n_sites: int, point, params) -> list[dict]:
     return out
 
 
-def equivalence_audit(n_sites: int, point, params) -> list[dict]:
+def equivalence_audit(rep: SpinRep) -> list[dict]:
     """Grow the parallel path basis from ebar and check that it intertwines
     the two models; check the central element acts by the expected scalar
     on the spin side.
@@ -190,24 +189,19 @@ def equivalence_audit(n_sites: int, point, params) -> list[dict]:
     matrices agree entry by entry in the two path coordinate systems.  A
     failing record names an entry of E_s B_s - B_s M_d.
     """
-    out = ebar_identities(n_sites, point, params)
-    spec = ModuleSpec.big(n_sites, params)
-    diagram_rep = ModuleRep(spec)
-    spin_rep = SpinRep(n_sites, point, params)
-    spin_gens = [spin_rep.e_matrix(i) for i in range(n_sites + 1)]
-    basis_d = build_b1(diagram_rep)
-    basis_s = build_b1(spin_rep, fundamental=ebar(n_sites, point))
+    out = ebar_identities(rep)
+    spin_gens = [rep.e_matrix(i) for i in range(rep.n_sites + 1)]
+    basis_d = build_b1(ModuleRep(ModuleSpec.big(rep.n_sites, rep.params)))
+    basis_s = build_b1(rep)
     cob = basis_s.change_of_basis
     if nonsingular_certificate(cob) is None:
         basis_s.inverse()  # exact; raises ZeroDivisionError when singular
-    for i in range(n_sites + 1):
+    for i, e_spin in enumerate(spin_gens):
         md = basis_d.generator_in_coordinates(i)
-        out.append(audit(f"spin.equiv.e{i}", spin_gens[i] @ cob - cob @ md))
+        out.append(audit(f"spin.equiv.e{i}", e_spin @ cob - cob @ md))
     # centre: the sum of the affine Murphy elements and their inverses
-    z = central_element(murphy("C", lift_family(spin_gens, point)))
-    lam = central_scalar(point, n_sites, THETA)
-    out.append(audit("spin.centre.scalar",
-                     z - Matrix.identity(spin_rep.dim).scale(lam)))
+    out.append(audit("spin.centre.scalar", centre_offset(
+        murphy("C", lift_family(spin_gens, rep.point)), THETA)))
     return out
 
 

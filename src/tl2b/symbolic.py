@@ -54,11 +54,7 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return LaurentPoly(out)
 
     def __neg__(self) -> LaurentPoly:
@@ -72,11 +68,7 @@ class LaurentPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + c1 * c2
         return LaurentPoly(out)
 
     def scale_term(self, mono: Mono, coeff: Fraction) -> LaurentPoly:
@@ -186,16 +178,9 @@ class LaurentFrac:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _poly(self, key: tuple) -> LaurentPoly:
-        poly = _FACTOR_POLYS.get(key)
-        if poly is None:
-            poly = LaurentPoly(dict(key))
-            _FACTOR_POLYS[key] = poly
-        return poly
-
     def _cancel(self) -> None:
         for key in list(self.factors):
-            poly = self._poly(key)
+            poly = _factor_poly(key)
             while self.factors.get(key, 0) > 0:
                 quot = self.num.divide_exact(poly)
                 if quot is None:
@@ -225,12 +210,7 @@ class LaurentFrac:
         return LaurentFrac(scaled, {canon.key(): 1})
 
     def den_poly(self) -> LaurentPoly:
-        out = LaurentPoly.const(1)
-        for key, exp in self.factors.items():
-            poly = self._poly(key)
-            for _ in range(exp):
-                out = out * poly
-        return out
+        return _times(LaurentPoly.const(1), self.factors)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -249,18 +229,10 @@ class LaurentFrac:
         keys = set(self.factors) | set(other.factors)
         lcm = {k: max(self.factors.get(k, 0), other.factors.get(k, 0))
                for k in keys}
-        left = self.num
-        for k in keys:
-            need = lcm[k] - self.factors.get(k, 0)
-            poly = self._poly(k)
-            for _ in range(need):
-                left = left * poly
-        right = other.num
-        for k in keys:
-            need = lcm[k] - other.factors.get(k, 0)
-            poly = self._poly(k)
-            for _ in range(need):
-                right = right * poly
+        left = _times(self.num, {k: lcm[k] - self.factors.get(k, 0)
+                                 for k in keys})
+        right = _times(other.num, {k: lcm[k] - other.factors.get(k, 0)
+                                   for k in keys})
         return LaurentFrac(left + right, lcm)
 
     __radd__ = __add__
@@ -295,16 +267,7 @@ class LaurentFrac:
     def reciprocal(self) -> LaurentFrac:
         if not self.num:
             raise SingularArgumentError("division by symbolic zero")
-        coeff, shift, canon = self.num.unit_normal()
-        inv = tuple(-e for e in shift)
-        num = LaurentPoly.const(1).scale_term(inv, 1 / coeff)
-        for key, exp in self.factors.items():
-            poly = self._poly(key)
-            for _ in range(exp):
-                num = num * poly
-        if len(canon.terms) == 1:
-            return LaurentFrac(num)
-        return LaurentFrac(num, {canon.key(): 1})
+        return LaurentFrac.from_quotient(self.den_poly(), self.num)
 
     def __truediv__(self, other):
         return self * LaurentFrac.coerce(other).reciprocal()
@@ -353,12 +316,23 @@ class LaurentFrac:
 _FACTOR_POLYS: dict[tuple, LaurentPoly] = {}
 
 
+def _factor_poly(key: tuple) -> LaurentPoly:
+    poly = _FACTOR_POLYS.get(key)
+    if poly is None:
+        poly = _FACTOR_POLYS[key] = LaurentPoly(dict(key))
+    return poly
+
+
+def _times(poly: LaurentPoly, factors: dict[tuple, int]) -> LaurentPoly:
+    """``poly`` times each factor to its exponent."""
+    for key, exp in factors.items():
+        for _ in range(exp):
+            poly = poly * _factor_poly(key)
+    return poly
+
+
 class SymbolicPoint:
     """Drop-in point whose scalars are LaurentFrac certificates."""
-
-    backend = "symbolic"
-    theta_mode = "generic"
-    genericity_bound = 0
 
     def q_power(self, x: HalfExponent) -> LaurentFrac:
         return LaurentFrac(LaurentPoly.monomial(x.entries()))

@@ -4,8 +4,7 @@ import pytest
 
 from conftest import assert_all_pass
 from tl2b._ratback import RAT
-from tl2b.hecke import central_scalar
-from tl2b.linalg import exact_det
+from tl2b.linalg import Matrix, exact_det
 from tl2b.scalars import derive_params
 from tl2b.pathbasis import ModuleRep, build_b1, exceptional_points
 from tl2b.irreps import (ExceptionalSpec, central_character, conjecture_cases,
@@ -80,12 +79,9 @@ def test_block_structure_and_characters():
             assert d_sub + d_quo == 1 << n
             assert_all_pass(family_relation_audit(pair.sub, pr))
             assert_all_pass(family_relation_audit(pair.quo, pr))
-            lam_sub, err = central_character(pair.sub, point)
-            assert err is None
-            lam_quo, err = central_character(pair.quo, point)
-            assert err is None
-            assert lam_sub == lam_quo == central_scalar(
-                point, n, espec.theta_exponent())
+            x = espec.theta_exponent()
+            assert central_character(pair.sub, point, x).is_zero()
+            assert central_character(pair.quo, point, x).is_zero()
 
 
 def test_boundary_block_degeneration():
@@ -109,22 +105,33 @@ def test_detect_invariant_rejects_generic_point(params):
         detect_invariant(basis, espec)
 
 
-def test_central_character_reports_nonscalar(params):
-    # a direct sum of modules with different central scalars is detected
-    from tl2b.linalg import Matrix
-
-    spec_a = ModuleSpec.through_lines(3, 2, 1, 1, params)
-    spec_b = ModuleSpec.through_lines(3, 0, 1, 1, params)
+def _direct_sum(spec_a, spec_b) -> dict:
+    """The generator family of the direct sum, spec_a's block first."""
     fam = {}
-    for i in range(4):
+    for i in range(spec_a.n_sites + 1):
         ma = generator_matrix(spec_a, i)
         mb = generator_matrix(spec_b, i)
         da, db = ma.nrows, mb.nrows
         rows = [row + [0] * db for row in ma.rows]
         rows += [[0] * da + row for row in mb.rows]
         fam[i] = Matrix(rows)
-    lam, err = central_character(fam, params.point)
-    assert lam is None and err is not None
+    return fam
+
+
+def test_central_character_reports_nonscalar(params):
+    # a direct sum of modules with different central scalars is detected:
+    # each sum acts by the twist's scalar on its first block, so the offset
+    # is nonzero first on the diagonal of the second, not at Z_N's first
+    # nonzero entry
+    for n, m_a, m_b, where in ((3, 2, 0, (1, 1)), (4, 1, 3, (5, 5))):
+        x = ExceptionalSpec(n, 1, m_a, 1, 1).theta_exponent()
+        spec_a = ModuleSpec.through_lines(n, m_a, 1, 1, params)
+        assert central_character(spec_a.generators, params.point,
+                                 x).is_zero()
+        fam = _direct_sum(spec_a,
+                          ModuleSpec.through_lines(n, m_b, 1, 1, params))
+        assert central_character(fam, params.point,
+                                 x).first_nonzero() == where
 
 
 def test_explicit_n2_example():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import assert_all_pass, diagram_matrix
 from tl2b._ratback import RAT
 from tl2b import pathbasis, spinchain
+from tl2b.cli import main
 from tl2b.diagrams import word_to_element
 from tl2b.linalg import Matrix
 from tl2b.pathbasis import ModuleRep, build_b1
@@ -25,9 +27,9 @@ def _unit(dim, j):
     return out
 
 
-def test_bulk_local_action(point):
+def test_bulk_local_action(point, params):
     # two-site blocks: the projector form, with aligned pairs annihilated
-    rep = SpinRep(2, point)
+    rep = SpinRep(2, params)
     q = point.q_power(ONE)
     up_down = 0b10
     down_up = 0b01
@@ -40,7 +42,7 @@ def test_bulk_local_action(point):
 
 
 def test_boundary_local_action(point, params):
-    rep = SpinRep(1, point)
+    rep = SpinRep(1, params)
     e0 = rep.e_matrix(0)
     assert e0.rows[1][1] + e0.rows[0][0] == params.s1  # trace
     e1 = rep.e_matrix(1)
@@ -57,18 +59,18 @@ def test_relations(points):
     for point in points:
         params = derive_params(point)
         for n in (2, 3, 4, 5):
-            assert_all_pass(spin_relation_audit(n, point, params))
+            assert_all_pass(spin_relation_audit(SpinRep(n, params)))
 
 
-def test_twist_symmetry(point):
+def test_twist_symmetry(params):
     for n in (2, 3, 4):
-        assert_all_pass(twist_symmetry_audit(n, point))
+        assert_all_pass(twist_symmetry_audit(SpinRep(n, params)))
 
 
-def test_dense_equals_local(point):
+def test_dense_equals_local(params):
     rng = random.Random(5)
     for n in (2, 3, 4, 5, 6):
-        rep = SpinRep(n, point)
+        rep = SpinRep(n, params)
         for i in (0, 1, n - 1, n):
             dense = rep.e_matrix(i)
             vec = [RAT(rng.randrange(-9, 10), rng.randrange(1, 7))
@@ -91,7 +93,7 @@ def test_ebar_identities(points):
     for point in points:
         params = derive_params(point)
         for n in (2, 3, 4, 5):
-            assert_all_pass(ebar_identities(n, point, params))
+            assert_all_pass(ebar_identities(SpinRep(n, params)))
 
 
 def test_ebar_identities_form_no_matrix_product(monkeypatch, point, params):
@@ -103,18 +105,18 @@ def test_ebar_identities_form_no_matrix_product(monkeypatch, point, params):
         return original(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
-    assert_all_pass(ebar_identities(4, point, params))
+    assert_all_pass(ebar_identities(SpinRep(4, params)))
     assert calls == []
 
 
-def test_spin_generators_are_built_once(point):
-    rep = SpinRep(3, point)
+def test_spin_generators_are_built_once(params):
+    rep = SpinRep(3, params)
     assert all(rep.e_matrix(i) is rep.e_matrix(i) for i in range(4))
 
 
-def test_equivalence(params, point):
+def test_equivalence(params):
     for n in (2, 3, 4):
-        assert_all_pass(equivalence_audit(n, point, params))
+        assert_all_pass(equivalence_audit(SpinRep(n, params)))
 
 
 def test_spin_vector_json(point):
@@ -126,14 +128,13 @@ def test_spin_vector_json(point):
 
 
 @pytest.fixture(scope="session")
-def two_models(point, params):
+def two_models(params):
     """N -> (half-diagram rep, spin rep, their path bases) for N = 2..4."""
     out = {}
     for n in (2, 3, 4):
         diagram = ModuleRep(ModuleSpec.big(n, params))
-        spin = SpinRep(n, point, params)
-        out[n] = (diagram, spin, build_b1(diagram),
-                  build_b1(spin, fundamental=ebar(n, point)))
+        spin = SpinRep(n, params)
+        out[n] = (diagram, spin, build_b1(diagram), build_b1(spin))
     return out
 
 
@@ -183,26 +184,24 @@ def _count_inverts(monkeypatch):
     return calls
 
 
-def test_equivalence_inverts_only_the_diagram_basis(monkeypatch, point,
-                                                    params):
+def test_equivalence_inverts_only_the_diagram_basis(monkeypatch, params):
     calls = _count_inverts(monkeypatch)
-    records = equivalence_audit(3, point, params)
+    records = equivalence_audit(SpinRep(3, params))
     assert_all_pass(records)
     diagram = build_b1(ModuleRep(ModuleSpec.big(3, params)))
     assert calls == [diagram.change_of_basis]
 
 
-def test_equivalence_without_a_certificate_inverts_exactly(monkeypatch, point,
+def test_equivalence_without_a_certificate_inverts_exactly(monkeypatch,
                                                            params):
     calls = _count_inverts(monkeypatch)
     monkeypatch.setattr(spinchain, "nonsingular_certificate", lambda m: None)
-    assert_all_pass(equivalence_audit(3, point, params))
-    spin = build_b1(SpinRep(3, point, params), fundamental=ebar(3, point))
+    assert_all_pass(equivalence_audit(SpinRep(3, params)))
+    spin = build_b1(SpinRep(3, params))
     assert len(calls) == 2 and spin.change_of_basis in calls
 
 
-def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, point,
-                                                         params):
+def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, params):
     n, bad, (r, c) = 3, 2, (5, 1)
     original = SpinRep.e_matrix
 
@@ -216,11 +215,10 @@ def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, point,
 
     monkeypatch.setattr(SpinRep, "e_matrix", perturbed)
     records = {rec["identity_id"]: rec
-               for rec in equivalence_audit(n, point, params)}
+               for rec in equivalence_audit(SpinRep(n, params))}
     # E_s B_s - B_s M_d is the perturbation times B_s: row r holds
     # row c of B_s, scaled
-    cob = build_b1(SpinRep(n, point, params),
-                   fundamental=ebar(n, point)).change_of_basis
+    cob = build_b1(SpinRep(n, params)).change_of_basis
     col = next(j for j in range(cob.ncols) if cob[c, j])
     assert records[f"spin.equiv.e{bad}"]["status"] == "fail"
     assert records[f"spin.equiv.e{bad}"]["deviation"] == f"entry({r}, {col})"
@@ -229,7 +227,21 @@ def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, point,
             assert records[f"spin.equiv.e{i}"]["status"] == "pass"
 
 
-def test_singular_spin_basis_still_raises(monkeypatch, point, params):
+def test_singular_spin_basis_still_raises(monkeypatch, params):
     monkeypatch.setattr(spinchain, "ebar", lambda n, pt: [0] * (1 << n))
     with pytest.raises(ZeroDivisionError):
-        equivalence_audit(3, point, params)
+        equivalence_audit(SpinRep(3, params))
+
+
+def test_spinchain_command_builds_one_spin_chain(monkeypatch, capsys):
+    built = []
+    original = SpinRep.__init__
+
+    def counted(self, n_sites, params):
+        built.append(n_sites)
+        original(self, n_sites, params)
+
+    monkeypatch.setattr(SpinRep, "__init__", counted)
+    assert main(["spinchain", "--n", "3"]) == 0
+    assert built == [3]
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"

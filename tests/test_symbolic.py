@@ -100,8 +100,8 @@ def test_symbolic_models_specialise_to_the_numeric_ones(sym, sym_params,
     big_sym, big_num = ModuleSpec.big(n, sym_params), ModuleSpec.big(n, params)
     pairs = [(gram_matrix(big_sym), gram_matrix(big_num))]
     for symbolic, numeric in ((big_sym.generators, big_num.generators),
-                              (SpinRep(n, sym, sym_params).generators,
-                               SpinRep(n, point, params).generators)):
+                              (SpinRep(n, sym_params).generators,
+                               SpinRep(n, params).generators)):
         assert len(symbolic) == len(numeric) == n + 1
         pairs += zip(symbolic, numeric)
     for sym_mat, num_mat in pairs:
