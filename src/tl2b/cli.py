@@ -21,8 +21,7 @@ import sys
 from . import __version__
 from ._ratback import BACKEND, rat_from_str
 from .audit import audit
-from .scalars import (GenericityError, ParamPoint, derive_params,
-                      make_param_point)
+from .scalars import GenericityError, ParamPoint, make_param_point
 from .symbolic import SymbolicPoint
 from .linalg import exact_det
 from . import hecke, irreps, pathbasis, spinchain, wordrep
@@ -168,8 +167,7 @@ def _to_csv(doc) -> str:
 
 def cmd_relations(args) -> tuple[list, dict]:
     point = _build_point(args)
-    params = derive_params(point)
-    spec = wordrep.ModuleSpec.big(args.n, params)
+    spec = wordrep.ModuleSpec.big(args.n, point)
     results = list(wordrep.relation_audit(spec))
     gens = hecke.lift_to_hecke(spec)
     results += hecke.hecke_relation_audit(gens)
@@ -187,13 +185,11 @@ def cmd_relations(args) -> tuple[list, dict]:
 
 def cmd_gram(args) -> tuple[list, dict]:
     point = _build_point(args)
-    params = derive_params(point)
-    spec = wordrep.ModuleSpec.big(args.n, params)
+    spec = wordrep.ModuleSpec.big(args.n, point)
     gram = wordrep.gram_matrix(spec)
     brute = exact_det(gram)
     closed = pathbasis.gram_closed_form(args.n, point)
-    closed_half = pathbasis.gram_closed_form_halfdiagram(args.n, point,
-                                                         params.s1)
+    closed_half = pathbasis.gram_closed_form_halfdiagram(args.n, point)
     results = [audit("gram.det.halfdiagram_basis",
                      None if brute == closed_half else "mismatch")]
     factor_table = []
@@ -219,9 +215,7 @@ def cmd_gram(args) -> tuple[list, dict]:
 
 def cmd_basis(args) -> tuple[list, dict]:
     point = _build_point(args)
-    params = derive_params(point)
-    spec = wordrep.ModuleSpec.big(args.n, params)
-    rep = pathbasis.ModuleRep(spec)
+    rep = pathbasis.ModuleRep(wordrep.ModuleSpec.big(args.n, point))
     basis = pathbasis.build_b1(rep)
     results = [audit("b1.order_independence",
                      pathbasis.tile_order_independence(basis))]
@@ -240,7 +234,7 @@ def cmd_basis(args) -> tuple[list, dict]:
 
 def cmd_spinchain(args) -> tuple[list, dict]:
     point = _build_point(args)
-    rep = spinchain.SpinRep(args.n, derive_params(point))
+    rep = spinchain.SpinRep(args.n, point)
     results = spinchain.spin_relation_audit(rep)
     results += spinchain.twist_symmetry_audit(rep)
     results += spinchain.equivalence_audit(rep)
@@ -257,13 +251,12 @@ def cmd_irreps(args) -> tuple[list, dict]:
     results = []
     if mode == "exceptional":
         point = _build_point(args)
-        params = derive_params(point)
-        spec = wordrep.ModuleSpec.big(args.n, params)
+        spec = wordrep.ModuleSpec.big(args.n, point)
         basis = pathbasis.build_b1(pathbasis.ModuleRep(spec))
         pair = irreps.detect_invariant(basis, espec)
-        results += irreps.family_relation_audit(pair.sub, params,
+        results += irreps.family_relation_audit(pair.sub, point,
                                                 "irreps.sub.family.")
-        results += irreps.family_relation_audit(pair.quo, params,
+        results += irreps.family_relation_audit(pair.quo, point,
                                                 "irreps.quo.family.")
         results.append(audit("irreps.central.sub", irreps.central_character(
             pair.sub, point, espec.theta_exponent())))
@@ -288,7 +281,6 @@ def cmd_irreps(args) -> tuple[list, dict]:
 
 def cmd_modules(args) -> tuple[list, dict]:
     point = _build_point(args)
-    params = derive_params(point)
     nodes = []
     edges = []
     n = args.n
@@ -296,7 +288,7 @@ def cmd_modules(args) -> tuple[list, dict]:
         n_through = nn + (e1 + e2) // 2
         if n_through < 1:
             continue
-        spec = wordrep.ModuleSpec.through_lines(n, nn, e1, e2, params)
+        spec = wordrep.ModuleSpec.through_lines(n, nn, e1, e2, point)
         name = f"W({n},{nn})[{'+' if e1 == 1 else '-'}{'+' if e2 == 1 else '-'}]"
         nodes.append({"module": name, "n": nn, "eps1": e1, "eps2": e2,
                       "through_lines": n_through,

@@ -71,7 +71,7 @@ def lift_family(family, point) -> HeckeGenSet:
 
 
 def lift_to_hecke(spec: ModuleSpec) -> HeckeGenSet:
-    return lift_family(spec.generators, spec.params.point)
+    return lift_family(spec.generators, spec.point)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def _iji_sandwich_identities(spec: ModuleSpec, sign: int):
     ``sign`` +1 gives the Murphy identities, -1 the inverse-Murphy ones:
     the two differ exactly by q -> 1/q in every explicit power.
     """
-    point = spec.params.point
+    point = spec.point
     n = spec.n_sites
     qn = point.qnum
     qe = lambda x: point.q_power(x.scale(sign))
@@ -358,7 +358,7 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     """
     if spec.kind != "big":
         raise ValueError("the audit runs on the 2^N module")
-    point = spec.params.point
+    point = spec.point
     n = spec.n_sites
     i1, i2 = (word_product(fam.gens.e, w) for w in idempotent_words(n))
     qsq = point.q_power(ONE.scale(2))

@@ -22,7 +22,7 @@ from .hecke import centre_offset, lift_family, murphy
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .linalg import Matrix, invert, rank  # noqa: F401
 from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
-                      OMEGA2, ParamPoint, derive_params, draw_rationals)
+                      OMEGA2, ParamPoint, draw_rationals)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, critical_labels,
                         exceptional_points, murphy_eigenvalue)
 from .wordrep import ModuleSpec, check_relations, irrep_dim
@@ -131,10 +131,10 @@ def detect_invariant(basis: BasisB1, espec: ExceptionalSpec) -> SubQuotientPair:
                            sub, quo)
 
 
-def family_relation_audit(family: tuple[Matrix, ...], params,
+def family_relation_audit(family: tuple[Matrix, ...], point,
                           prefix: str = "family.") -> list[dict]:
     """Defining relations on an arbitrary generator family."""
-    return check_relations(family, params, prefix)
+    return check_relations(family, point, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +275,9 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
     invariant block at its twist; 'equivalent' is evidence, never proof."""
     espec = ExceptionalSpec(n_sites, 1, n, eps1, eps2)
     point = make_exceptional_point(seed, espec)
-    params = derive_params(point)
-    spec_lines = ModuleSpec.through_lines(n_sites, n, eps1, eps2, params)
+    spec_lines = ModuleSpec.through_lines(n_sites, n, eps1, eps2, point)
     fam_w = spec_lines.generators
-    big = ModuleSpec.big(n_sites, params)
+    big = ModuleSpec.big(n_sites, point)
     basis = build_b1(ModuleRep(big))
     pair = detect_invariant(basis, espec)
     fam_v = pair.sub
@@ -320,7 +319,7 @@ def conjecture_cases(n_sites: int) -> list[tuple[int, int, int]]:
 __all__ = [
     "ExceptionalSpec", "SubQuotientPair", "central_character",
     "conjecture_cases", "conjecture_check", "detect_invariant",
-    "family_relation_audit", "make_exceptional_point",
-    "murphy_spectrum_match", "random_word_traces_agree",
-    "traces_agree_all_words",
+    "eigenvalue_multiplicity", "family_relation_audit",
+    "make_exceptional_point", "murphy_spectrum_match",
+    "random_word_traces_agree", "traces_agree_all_words",
 ]

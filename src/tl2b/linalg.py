@@ -318,4 +318,7 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
     return x @ y - y @ x
 
 
-__all__ = ["Matrix", "commutator", "exact_det", "invert", "rank"]
+__all__ = [
+    "Matrix", "commutator", "exact_det", "invert", "nonsingular_certificate",
+    "rank",
+]

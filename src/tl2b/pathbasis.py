@@ -78,8 +78,7 @@ class ModuleRep:
 
     def __init__(self, spec: ModuleSpec):
         self.spec = spec
-        self.params = spec.params
-        self.point = spec.params.point
+        self.point = spec.point
         self.dim = spec.dim
         self.n_sites = spec.n_sites
 
@@ -131,16 +130,31 @@ def matrix_kbar(rep: ModuleRep, u: HalfExponent) -> Matrix:
 # the nested idempotents
 
 
+def _nesting_scale(point, i: int):
+    """s1^((-1)^i), the scale of E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1},
+    from E_0 = 1."""
+    return point.s1 if i % 2 == 0 else 1 / point.s1
+
+
 def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
-    """E_level (E_N by default), from E_0 = 1 and
-    E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1}."""
+    """E_level (E_N by default) as a Matrix, by the nesting rule."""
     level = rep.n_sites if level is None else level
-    s1 = rep.params.s1
     out = Matrix.identity(rep.dim)
     for i in range(1, level + 1):
         out = (out @ rep.e_matrix(i - 1) @ out).scale(
-            s1 if i % 2 == 0 else 1 / s1)
+            _nesting_scale(rep.point, i))
     return out
+
+
+def apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
+    """E_level vec by the nesting rule: 2^level - 1 generator applications
+    and no matrix."""
+    if level == 0:
+        return vec
+    inner = apply_idempotent(rep, level - 1, vec)
+    out = apply_idempotent(rep, level - 1, rep.apply_e(level - 1, inner))
+    c = _nesting_scale(rep.point, level)
+    return [c * x for x in out]
 
 
 def idempotent_image(rep: ModuleRep):
@@ -355,14 +369,13 @@ def action_audit_b1(basis: BasisB1) -> list[dict]:
     two-by-two blocks on tile pairs, checked vector by vector."""
     rep = basis.rep
     point = rep.point
-    params = rep.params
     n = rep.n_sites
     out = []
     for path in basis.paths:
         vec = basis.vectors[path]
         image = rep.apply_e(0, vec)
         if path[1] == -1:
-            ok = image == [params.s1 * x for x in vec]
+            ok = image == [point.s1 * x for x in vec]
         else:
             ok = not any(image)
         out.append(audit(f"b1.e0.{_pname(path)}", ok))
@@ -509,10 +522,10 @@ def gram_normalization_exponent(n_sites: int) -> int:
                    for m in range(n_sites))
 
 
-def gram_closed_form_halfdiagram(n_sites: int, point, s1):
+def gram_closed_form_halfdiagram(n_sites: int, point):
     """Closed determinant in the half-diagram basis normalisation."""
     return (gram_closed_form(n_sites, point)
-            * s1 ** gram_normalization_exponent(n_sites))
+            * point.s1 ** gram_normalization_exponent(n_sites))
 
 
 def exceptional_points(n_sites: int) -> list[tuple[int, int, int, int]]:
@@ -606,7 +619,6 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     """Slope annihilation, the two boundary identities per parity (which
     need the horizontal-line quotient), and the idempotent chain
     evaluations, all against the full E_N matrix."""
-    params = rep.params
     n = rep.n_sites
     _, e_full = idempotent_image(rep)
     out = []
@@ -626,7 +638,7 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
 
     gens = [rep.e_matrix(i) for i in range(n + 1)]
     i1, i2 = (word_product(gens, w) for w in idempotent_words(n))
-    s1 = params.s1
+    s1 = rep.point.s1
     i1e, i2e = i1 @ e_full, i2 @ e_full
     en_e = gens[n] @ e_full
     if n % 2 == 0:
@@ -640,7 +652,7 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
         out.append(audit("en.chain.21", i2 @ i1e
                          - (i2 @ en_e).scale(s1 ** (-((n - 1) // 2)))))
     out.append(audit("en.e0.eigen",
-                     rep.e_matrix(0) @ e_full - e_full.scale(params.s1)))
+                     rep.e_matrix(0) @ e_full - e_full.scale(s1)))
     if n > 1:
         out.append(audit("en.e0.kill",
                          rep.e_matrix(0) @ matrix_r(rep, 1, OMEGA1) @ e_full))
@@ -649,7 +661,7 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
 
 __all__ = [
     "BasisB1", "ModuleRep", "Path", "TileEvent", "action_audit_b1",
-    "addable_tiles", "all_paths", "apply_tile",
+    "addable_tiles", "all_paths", "apply_idempotent", "apply_tile",
     "build_b1", "critical_labels", "exceptional_points", "f_factor",
     "fixed_height_gram", "fundamental_path", "g_factor", "gram_closed_form",
     "gram_closed_form_halfdiagram", "gram_closed_form_report", "gram_diag_b1",

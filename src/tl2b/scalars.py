@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from ._ratback import BACKEND, RAT, rat_from_str, rat_to_str
 from .linalg import _row_reduce
@@ -163,8 +164,54 @@ def multiplicative_kernel(values) -> list[tuple[int, ...]]:
 # points
 
 
+class LoopWeights:
+    """The loop weights and horizontal-line weights of a point, each formed
+    once, on first use; a subclass supplies ``qnum``.
+
+    delta = [2], s1 = [w1]/[w1+1], s2 = [w2]/[w2+1];
+    b_even =  [(w1+w2+1+th)/2][(w1+w2+1-th)/2] / ([w1+1][w2+1]);
+    b_odd  = -[(w1-w2+th)/2][(w1-w2-th)/2]     / ([w1+1][w2+1]).
+    """
+
+    def qnum_nonzero(self, x: HalfExponent):
+        value = self.qnum(x)
+        if not value:
+            raise SingularArgumentError(f"[{x}] vanishes at this point")
+        return value
+
+    @cached_property
+    def delta(self):
+        return self.qnum(HalfExponent.integer(2))
+
+    @cached_property
+    def s1(self):
+        return self.qnum(OMEGA1) / self.qnum_nonzero(OMEGA1 + ONE)
+
+    @cached_property
+    def s2(self):
+        return self.qnum(OMEGA2) / self.qnum_nonzero(OMEGA2 + ONE)
+
+    def _b(self, sign: int, x: HalfExponent, y: HalfExponent):
+        """sign * [x/2][y/2] / ([w1+1][w2+1])."""
+        top = self.qnum(x.halved()) * self.qnum(y.halved())
+        den = self.qnum_nonzero(OMEGA1 + ONE) * self.qnum_nonzero(OMEGA2 + ONE)
+        return (top if sign > 0 else -top) / den
+
+    @cached_property
+    def b_even(self):
+        return self._b(1, OMEGA1 + OMEGA2 + ONE + THETA,
+                       OMEGA1 + OMEGA2 + ONE - THETA)
+
+    @cached_property
+    def b_odd(self):
+        return self._b(-1, OMEGA1 - OMEGA2 + THETA, OMEGA1 - OMEGA2 - THETA)
+
+    def b_for(self, n_sites: int):
+        return self.b_even if n_sites % 2 == 0 else self.b_odd
+
+
 @dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(LoopWeights):
     """Exact rational values of q^(1/2), q^(w1/2), q^(w2/2), q^(th/2).
 
     ``theta_mode`` records how much genericity was certified:
@@ -175,6 +222,8 @@ class ParamPoint:
       one integer relation (the vanishing q-number that defines the point).
     * ``explicit``     -- (s, a, v) independent, t supplied by the caller;
       any relations it satisfies are recorded in ``kernel``.
+
+    ``kernel`` is set by the constructor alone, from the values.
     """
 
     s: object
@@ -183,7 +232,7 @@ class ParamPoint:
     t: object
     genericity_bound: int = 40
     theta_mode: str = "generic"
-    kernel: tuple[tuple[int, ...], ...] = ()
+    kernel: tuple[tuple[int, ...], ...] = field(default=(), init=False)
 
     def __post_init__(self):
         for name in ("s", "a", "v", "t"):
@@ -215,12 +264,6 @@ class ParamPoint:
         if not denom:
             raise SingularArgumentError("q - q^-1 vanishes (s^4 = 1)")
         return (self.q_power(x) - self.q_power(-x)) / denom
-
-    def qnum_nonzero(self, x: HalfExponent):
-        value = self.qnum(x)
-        if not value:
-            raise SingularArgumentError(f"[{x}] vanishes at this point")
-        return value
 
     @property
     def zero(self):
@@ -305,49 +348,9 @@ def make_param_point(seed: int, genericity_bound: int = 40) -> ParamPoint:
     raise GenericityError(f"no generic point found after {MAX_DRAWS} draws")
 
 
-# ---------------------------------------------------------------------------
-# derived loop parameters
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Loop weights and the horizontal-line weights for both chain parities.
-
-    delta = [2], s1 = [w1]/[w1+1], s2 = [w2]/[w2+1];
-    b_even =  [(w1+w2+1+th)/2][(w1+w2+1-th)/2] / ([w1+1][w2+1]);
-    b_odd  = -[(w1-w2+th)/2][(w1-w2-th)/2]     / ([w1+1][w2+1]).
-    """
-
-    point: object
-    delta: object
-    s1: object
-    s2: object
-    b_even: object
-    b_odd: object
-
-    def b_for(self, n_sites: int):
-        return self.b_even if n_sites % 2 == 0 else self.b_odd
-
-
-def derive_params(point) -> DerivedParams:
-    den1 = point.qnum(OMEGA1 + ONE)
-    den2 = point.qnum(OMEGA2 + ONE)
-    if not den1 or not den2:
-        raise SingularArgumentError("[w1+1] or [w2+1] vanishes at this point")
-    delta = point.qnum(HalfExponent.integer(2))
-    s1 = point.qnum(OMEGA1) / den1
-    s2 = point.qnum(OMEGA2) / den2
-    half = lambda x: x.halved()
-    b_even = (point.qnum(half(OMEGA1 + OMEGA2 + ONE + THETA))
-              * point.qnum(half(OMEGA1 + OMEGA2 + ONE - THETA))) / (den1 * den2)
-    b_odd = -(point.qnum(half(OMEGA1 - OMEGA2 + THETA))
-              * point.qnum(half(OMEGA1 - OMEGA2 - THETA))) / (den1 * den2)
-    return DerivedParams(point, delta, s1, s2, b_even, b_odd)
-
-
 __all__ = [
-    "BACKEND", "DerivedParams", "GenericityError", "HalfExponent", "ONE",
+    "BACKEND", "GenericityError", "HalfExponent", "LoopWeights", "ONE",
     "OMEGA1", "OMEGA2", "ParamPoint", "SingularArgumentError", "THETA",
-    "ZERO_EXP", "coprime_basis", "derive_params", "draw_rationals",
-    "make_param_point", "multiplicative_kernel",
+    "ZERO_EXP", "coprime_basis", "draw_rationals", "make_param_point",
+    "multiplicative_kernel",
 ]

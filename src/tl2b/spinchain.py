@@ -21,19 +21,18 @@ from ._ratback import RAT
 from .hecke import centre_offset, lift_family, murphy
 from .linalg import Matrix, commutator, nonsingular_certificate
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
-from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, build_b1
+from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, apply_idempotent, build_b1
 from .wordrep import ModuleSpec, check_relations
 
 
 class SpinRep(ModuleRep):
     """The spin chain as a module: site-local e_i kernels on 2^N states."""
 
-    def __init__(self, n_sites: int, params):
+    def __init__(self, n_sites: int, point):
         self.n_sites = n_sites
-        self.params = params
-        self.point = params.point
+        self.point = point
         self.dim = 1 << n_sites
-        qp = self.point.q_power
+        qp = point.q_power
         d1 = qp(ONE + OMEGA1) - qp(-(ONE + OMEGA1))
         d2 = qp(ONE + OMEGA2) - qp(-(ONE + OMEGA2))
         if not d1 or not d2:
@@ -121,7 +120,7 @@ def spin_vector_to_json(vec: list, n_sites: int) -> dict:
 def spin_relation_audit(rep: SpinRep) -> list[dict]:
     """All defining relations, as operator identities on the spin chain."""
     return check_relations([rep.e_matrix(i) for i in range(rep.n_sites + 1)],
-                           rep.params, "spin.")
+                           rep.point, "spin.")
 
 
 def twist_symmetry_audit(rep: SpinRep) -> list[dict]:
@@ -140,18 +139,6 @@ def twist_symmetry_audit(rep: SpinRep) -> list[dict]:
     return out
 
 
-def _apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
-    """E_level vec, from E_0 = 1 and E_i = s1^((-1)^i) E_{i-1} e_{i-1} E_{i-1},
-    by 2^level - 1 generator applications and no matrix."""
-    if level == 0:
-        return vec
-    s1 = rep.params.s1
-    inner = _apply_idempotent(rep, level - 1, vec)
-    out = _apply_idempotent(rep, level - 1, rep.apply_e(level - 1, inner))
-    c = s1 if level % 2 == 0 else 1 / s1
-    return [c * x for x in out]
-
-
 def ebar_identities(rep: SpinRep) -> list[dict]:
     """E_i ebar = ebar, the left eigenvalue, and the boundary identities,
     each evaluated on the vector ebar."""
@@ -160,10 +147,10 @@ def ebar_identities(rep: SpinRep) -> list[dict]:
     out = []
     for level in range(n_sites + 1):
         out.append(audit(f"spin.ebar.fix.E{level}",
-                         _apply_idempotent(rep, level, vec) == vec))
+                         apply_idempotent(rep, level, vec) == vec))
     image = rep.apply_e(0, vec)
     out.append(audit("spin.ebar.e0",
-                     all(x == rep.params.s1 * y for x, y in zip(image, vec))))
+                     all(x == rep.point.s1 * y for x, y in zip(image, vec))))
     # the boundary identities of pathbasis.idempotent_identities
     u = _LEVEL_ARGUMENTS[(n_sites + 1) % 2][0]
     v = _LEVEL_ARGUMENTS[n_sites % 2][0]
@@ -191,7 +178,7 @@ def equivalence_audit(rep: SpinRep) -> list[dict]:
     """
     out = ebar_identities(rep)
     spin_gens = [rep.e_matrix(i) for i in range(rep.n_sites + 1)]
-    basis_d = build_b1(ModuleRep(ModuleSpec.big(rep.n_sites, rep.params)))
+    basis_d = build_b1(ModuleRep(ModuleSpec.big(rep.n_sites, rep.point)))
     basis_s = build_b1(rep)
     cob = basis_s.change_of_basis
     if nonsingular_certificate(cob) is None:

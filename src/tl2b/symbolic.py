@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ONE, HalfExponent, SingularArgumentError
+from .scalars import ONE, HalfExponent, LoopWeights, SingularArgumentError
 
 Mono = tuple[int, int, int, int]
 
@@ -331,7 +331,7 @@ def _times(poly: LaurentPoly, factors: dict[tuple, int]) -> LaurentPoly:
     return poly
 
 
-class SymbolicPoint:
+class SymbolicPoint(LoopWeights):
     """Drop-in point whose scalars are LaurentFrac certificates."""
 
     def q_power(self, x: HalfExponent) -> LaurentFrac:
@@ -344,12 +344,6 @@ class SymbolicPoint:
         den = (LaurentPoly.monomial(ONE.entries())
                - LaurentPoly.monomial((-ONE).entries()))
         return LaurentFrac.from_quotient(num, den)
-
-    def qnum_nonzero(self, x: HalfExponent) -> LaurentFrac:
-        value = self.qnum(x)
-        if not value:
-            raise SingularArgumentError(f"[{x}] is identically zero")
-        return value
 
     @property
     def zero(self) -> LaurentFrac:

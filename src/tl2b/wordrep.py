@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .audit import audit
-from .diagrams import (FullDiagram, HalfDiagram, act_on_half, compose,
-                       generator_diagram)
+from .diagrams import (FullDiagram, HalfDiagram, InvalidDiagramError,
+                       act_on_half, compose, generator_diagram)
 from .linalg import Matrix
-from .scalars import DerivedParams
 
 
 def ballot(m: int, n: int) -> int:
@@ -42,11 +42,11 @@ def irrep_dim(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """A concrete module: chain length, kind, and its scalar context."""
+    """A concrete module: chain length, kind, and its parameter point."""
 
     n_sites: int
     kind: str  # "lines" or "big"
-    params: DerivedParams
+    point: object
     n: int = 0
     eps1: int = 1
     eps2: int = 1
@@ -54,7 +54,7 @@ class ModuleSpec:
 
     @staticmethod
     def through_lines(n_sites: int, n: int, eps1: int, eps2: int,
-                      params: DerivedParams) -> ModuleSpec:
+                      point) -> ModuleSpec:
         if eps1 not in (1, -1) or eps2 not in (1, -1):
             raise ValueError("parities must be +1 or -1")
         n_through = n + (eps1 + eps2) // 2
@@ -62,17 +62,17 @@ class ModuleSpec:
             raise ValueError(f"invalid through-line count {n_through}")
         if (n_sites - 1 - n) % 2:
             raise ValueError(f"n={n} has the wrong parity for N={n_sites}")
-        return ModuleSpec(n_sites, "lines", params, n, eps1, eps2)
+        return ModuleSpec(n_sites, "lines", point, n, eps1, eps2)
 
     @staticmethod
-    def big(n_sites: int, params: DerivedParams) -> ModuleSpec:
-        return ModuleSpec(n_sites, "big", params, b=params.b_for(n_sites))
+    def big(n_sites: int, point) -> ModuleSpec:
+        return ModuleSpec(n_sites, "big", point, b=point.b_for(n_sites))
 
     def weigh(self, weight: tuple[int, int, int], pairs: int):
         """delta^i s1^j s2^k b^pairs for ``weight`` = (i, j, k): the one place
         where a diagram product's or pairing's exponents become a scalar."""
-        p = self.params
-        out = p.point.one
+        p = self.point
+        out = p.one
         for base, k in zip((p.delta, p.s1, p.s2, self.b), (*weight, pairs)):
             if k:
                 out *= base ** k
@@ -95,41 +95,31 @@ class ModuleSpec:
 
 
 @lru_cache(maxsize=None)
-def _basis_patterns(n_sites: int, kind: str, n_through: int,
-                    eps1: int, eps2: int) -> tuple[str, ...]:
-    if kind == "big":
-        pats = []
-        for mask in range(1 << n_sites):
-            pats.append("".join("(" if (mask >> (n_sites - 1 - i)) & 1 else ")"
-                                for i in range(n_sites)))
-        return tuple(sorted(pats, key=lambda p: HalfDiagram(p).sort_index))
-    from .diagrams import InvalidDiagramError
+def _basis_patterns(n_sites: int, n_through: int,
+                    parities: tuple[int, int] | None) -> tuple[str, ...]:
+    """The drawable patterns with ``n_through`` through lines and, unless
+    ``parities`` is None, wall parities (eps1, eps2), in basis order.
 
+    The 2^N module is every pattern without through lines."""
     pats = []
-
-    def grow(prefix: str) -> None:
-        if len(prefix) == n_sites:
-            try:
-                h = HalfDiagram(prefix)
-            except InvalidDiagramError:
-                return
-            if (h.n_through == n_through and h.eps1 == eps1
-                    and h.eps2 == eps2):
-                pats.append(prefix)
-            return
-        for ch in ")(|":
-            grow(prefix + ch)
-
-    grow("")
-    return tuple(sorted(pats, key=lambda p: HalfDiagram(p).sort_index))
+    for chars in product(")(|", repeat=n_sites):  # basis order
+        pattern = "".join(chars)
+        if pattern.count("|") != n_through:
+            continue
+        try:
+            h = HalfDiagram(pattern)
+        except InvalidDiagramError:
+            continue
+        if parities is None or (h.eps1, h.eps2) == parities:
+            pats.append(pattern)
+    return tuple(pats)
 
 
 def _patterns(spec: ModuleSpec) -> tuple[str, ...]:
     if spec.kind == "big":
-        return _basis_patterns(spec.n_sites, "big", 0, 1, 1)
-    n_through = spec.n + (spec.eps1 + spec.eps2) // 2
-    return _basis_patterns(spec.n_sites, "lines", n_through,
-                           spec.eps1, spec.eps2)
+        return _basis_patterns(spec.n_sites, 0, None)
+    return _basis_patterns(spec.n_sites, spec.n + (spec.eps1 + spec.eps2) // 2,
+                           (spec.eps1, spec.eps2))
 
 
 def enumerate_basis(spec: ModuleSpec) -> list[HalfDiagram]:
@@ -189,14 +179,14 @@ def _pairing(x: HalfDiagram, y: HalfDiagram, big: bool):
 def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
     """Pairing of two half-diagrams by closing the top of x onto y."""
     key = _pairing(x, y, spec.kind == "big")
-    return spec.params.point.zero if key is None else spec.weigh(*key)
+    return spec.point.zero if key is None else spec.weigh(*key)
 
 
 def gram_matrix(spec: ModuleSpec) -> Matrix:
     """The matrix of ``bilinear`` on the basis; each distinct pairing is
     weighed once."""
     basis, big = spec.basis, spec.kind == "big"
-    values = {None: spec.params.point.zero}
+    values = {None: spec.point.zero}
     rows = []
     for x in basis:
         keys = [_pairing(x, y, big) for y in basis]
@@ -248,16 +238,15 @@ def word_product(family, word) -> Matrix:
     return out
 
 
-def check_relations(family, params, prefix: str = "") -> list[dict]:
-    """One record per defining relation lhs = c * rhs, checked exactly.
+def check_relations(family, point, prefix: str = "") -> list[dict]:
+    """One record per defining relation lhs = c * rhs, checked exactly;
+    c is the point's attribute named in ``_defining_relations``.
 
     ``family[i]`` is the Matrix of e_i, i = 0 .. N, in the representation
     under audit (a sequence, or a dict keyed 0 .. N).
     """
-    named = {"one": params.point.one, "delta": params.delta,
-             "s1": params.s1, "s2": params.s2}
     return [audit(prefix + ident, word_product(family, lhs)
-                  - word_product(family, rhs).scale(named[cname]))
+                  - word_product(family, rhs).scale(getattr(point, cname)))
             for ident, lhs, (cname, rhs)
             in _defining_relations(len(family) - 1)]
 
@@ -269,7 +258,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
     I2*I1*I2 = b*I2 are audited as well.
     """
     gens = spec.generators
-    records = check_relations(gens, spec.params)
+    records = check_relations(gens, spec.point)
     if spec.kind == "big":
         w1, w2 = idempotent_words(spec.n_sites)
         i1, i2 = word_product(gens, w1), word_product(gens, w2)

@@ -4,7 +4,7 @@ import pytest
 
 from tl2b.diagrams import act_on_half
 from tl2b.linalg import Matrix
-from tl2b.scalars import derive_params, make_param_point
+from tl2b.scalars import make_param_point
 
 SEEDS = (1, 2, 3)
 
@@ -12,11 +12,6 @@ SEEDS = (1, 2, 3)
 @pytest.fixture(scope="session")
 def point():
     return make_param_point(1)
-
-
-@pytest.fixture(scope="session")
-def params(point):
-    return derive_params(point)
 
 
 @pytest.fixture(scope="session", params=SEEDS)

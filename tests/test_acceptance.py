@@ -14,7 +14,7 @@ import pytest
 
 from tl2b._ratback import RAT
 from tl2b.linalg import exact_det
-from tl2b.scalars import ParamPoint, derive_params, make_param_point
+from tl2b.scalars import ParamPoint, make_param_point
 from tl2b import hecke, irreps, pathbasis, spinchain, wordrep
 
 SEEDS = (1, 2, 3)
@@ -30,10 +30,9 @@ def test_criterion_1_small_gram_determinant():
     ok = True
     for seed in SEEDS:
         point = make_param_point(seed)
-        params = derive_params(point)
-        spec = wordrep.ModuleSpec.big(2, params)
+        spec = wordrep.ModuleSpec.big(2, point)
         det = exact_det(wordrep.gram_matrix(spec))
-        b, d, s1, s2 = spec.b, params.delta, params.s1, params.s2
+        b, d, s1, s2 = spec.b, point.delta, point.s1, point.s2
         ok = ok and det == b * (b - s1) * (b - s2) * (b - s1 - s2 + d * s1 * s2)
     elapsed = time.time() - start
     ok = ok and elapsed < 1.0
@@ -48,14 +47,13 @@ def test_criterion_2_closed_form_determinant():
         exponent = pathbasis.gram_normalization_exponent(n)
         for seed in SEEDS:
             point = make_param_point(seed)
-            params = derive_params(point)
-            spec = wordrep.ModuleSpec.big(n, params)
+            spec = wordrep.ModuleSpec.big(n, point)
             brute = exact_det(wordrep.gram_matrix(spec))
             closed = pathbasis.gram_closed_form(n, point)
             # the product formula (prefactor included) in its own basis
             # normalisation, tied to the half-diagram determinant by the
             # exact boundary-tile factor
-            ok = ok and brute == closed * params.s1 ** exponent
+            ok = ok and brute == closed * point.s1 ** exponent
             # and the formula against the independent tile recursion
             basis = pathbasis.build_b1(pathbasis.ModuleRep(spec))
             diag = pathbasis.gram_diag_b1(basis)
@@ -70,7 +68,7 @@ def test_criterion_2_closed_form_determinant():
 
 
 def test_criterion_3_dimension_tables():
-    params = derive_params(make_param_point(1))
+    point = make_param_point(1)
     ok = True
     for n in range(2, 11):
         start = 1 if n % 2 == 0 else 0
@@ -80,26 +78,26 @@ def test_criterion_3_dimension_tables():
                     if not 1 <= nn + (e1 + e2) // 2 <= n:
                         continue
                     spec = wordrep.ModuleSpec.through_lines(n, nn, e1, e2,
-                                                            params)
+                                                            point)
                     ok = ok and (len(wordrep.enumerate_basis(spec))
                                  == wordrep.irrep_dim(n, nn))
         ok = ok and len(wordrep.enumerate_basis(
-            wordrep.ModuleSpec.big(n, params))) == 1 << n
+            wordrep.ModuleSpec.big(n, point))) == 1 << n
     dims3 = sorted([len(wordrep.enumerate_basis(
-        wordrep.ModuleSpec.through_lines(3, 2, e1, e2, params)))
+        wordrep.ModuleSpec.through_lines(3, 2, e1, e2, point)))
         for e1 in (1, -1) for e2 in (1, -1)])
     dims3 += [len(wordrep.enumerate_basis(
-        wordrep.ModuleSpec.through_lines(3, 0, 1, 1, params)))]
-    dims3 += [len(wordrep.enumerate_basis(wordrep.ModuleSpec.big(3, params)))]
+        wordrep.ModuleSpec.through_lines(3, 0, 1, 1, point)))]
+    dims3 += [len(wordrep.enumerate_basis(wordrep.ModuleSpec.big(3, point)))]
     ok = ok and dims3 == [1, 1, 1, 1, 4, 8]
     _announce(3, ok, "module dimensions equal ballot sums for N <= 10")
 
 
 def test_criterion_4_murphy_diagonalisation():
-    params = derive_params(make_param_point(1))
+    point = make_param_point(1)
     ok = True
     for n in range(2, 9):
-        rep = pathbasis.ModuleRep(wordrep.ModuleSpec.big(n, params))
+        rep = pathbasis.ModuleRep(wordrep.ModuleSpec.big(n, point))
         basis = pathbasis.build_b1(rep)
         records = pathbasis.murphy_audit_b1(basis)
         ok = ok and all(r["status"] == "pass" for r in records)
@@ -110,9 +108,9 @@ def test_criterion_4_murphy_diagonalisation():
 def test_criterion_5_central_element():
     ok = True
     for seed in SEEDS[:1]:
-        params = derive_params(make_param_point(seed))
+        point = make_param_point(seed)
         for n in range(2, 7):
-            spec = wordrep.ModuleSpec.big(n, params)
+            spec = wordrep.ModuleSpec.big(n, point)
             records = hecke.centre_audit(
                 spec, hecke.murphy("C", hecke.lift_to_hecke(spec)))
             ok = ok and all(r["status"] == "pass" for r in records)
@@ -121,9 +119,8 @@ def test_criterion_5_central_element():
         for spec_tuple in pathbasis.exceptional_points(n)[:4]:
             espec = irreps.ExceptionalSpec(n, *spec_tuple)
             point = irreps.make_exceptional_point(1, espec)
-            params = derive_params(point)
             basis = pathbasis.build_b1(
-                pathbasis.ModuleRep(wordrep.ModuleSpec.big(n, params)))
+                pathbasis.ModuleRep(wordrep.ModuleSpec.big(n, point)))
             pair = irreps.detect_invariant(basis, espec)
             for family in (pair.sub, pair.quo):
                 ok = ok and irreps.central_character(
@@ -133,11 +130,11 @@ def test_criterion_5_central_element():
 
 
 def test_criterion_6_quotient_evaluations():
-    params = derive_params(make_param_point(1))
+    point = make_param_point(1)
     ok = True
     total = 0
     for n in range(2, 7):
-        spec = wordrep.ModuleSpec.big(n, params)
+        spec = wordrep.ModuleSpec.big(n, point)
         records = hecke.iji_audit(
             spec, hecke.murphy("C", hecke.lift_to_hecke(spec)))
         total += len(records)
@@ -149,10 +146,9 @@ def test_criterion_6_quotient_evaluations():
 
 def test_criterion_7_spin_chain_equivalence():
     point = make_param_point(1)
-    params = derive_params(point)
     ok = True
     for n in range(2, 7):
-        records = spinchain.equivalence_audit(spinchain.SpinRep(n, params))
+        records = spinchain.equivalence_audit(spinchain.SpinRep(n, point))
         ok = ok and all(r["status"] == "pass" for r in records)
     _announce(7, ok, "path coordinates agree entry-by-entry on both models "
               "and the boundary identities hold on the product vector, "
@@ -166,8 +162,7 @@ def test_criterion_8_exceptional_points():
         for spec_tuple in pathbasis.exceptional_points(n):
             espec = irreps.ExceptionalSpec(n, *spec_tuple)
             point = irreps.make_exceptional_point(1, espec)
-            params = derive_params(point)
-            spec = wordrep.ModuleSpec.big(n, params)
+            spec = wordrep.ModuleSpec.big(n, point)
             ok = ok and exact_det(wordrep.gram_matrix(spec)) == 0
             basis = pathbasis.build_b1(pathbasis.ModuleRep(spec))
             pair = irreps.detect_invariant(basis, espec)
@@ -195,8 +190,7 @@ def test_criterion_8_exceptional_points():
                                    theta_mode="explicit")
             except Exception:
                 continue
-            params = derive_params(point)
-            det = exact_det(wordrep.gram_matrix(wordrep.ModuleSpec.big(n, params)))
+            det = exact_det(wordrep.gram_matrix(wordrep.ModuleSpec.big(n, point)))
             ok = ok and det != 0
             controls += 1
     _announce(8, ok, "determinant vanishes at every critical twist and at "
@@ -206,9 +200,9 @@ def test_criterion_8_exceptional_points():
 def test_criterion_9_relation_and_spectral_suite():
     ok = True
     for seed in SEEDS:
-        params = derive_params(make_param_point(seed))
+        point = make_param_point(seed)
         for n in range(2, 7):
-            spec = wordrep.ModuleSpec.big(n, params)
+            spec = wordrep.ModuleSpec.big(n, point)
             records = wordrep.relation_audit(spec)
             records += pathbasis.ybe_audit(pathbasis.ModuleRep(spec))
             ok = ok and all(r["status"] == "pass" for r in records)
@@ -231,10 +225,9 @@ def test_criterion_10_identification_evidence():
 @pytest.mark.slow
 def test_criterion_2_slow_extension_n8():
     point = make_param_point(1)
-    params = derive_params(point)
-    spec = wordrep.ModuleSpec.big(8, params)
+    spec = wordrep.ModuleSpec.big(8, point)
     brute = exact_det(wordrep.gram_matrix(spec))
-    closed = pathbasis.gram_closed_form_halfdiagram(8, point, params.s1)
+    closed = pathbasis.gram_closed_form_halfdiagram(8, point)
     assert brute == closed
     print("[criterion  2+] PASS: 256x256 determinant matches the closed form")
 
@@ -242,16 +235,16 @@ def test_criterion_2_slow_extension_n8():
 @pytest.mark.slow
 @pytest.mark.parametrize("n", (7, 8))
 def test_relations_slow_extension(n):
-    params = derive_params(make_param_point(1))
-    records = wordrep.relation_audit(wordrep.ModuleSpec.big(n, params))
+    point = make_param_point(1)
+    records = wordrep.relation_audit(wordrep.ModuleSpec.big(n, point))
     assert all(r["status"] == "pass" for r in records)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", (7, 8))
 def test_gram_diagonal_in_path_basis_slow(n):
-    params = derive_params(make_param_point(1))
-    spec = wordrep.ModuleSpec.big(n, params)
+    point = make_param_point(1)
+    spec = wordrep.ModuleSpec.big(n, point)
     basis = pathbasis.build_b1(pathbasis.ModuleRep(spec))
     gram = wordrep.gram_matrix(spec)
     transported = basis.change_of_basis.transpose() @ gram @ basis.change_of_basis

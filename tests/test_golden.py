@@ -4,12 +4,18 @@ The files under ``tests/golden`` were written by the CLI with the default
 seed and the ``Fraction`` backend.  A refactor must reproduce them exactly;
 regenerate them (``python tests/test_golden.py``) only when a change is
 meant to alter a report, and say which reports changed and why.
+
+Larger reports (N = 6 and 7) are checked against the SHA-256 digests that
+the benchmark stores in ``perfbench/digests.json``; this file only reads
+them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import pathlib
 import sys
 
@@ -19,6 +25,7 @@ from tl2b._ratback import BACKEND
 from tl2b.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+DIGESTS = pathlib.Path(__file__).parent.parent / "perfbench" / "digests.json"
 
 CASES = [
     *([cmd, "--n", str(n)]
@@ -60,6 +67,27 @@ def report(argv: list[str]) -> bytes:
 @pytest.mark.parametrize("argv", CASES, ids=golden_name)
 def test_report_matches_golden(argv):
     assert report(argv) == (GOLDEN / golden_name(argv)).read_bytes()
+
+
+#: benchmark invocations whose stored digest is checked, at point seed 4
+DIGEST_SEED = 4
+DIGEST_CASES = [
+    ["gram", "--n", "6"],
+    *(["gram", "--n", "6", f"--theta={twist}"]
+      for twist in ("+,1,-,+", "+,3,-,+", "+,5,-,+")),
+    ["irreps", "--n", "4"],
+    ["modules", "--n", "7"],
+]
+
+
+@pytest.mark.skipif(BACKEND != "fraction",
+                    reason="the checked digests record the Fraction backend")
+@pytest.mark.parametrize("argv", DIGEST_CASES, ids=" ".join)
+def test_report_matches_stored_digest(argv):
+    stored = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    expected = stored["fraction"][str(DIGEST_SEED)][" ".join(argv)]
+    digest = hashlib.sha256(report([*argv, "--seed", str(DIGEST_SEED)]))
+    assert digest.hexdigest() == expected
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from tl2b.wordrep import ModuleSpec
 
 
 @pytest.fixture(scope="module", params=(2, 3, 4))
-def gens(request, params):
-    return lift_to_hecke(ModuleSpec.big(request.param, params))
+def gens(request, point):
+    return lift_to_hecke(ModuleSpec.big(request.param, point))
 
 
 def test_hecke_relations(gens):
@@ -37,29 +37,29 @@ def affine(spec):
     return murphy("C", lift_to_hecke(spec))
 
 
-def test_centre(params):
+def test_centre(point):
     for n in (2, 3, 4):
-        spec = ModuleSpec.big(n, params)
+        spec = ModuleSpec.big(n, point)
         assert_all_pass(centre_audit(spec, affine(spec)))
 
 
-def test_centre_on_lines_module(params, point):
+def test_centre_on_lines_module(point):
     # the centre is scalar there too, with the twist-free character
-    spec = ModuleSpec.through_lines(3, 0, 1, 1, params)
+    spec = ModuleSpec.through_lines(3, 0, 1, 1, point)
     fam = affine(spec)
     assert_all_pass(centre_audit(spec, fam))
     z = central_element(fam)
     assert z.scalar_multiple_of_identity() is not None
 
 
-def test_iji_audit(params):
+def test_iji_audit(point):
     for n in (2, 3, 4, 5):
-        spec = ModuleSpec.big(n, params)
+        spec = ModuleSpec.big(n, point)
         assert_all_pass(iji_audit(spec, affine(spec)))
 
 
-def test_central_scalar_value(params, point):
-    spec = ModuleSpec.big(3, params)
+def test_central_scalar_value(point):
+    spec = ModuleSpec.big(3, point)
     z = central_element(murphy("C", lift_to_hecke(spec)))
     lam = central_scalar(point, 3, THETA)
     assert z.scalar_multiple_of_identity() == lam
@@ -68,9 +68,9 @@ def test_central_scalar_value(params, point):
                    * point.qnum(THETA.scale(2)) / point.qnum(THETA))
 
 
-def test_symmetric_functions_of_type_b_murphys_are_central(params):
+def test_symmetric_functions_of_type_b_murphys_are_central(point):
     for n in (2, 3, 4):
-        spec = ModuleSpec.big(n, params)
+        spec = ModuleSpec.big(n, point)
         gens = lift_to_hecke(spec)
         js = murphy("B", gens).j
         dim = js[0].nrows
@@ -88,12 +88,12 @@ def test_symmetric_functions_of_type_b_murphys_are_central(params):
                 assert commutator(mat, gens.g[i]).is_zero()
 
 
-def test_murphy_on_nested_idempotents(params, point):
+def test_murphy_on_nested_idempotents(point):
     # eigen-relations of the single-boundary family on the nested vectors
     from tl2b.pathbasis import idempotent_matrix
 
     n = 4
-    spec = ModuleSpec.big(n, params)
+    spec = ModuleSpec.big(n, point)
     rep = ModuleRep(spec)
     gens = lift_to_hecke(spec)
     js = murphy("B", gens).j

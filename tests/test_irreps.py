@@ -5,7 +5,6 @@ import pytest
 from conftest import assert_all_pass
 from tl2b._ratback import RAT
 from tl2b.linalg import Matrix, exact_det
-from tl2b.scalars import derive_params
 from tl2b.pathbasis import ModuleRep, build_b1, exceptional_points
 from tl2b.irreps import (ExceptionalSpec, central_character, conjecture_cases,
                          conjecture_check, detect_invariant,
@@ -50,20 +49,18 @@ def test_exceptional_point_is_distinct_from_every_other_twist():
                         assert tau ** 2 != q_theta
 
 
-def test_determinant_vanishes_at_every_exceptional_twist(params):
+def test_determinant_vanishes_at_every_exceptional_twist(point):
     for n in (2, 3, 4):
         for (sign, m, e1, e2) in exceptional_points(n):
             espec = ExceptionalSpec(n, sign, m, e1, e2)
             point = make_exceptional_point(1, espec)
-            pr = derive_params(point)
-            assert exact_det(gram_matrix(ModuleSpec.big(n, pr))) == 0
+            assert exact_det(gram_matrix(ModuleSpec.big(n, point))) == 0
 
 
 def test_generic_controls_do_not_vanish(points):
     for point in points:
-        pr = derive_params(point)
         for n in (2, 3, 4):
-            assert exact_det(gram_matrix(ModuleSpec.big(n, pr)))
+            assert exact_det(gram_matrix(ModuleSpec.big(n, point)))
 
 
 def test_block_structure_and_characters():
@@ -71,14 +68,13 @@ def test_block_structure_and_characters():
         for (sign, m, e1, e2) in exceptional_points(n)[:6]:
             espec = ExceptionalSpec(n, sign, m, e1, e2)
             point = make_exceptional_point(2, espec)
-            pr = derive_params(point)
-            basis = build_b1(ModuleRep(ModuleSpec.big(n, pr)))
+            basis = build_b1(ModuleRep(ModuleSpec.big(n, point)))
             pair = detect_invariant(basis, espec)
             d_sub, d_quo = pair.dims
             assert d_sub == irrep_dim(n, m)
             assert d_sub + d_quo == 1 << n
-            assert_all_pass(family_relation_audit(pair.sub, pr))
-            assert_all_pass(family_relation_audit(pair.quo, pr))
+            assert_all_pass(family_relation_audit(pair.sub, point))
+            assert_all_pass(family_relation_audit(pair.quo, point))
             x = espec.theta_exponent()
             assert central_character(pair.sub, point, x).is_zero()
             assert central_character(pair.quo, point, x).is_zero()
@@ -92,14 +88,13 @@ def test_boundary_block_degeneration():
 
     espec = ExceptionalSpec(4, 1, 1, 1, 1)
     point = make_exceptional_point(1, espec)
-    pr = derive_params(point)
     u = OMEGA1 + HalfExponent.integer(-1)
     assert not k_coeff(-u, point)
-    assert k_coeff(u, point) == pr.s2
+    assert k_coeff(u, point) == point.s2
 
 
-def test_detect_invariant_rejects_generic_point(params):
-    basis = build_b1(ModuleRep(ModuleSpec.big(3, params)))
+def test_detect_invariant_rejects_generic_point(point):
+    basis = build_b1(ModuleRep(ModuleSpec.big(3, point)))
     espec = ExceptionalSpec(3, 1, 0, 1, 1)
     with pytest.raises(ArithmeticError):
         detect_invariant(basis, espec)
@@ -118,19 +113,19 @@ def _direct_sum(spec_a, spec_b) -> dict:
     return fam
 
 
-def test_central_character_reports_nonscalar(params):
+def test_central_character_reports_nonscalar(point):
     # a direct sum of modules with different central scalars is detected:
     # each sum acts by the twist's scalar on its first block, so the offset
     # is nonzero first on the diagonal of the second, not at Z_N's first
     # nonzero entry
     for n, m_a, m_b, where in ((3, 2, 0, (1, 1)), (4, 1, 3, (5, 5))):
         x = ExceptionalSpec(n, 1, m_a, 1, 1).theta_exponent()
-        spec_a = ModuleSpec.through_lines(n, m_a, 1, 1, params)
-        assert central_character(spec_a.generators, params.point,
+        spec_a = ModuleSpec.through_lines(n, m_a, 1, 1, point)
+        assert central_character(spec_a.generators, point,
                                  x).is_zero()
         fam = _direct_sum(spec_a,
-                          ModuleSpec.through_lines(n, m_b, 1, 1, params))
-        assert central_character(fam, params.point,
+                          ModuleSpec.through_lines(n, m_b, 1, 1, point))
+        assert central_character(fam, point,
                                  x).first_nonzero() == where
 
 
@@ -140,32 +135,31 @@ def test_explicit_n2_example():
     # block acts by (0, 0, s2)
     espec = ExceptionalSpec(2, 1, 1, 1, -1)
     point = make_exceptional_point(1, espec)
-    pr = derive_params(point)
-    assert pr.b_for(2) == pr.s1
-    spec = ModuleSpec.big(2, pr)
+    assert point.b_for(2) == point.s1
+    spec = ModuleSpec.big(2, point)
     basis = build_b1(ModuleRep(spec))
     pair = detect_invariant(basis, espec)
     assert pair.dims == (1, 3)
     assert pair.sub[0].rows == [[0]]
     assert pair.sub[1].rows == [[0]]
-    assert pair.sub[2].rows == [[pr.s2]]
+    assert pair.sub[2].rows == [[point.s2]]
     [top_path] = pair.sub_paths
     vec = basis.vectors[top_path]
     labels = [h.pattern for h in enumerate_basis(spec)]
     coeff = {lab: x for lab, x in zip(labels, vec)}
     scale = coeff[")("]
     assert scale
-    assert coeff["(("] == -pr.s1 * scale
+    assert coeff["(("] == -point.s1 * scale
     assert not coeff["))"] and not coeff["()"]
     # and the through-line module with one line realises the same action
-    lines = ModuleSpec.through_lines(2, 1, 1, -1, pr)
+    lines = ModuleSpec.through_lines(2, 1, 1, -1, point)
     mats = [generator_matrix(lines, i) for i in range(3)]
     assert mats[0].is_zero() and mats[1].is_zero()
-    assert mats[2].rows == [[pr.s2]]
+    assert mats[2].rows == [[point.s2]]
 
 
-def test_trace_engine_detects_difference(params):
-    fam_a = {i: generator_matrix(ModuleSpec.big(2, params), i)
+def test_trace_engine_detects_difference(point):
+    fam_a = {i: generator_matrix(ModuleSpec.big(2, point), i)
              for i in range(3)}
     fam_b = dict(fam_a)
     fam_b[2] = fam_b[2].scale(RAT(2))
@@ -190,8 +184,8 @@ def test_conjecture_small():
             assert report["dims"]["lines_module"] == irrep_dim(n_sites, n)
 
 
-def test_murphy_spectrum_match_negative(params, point):
-    spec = ModuleSpec.big(2, params)
+def test_murphy_spectrum_match_negative(point):
+    spec = ModuleSpec.big(2, point)
     fam = {i: generator_matrix(spec, i) for i in range(3)}
     from tl2b.pathbasis import path_order
 

@@ -21,8 +21,8 @@ from tl2b.wordrep import ModuleSpec, gram_matrix, irrep_dim
 
 
 @pytest.fixture(scope="module")
-def rep3(params):
-    return ModuleRep(ModuleSpec.big(3, params))
+def rep3(point):
+    return ModuleRep(ModuleSpec.big(3, point))
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def basis3(rep3):
     return build_b1(rep3)
 
 
-def test_r_at_one_is_delta(point, params):
-    assert r_coeff(ONE, point) == params.delta
+def test_r_at_one_is_delta(point):
+    assert r_coeff(ONE, point) == point.delta
 
 
 def test_k_vanishing_at_exceptional_twist():
@@ -83,9 +83,9 @@ def test_order_independence(basis3):
     assert tile_order_independence(basis3)
 
 
-def test_sample_path_tile_word(params):
+def test_sample_path_tile_word(point):
     # a length-six sample path equals its tile word applied to the start
-    rep = ModuleRep(ModuleSpec.big(6, params))
+    rep = ModuleRep(ModuleSpec.big(6, point))
     basis = build_b1(rep)
     fund = basis.vectors[fundamental_path(6)]
     vec = rep.apply_k(-(OMEGA1 + ONE), fund)
@@ -103,7 +103,7 @@ def test_murphy_audit(basis3):
     assert_all_pass(murphy_audit_b1(basis3))
 
 
-def test_murphy_product_example(params, point):
+def test_murphy_product_example(point):
     # length-four path returning to zero: the product of all eigenvalues
     path = (0, 1, 2, 1, 0)
     prod = point.one
@@ -112,23 +112,23 @@ def test_murphy_product_example(params, point):
     assert prod == point.q_power(HalfExponent.integer(-4))
 
 
-def test_ybe_audit(params):
+def test_ybe_audit(point):
     for n in (2, 3, 4):
-        assert_all_pass(ybe_audit(ModuleRep(ModuleSpec.big(n, params))))
+        assert_all_pass(ybe_audit(ModuleRep(ModuleSpec.big(n, point))))
 
 
-def test_idempotent_identities(params):
+def test_idempotent_identities(point):
     for n in (2, 3, 4, 5):
-        assert_all_pass(idempotent_identities(ModuleRep(ModuleSpec.big(n, params))))
+        assert_all_pass(idempotent_identities(ModuleRep(ModuleSpec.big(n, point))))
 
 
-def test_uni_triangular_against_word_filtration(params):
+def test_uni_triangular_against_word_filtration(point):
     # every basis vector equals its bare tile word on the start vector,
     # up to strictly shorter generator words
     from tl2b.irreps import _Span
 
     for n in (2, 3, 4):
-        rep = ModuleRep(ModuleSpec.big(n, params))
+        rep = ModuleRep(ModuleSpec.big(n, point))
         basis = build_b1(rep)
         fund = basis.vectors[fundamental_path(n)]
         span = _Span(rep.dim)
@@ -172,9 +172,9 @@ def _copy_span(span):
     return out
 
 
-def test_gram_diagonal_via_transport(params):
+def test_gram_diagonal_via_transport(point):
     for n in (2, 3, 4, 5):
-        spec = ModuleSpec.big(n, params)
+        spec = ModuleSpec.big(n, point)
         basis = build_b1(ModuleRep(spec))
         g = gram_matrix(spec)
         transported = basis.change_of_basis.transpose() @ g @ basis.change_of_basis
@@ -189,11 +189,8 @@ def test_gram_diagonal_via_transport(params):
 
 def test_closed_form_equals_tile_product(points):
     for point in points:
-        from tl2b.scalars import derive_params
-
-        params = derive_params(point)
         for n in (2, 3, 4, 5):
-            basis = build_b1(ModuleRep(ModuleSpec.big(n, params)))
+            basis = build_b1(ModuleRep(ModuleSpec.big(n, point)))
             diag = gram_diag_b1(basis)
             prod = point.one
             for p in basis.paths:
@@ -202,30 +199,26 @@ def test_closed_form_equals_tile_product(points):
 
 
 def test_brute_force_matches_closed_form_with_normalization(points):
-    from tl2b.scalars import derive_params
-
     for point in points:
-        params = derive_params(point)
         for n in (2, 3, 4):
-            spec = ModuleSpec.big(n, params)
+            spec = ModuleSpec.big(n, point)
             brute = exact_det(gram_matrix(spec))
-            assert brute == gram_closed_form_halfdiagram(n, point, params.s1)
+            assert brute == gram_closed_form_halfdiagram(n, point)
             exponent = gram_normalization_exponent(n)
-            assert brute == gram_closed_form(n, point) * params.s1 ** exponent
+            assert brute == gram_closed_form(n, point) * point.s1 ** exponent
 
 
-def test_determinant_t_dependence_matches_oracle(params, point):
+def test_determinant_t_dependence_matches_oracle(point):
     # the twist-dependent part of the determinant is identical in both
     # normalisations, so ratios at two twists agree with the closed form
     from tl2b._ratback import RAT
-    from tl2b.scalars import ParamPoint, derive_params
+    from tl2b.scalars import ParamPoint
 
     n = 3
     values = []
     for t in (RAT(3, 7), RAT(11, 5)):
         pt = ParamPoint(point.s, point.a, point.v, t, theta_mode="explicit")
-        pr = derive_params(pt)
-        brute = exact_det(gram_matrix(ModuleSpec.big(n, pr)))
+        brute = exact_det(gram_matrix(ModuleSpec.big(n, pt)))
         values.append((brute, gram_closed_form(n, pt)))
     (b1, c1), (b2, c2) = values
     assert b1 * c2 == b2 * c1
@@ -252,9 +245,9 @@ def test_prefactor_exponent_is_boundary_tile_count():
         assert gram_normalization_exponent(n) == 2 * total
 
 
-def test_fixed_height_gram_matches_blocks(params, point):
+def test_fixed_height_gram_matches_blocks(point):
     for n in (3, 4):
-        spec = ModuleSpec.big(n, params)
+        spec = ModuleSpec.big(n, point)
         basis = build_b1(ModuleRep(spec))
         g = gram_matrix(spec)
         transported = basis.change_of_basis.transpose() @ g @ basis.change_of_basis

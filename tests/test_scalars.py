@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tl2b._ratback import RAT
 from tl2b.scalars import (GenericityError, HalfExponent, ONE, OMEGA1, OMEGA2,
-                          ParamPoint, THETA, coprime_basis, derive_params,
+                          ParamPoint, THETA, coprime_basis,
                           make_param_point, multiplicative_kernel)
 
 exponents = st.builds(HalfExponent,
@@ -84,31 +84,39 @@ def test_param_point_json_roundtrip(point):
     assert set(data) == {"s", "a", "v", "t", "bound"}
 
 
-def test_derived_param_values(point, params):
-    assert params.delta == point.qnum(HalfExponent.integer(2))
-    assert params.s1 == point.qnum(OMEGA1) / point.qnum(OMEGA1 + ONE)
-    assert params.s2 == point.qnum(OMEGA2) / point.qnum(OMEGA2 + ONE)
+def test_kernel_is_set_by_the_constructor_alone(point):
+    with pytest.raises(TypeError):
+        ParamPoint(point.s, point.a, point.v, point.t, kernel=((1, 0, 0, 0),))
+    assert point.kernel == ()
+    tied = ParamPoint(point.s, point.a, point.v, point.s * point.a * point.v,
+                      theta_mode="explicit")
+    assert tied.kernel in (((1, 1, 1, -1),), ((-1, -1, -1, 1),))
+
+
+def test_derived_param_values(point):
+    assert point.delta == point.qnum(HalfExponent.integer(2))
+    assert point.s1 == point.qnum(OMEGA1) / point.qnum(OMEGA1 + ONE)
+    assert point.s2 == point.qnum(OMEGA2) / point.qnum(OMEGA2 + ONE)
 
 
 def test_b_even_vanishes_at_tied_theta():
     base = make_param_point(1)
     point = ParamPoint(base.s, base.a, base.v, base.s * base.a * base.v,
                        theta_mode="explicit")
-    assert not derive_params(point).b_even
+    assert not point.b_even
 
 
 def test_b_odd_vanishes_at_tied_theta():
     base = make_param_point(1)
     point = ParamPoint(base.s, base.a, base.v, base.a / base.v,
                        theta_mode="explicit")
-    assert not derive_params(point).b_odd
+    assert not point.b_odd
 
 
 def test_b_even_cross_identity(points):
     # re-evaluate both sides of the defining product independently
     for point in points:
-        params = derive_params(point)
-        lhs = (params.b_even * point.qnum(OMEGA1 + ONE)
+        lhs = (point.b_even * point.qnum(OMEGA1 + ONE)
                * point.qnum(OMEGA2 + ONE))
         rhs = (point.qnum((OMEGA1 + OMEGA2 + ONE + THETA).halved())
                * point.qnum((OMEGA1 + OMEGA2 + ONE - THETA).halved()))

@@ -13,7 +13,8 @@ from tl2b import pathbasis, spinchain
 from tl2b.cli import main
 from tl2b.diagrams import word_to_element
 from tl2b.linalg import Matrix
-from tl2b.pathbasis import ModuleRep, build_b1
+from tl2b.pathbasis import (ModuleRep, apply_idempotent, build_b1,
+                            idempotent_matrix)
 from tl2b.scalars import OMEGA1, OMEGA2, ONE, THETA
 from tl2b.spinchain import (SpinRep, ebar, ebar_identities, equivalence_audit,
                             spin_relation_audit, spin_vector_to_json,
@@ -27,9 +28,9 @@ def _unit(dim, j):
     return out
 
 
-def test_bulk_local_action(point, params):
+def test_bulk_local_action(point):
     # two-site blocks: the projector form, with aligned pairs annihilated
-    rep = SpinRep(2, params)
+    rep = SpinRep(2, point)
     q = point.q_power(ONE)
     up_down = 0b10
     down_up = 0b01
@@ -41,12 +42,12 @@ def test_bulk_local_action(point, params):
     assert not any(rep.apply_e(1, _unit(4, 0b00)))
 
 
-def test_boundary_local_action(point, params):
-    rep = SpinRep(1, params)
+def test_boundary_local_action(point):
+    rep = SpinRep(1, point)
     e0 = rep.e_matrix(0)
-    assert e0.rows[1][1] + e0.rows[0][0] == params.s1  # trace
+    assert e0.rows[1][1] + e0.rows[0][0] == point.s1  # trace
     e1 = rep.e_matrix(1)
-    assert e1.rows[1][1] + e1.rows[0][0] == params.s2
+    assert e1.rows[1][1] + e1.rows[0][0] == point.s2
     # the twist enters only the right boundary off-diagonal entries
     up, down = 1, 0
     d2 = point.q_power(ONE + OMEGA2) - point.q_power(-(ONE + OMEGA2))
@@ -54,23 +55,20 @@ def test_boundary_local_action(point, params):
 
 
 def test_relations(points):
-    from tl2b.scalars import derive_params
-
     for point in points:
-        params = derive_params(point)
         for n in (2, 3, 4, 5):
-            assert_all_pass(spin_relation_audit(SpinRep(n, params)))
+            assert_all_pass(spin_relation_audit(SpinRep(n, point)))
 
 
-def test_twist_symmetry(params):
+def test_twist_symmetry(point):
     for n in (2, 3, 4):
-        assert_all_pass(twist_symmetry_audit(SpinRep(n, params)))
+        assert_all_pass(twist_symmetry_audit(SpinRep(n, point)))
 
 
-def test_dense_equals_local(params):
+def test_dense_equals_local(point):
     rng = random.Random(5)
     for n in (2, 3, 4, 5, 6):
-        rep = SpinRep(n, params)
+        rep = SpinRep(n, point)
         for i in (0, 1, n - 1, n):
             dense = rep.e_matrix(i)
             vec = [RAT(rng.randrange(-9, 10), rng.randrange(1, 7))
@@ -88,15 +86,12 @@ def test_ebar_shape(point):
 
 
 def test_ebar_identities(points):
-    from tl2b.scalars import derive_params
-
     for point in points:
-        params = derive_params(point)
         for n in (2, 3, 4, 5):
-            assert_all_pass(ebar_identities(SpinRep(n, params)))
+            assert_all_pass(ebar_identities(SpinRep(n, point)))
 
 
-def test_ebar_identities_form_no_matrix_product(monkeypatch, point, params):
+def test_ebar_identities_form_no_matrix_product(monkeypatch, point):
     calls = []
     original = Matrix.__matmul__
 
@@ -105,18 +100,29 @@ def test_ebar_identities_form_no_matrix_product(monkeypatch, point, params):
         return original(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
-    assert_all_pass(ebar_identities(SpinRep(4, params)))
+    assert_all_pass(ebar_identities(SpinRep(4, point)))
     assert calls == []
 
 
-def test_spin_generators_are_built_once(params):
-    rep = SpinRep(3, params)
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_idempotent_vector_and_matrix_forms_agree(point, n):
+    # the nesting rule applied to vectors, on every unit vector, gives the
+    # columns of its matrix form, at every level, in both 2^N models
+    for rep in (ModuleRep(ModuleSpec.big(n, point)), SpinRep(n, point)):
+        for level in range(n + 1):
+            cols = [apply_idempotent(rep, level, _unit(rep.dim, j))
+                    for j in range(rep.dim)]
+            assert Matrix.from_columns(cols) == idempotent_matrix(rep, level)
+
+
+def test_spin_generators_are_built_once(point):
+    rep = SpinRep(3, point)
     assert all(rep.e_matrix(i) is rep.e_matrix(i) for i in range(4))
 
 
-def test_equivalence(params):
+def test_equivalence(point):
     for n in (2, 3, 4):
-        assert_all_pass(equivalence_audit(SpinRep(n, params)))
+        assert_all_pass(equivalence_audit(SpinRep(n, point)))
 
 
 def test_spin_vector_json(point):
@@ -128,12 +134,12 @@ def test_spin_vector_json(point):
 
 
 @pytest.fixture(scope="session")
-def two_models(params):
+def two_models(point):
     """N -> (half-diagram rep, spin rep, their path bases) for N = 2..4."""
     out = {}
     for n in (2, 3, 4):
-        diagram = ModuleRep(ModuleSpec.big(n, params))
-        spin = SpinRep(n, params)
+        diagram = ModuleRep(ModuleSpec.big(n, point))
+        spin = SpinRep(n, point)
         out[n] = (diagram, spin, build_b1(diagram), build_b1(spin))
     return out
 
@@ -184,24 +190,24 @@ def _count_inverts(monkeypatch):
     return calls
 
 
-def test_equivalence_inverts_only_the_diagram_basis(monkeypatch, params):
+def test_equivalence_inverts_only_the_diagram_basis(monkeypatch, point):
     calls = _count_inverts(monkeypatch)
-    records = equivalence_audit(SpinRep(3, params))
+    records = equivalence_audit(SpinRep(3, point))
     assert_all_pass(records)
-    diagram = build_b1(ModuleRep(ModuleSpec.big(3, params)))
+    diagram = build_b1(ModuleRep(ModuleSpec.big(3, point)))
     assert calls == [diagram.change_of_basis]
 
 
 def test_equivalence_without_a_certificate_inverts_exactly(monkeypatch,
-                                                           params):
+                                                           point):
     calls = _count_inverts(monkeypatch)
     monkeypatch.setattr(spinchain, "nonsingular_certificate", lambda m: None)
-    assert_all_pass(equivalence_audit(SpinRep(3, params)))
-    spin = build_b1(SpinRep(3, params))
+    assert_all_pass(equivalence_audit(SpinRep(3, point)))
+    spin = build_b1(SpinRep(3, point))
     assert len(calls) == 2 and spin.change_of_basis in calls
 
 
-def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, params):
+def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, point):
     n, bad, (r, c) = 3, 2, (5, 1)
     original = SpinRep.e_matrix
 
@@ -215,10 +221,10 @@ def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, params):
 
     monkeypatch.setattr(SpinRep, "e_matrix", perturbed)
     records = {rec["identity_id"]: rec
-               for rec in equivalence_audit(SpinRep(n, params))}
+               for rec in equivalence_audit(SpinRep(n, point))}
     # E_s B_s - B_s M_d is the perturbation times B_s: row r holds
     # row c of B_s, scaled
-    cob = build_b1(SpinRep(n, params)).change_of_basis
+    cob = build_b1(SpinRep(n, point)).change_of_basis
     col = next(j for j in range(cob.ncols) if cob[c, j])
     assert records[f"spin.equiv.e{bad}"]["status"] == "fail"
     assert records[f"spin.equiv.e{bad}"]["deviation"] == f"entry({r}, {col})"
@@ -227,19 +233,19 @@ def test_perturbed_spin_generator_fails_at_a_named_entry(monkeypatch, params):
             assert records[f"spin.equiv.e{i}"]["status"] == "pass"
 
 
-def test_singular_spin_basis_still_raises(monkeypatch, params):
+def test_singular_spin_basis_still_raises(monkeypatch, point):
     monkeypatch.setattr(spinchain, "ebar", lambda n, pt: [0] * (1 << n))
     with pytest.raises(ZeroDivisionError):
-        equivalence_audit(SpinRep(3, params))
+        equivalence_audit(SpinRep(3, point))
 
 
 def test_spinchain_command_builds_one_spin_chain(monkeypatch, capsys):
     built = []
     original = SpinRep.__init__
 
-    def counted(self, n_sites, params):
+    def counted(self, n_sites, point):
         built.append(n_sites)
-        original(self, n_sites, params)
+        original(self, n_sites, point)
 
     monkeypatch.setattr(SpinRep, "__init__", counted)
     assert main(["spinchain", "--n", "3"]) == 0

@@ -11,8 +11,7 @@ from conftest import assert_all_pass
 from tl2b.cli import main
 from tl2b.linalg import exact_det
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, THETA,
-                          SingularArgumentError, derive_params,
-                          make_param_point)
+                          SingularArgumentError, make_param_point)
 from tl2b.spinchain import SpinRep
 from tl2b.symbolic import LaurentPoly, SymbolicPoint
 from tl2b.wordrep import ModuleSpec, gram_matrix, relation_audit
@@ -21,11 +20,6 @@ from tl2b.wordrep import ModuleSpec, gram_matrix, relation_audit
 @pytest.fixture(scope="module")
 def sym():
     return SymbolicPoint()
-
-
-@pytest.fixture(scope="module")
-def sym_params(sym):
-    return derive_params(sym)
 
 
 def test_poly_arithmetic():
@@ -70,16 +64,14 @@ def test_fraction_field_axioms(sym):
         _ = x / (y - y)
 
 
-def test_backend_agreement_battery(sym, sym_params):
+def test_backend_agreement_battery(sym):
     point = make_param_point(4)
-    params = derive_params(point)
     battery = [HalfExponent(1, 1, 1, 1), HalfExponent(-3, 2, -1, 4),
                OMEGA1 + ONE, THETA.scale(2), HalfExponent(0, 2, -2, 0)]
     for x in battery:
         assert sym.qnum(x).evaluate(point) == point.qnum(x)
     for name in ("delta", "s1", "s2", "b_even", "b_odd"):
-        assert getattr(sym_params, name).evaluate(point) == \
-            getattr(params, name)
+        assert getattr(sym, name).evaluate(point) == getattr(point, name)
     # a compound expression, evaluated both ways
     expr = (sym.qnum(OMEGA1) * sym.qnum(THETA) / sym.qnum(OMEGA2 + ONE)
             + sym.q_power(ONE) ** -3)
@@ -89,19 +81,18 @@ def test_backend_agreement_battery(sym, sym_params):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_symbolic_models_specialise_to_the_numeric_ones(sym, sym_params,
-                                                        point, params, n):
+def test_symbolic_models_specialise_to_the_numeric_ones(sym, point, n):
     # the half-diagram module, its Gram matrix and the spin chain over the
     # parameter field, specialised at the point entry by entry, give the
     # numeric ones
     def at_point(x):
         return x if isinstance(x, int) else x.evaluate(point)
 
-    big_sym, big_num = ModuleSpec.big(n, sym_params), ModuleSpec.big(n, params)
+    big_sym, big_num = ModuleSpec.big(n, sym), ModuleSpec.big(n, point)
     pairs = [(gram_matrix(big_sym), gram_matrix(big_num))]
     for symbolic, numeric in ((big_sym.generators, big_num.generators),
-                              (SpinRep(n, sym_params).generators,
-                               SpinRep(n, params).generators)):
+                              (SpinRep(n, sym).generators,
+                               SpinRep(n, point).generators)):
         assert len(symbolic) == len(numeric) == n + 1
         pairs += zip(symbolic, numeric)
     for sym_mat, num_mat in pairs:
@@ -109,27 +100,27 @@ def test_symbolic_models_specialise_to_the_numeric_ones(sym, sym_params,
                 for row in sym_mat.rows] == num_mat.rows
 
 
-def test_symbolic_relation_audit(sym_params):
-    assert_all_pass(relation_audit(ModuleSpec.big(2, sym_params)))
+def test_symbolic_relation_audit(sym):
+    assert_all_pass(relation_audit(ModuleSpec.big(2, sym)))
 
 
-def test_symbolic_determinant_factorisation(sym, sym_params):
+def test_symbolic_determinant_factorisation(sym):
     # the four-dimensional determinant factorisation as a certificate
-    spec = ModuleSpec.big(2, sym_params)
+    spec = ModuleSpec.big(2, sym)
     det = exact_det(gram_matrix(spec))
-    b, d = sym_params.b_for(2), sym_params.delta
-    s1, s2 = sym_params.s1, sym_params.s2
+    b, d = sym.b_for(2), sym.delta
+    s1, s2 = sym.s1, sym.s2
     assert det == b * (b - s1) * (b - s2) * (b - s1 - s2 + d * s1 * s2)
 
 
-def test_symbolic_closed_form_identity(sym, sym_params):
+def test_symbolic_closed_form_identity(sym):
     from tl2b.pathbasis import (gram_closed_form,
                                 gram_normalization_exponent)
 
-    spec = ModuleSpec.big(2, sym_params)
+    spec = ModuleSpec.big(2, sym)
     det = exact_det(gram_matrix(spec))
     closed = gram_closed_form(2, sym)
-    assert det == closed * sym_params.s1 ** gram_normalization_exponent(2)
+    assert det == closed * sym.s1 ** gram_normalization_exponent(2)
 
 
 def test_symbolic_basis_command():

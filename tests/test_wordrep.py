@@ -50,7 +50,7 @@ def test_irrep_dims():
         assert irrep_dim(m, 0) == 1 << (m - 1)
 
 
-def test_dimension_tables(params):
+def test_dimension_tables(point):
     for n in range(2, 11):
         start = 1 if n % 2 == 0 else 0
         for nn in range(start, n + 1, 2):
@@ -60,36 +60,36 @@ def test_dimension_tables(params):
                         continue
                     if nn == 0 and (e1, e2) != (1, 1):
                         continue
-                    spec = ModuleSpec.through_lines(n, nn, e1, e2, params)
+                    spec = ModuleSpec.through_lines(n, nn, e1, e2, point)
                     assert len(enumerate_basis(spec)) == irrep_dim(n, nn)
-        big = ModuleSpec.big(n, params)
+        big = ModuleSpec.big(n, point)
         assert len(enumerate_basis(big)) == 1 << n
 
 
-def test_explicit_small_bases(params):
-    big2 = ModuleSpec.big(2, params)
+def test_explicit_small_bases(point):
+    big2 = ModuleSpec.big(2, point)
     assert [str(h) for h in enumerate_basis(big2)] == ["))", ")(*", "()", "(("]
-    lines = ModuleSpec.through_lines(3, 0, 1, 1, params)
+    lines = ModuleSpec.through_lines(3, 0, 1, 1, point)
     assert [h.pattern for h in enumerate_basis(lines)] == \
         ["))|", "()|", "|()", "|(("]
-    assert len(enumerate_basis(ModuleSpec.big(3, params))) == 8
+    assert len(enumerate_basis(ModuleSpec.big(3, point))) == 8
 
 
-def test_inner_product_examples(params):
-    spec = ModuleSpec.through_lines(4, 1, 1, 1, params)
+def test_inner_product_examples(point):
+    spec = ModuleSpec.through_lines(4, 1, 1, 1, point)
     h = HalfDiagram
     assert bilinear(h("|()|"), h("()||"), spec) == 1
-    assert bilinear(h("()||"), h("()||"), spec) == params.delta
+    assert bilinear(h("()||"), h("()||"), spec) == point.delta
     assert bilinear(h("||()"), h("()||"), spec) == 0
 
 
-def test_explicit_gram_matrix_n2(params):
-    spec = ModuleSpec.big(2, params)
+def test_explicit_gram_matrix_n2(point):
+    spec = ModuleSpec.big(2, point)
     basis = enumerate_basis(spec)
     index = {h.pattern: k for k, h in enumerate(basis)}
     order = [index["()"], index["))"], index["(("], index[")("]]
     g = gram_matrix(spec)
-    b, d, s1, s2 = spec.b, params.delta, params.s1, params.s2
+    b, d, s1, s2 = spec.b, point.delta, point.s1, point.s2
     expected = [[d, 1, 1, b],
                 [1, s1, b, s1 * b],
                 [1, b, s2, s2 * b],
@@ -101,10 +101,10 @@ def test_explicit_gram_matrix_n2(params):
     assert det == b * (b - s1) * (b - s2) * (b - s1 - s2 + d * s1 * s2)
 
 
-def test_gram_symmetric_and_intertwining(params):
-    for spec in (ModuleSpec.big(3, params),
-                 ModuleSpec.through_lines(4, 1, 1, -1, params),
-                 ModuleSpec.through_lines(3, 0, 1, 1, params)):
+def test_gram_symmetric_and_intertwining(point):
+    for spec in (ModuleSpec.big(3, point),
+                 ModuleSpec.through_lines(4, 1, 1, -1, point),
+                 ModuleSpec.through_lines(3, 0, 1, 1, point)):
         g = gram_matrix(spec)
         assert g == g.transpose()
         for i in range(spec.n_sites + 1):
@@ -112,71 +112,71 @@ def test_gram_symmetric_and_intertwining(params):
             assert g @ e == e.transpose() @ g
 
 
-def test_lines_module_gram_nondegenerate(params):
-    spec = ModuleSpec.through_lines(3, 0, 1, 1, params)
+def test_lines_module_gram_nondegenerate(point):
+    spec = ModuleSpec.through_lines(3, 0, 1, 1, point)
     assert exact_det(gram_matrix(spec))
 
 
-def test_relation_audit_passes(params):
+def test_relation_audit_passes(point):
     for n in (2, 3, 4, 5):
-        assert_all_pass(relation_audit(ModuleSpec.big(n, params)))
-    assert_all_pass(relation_audit(ModuleSpec.through_lines(4, 1, -1, 1, params)))
+        assert_all_pass(relation_audit(ModuleSpec.big(n, point)))
+    assert_all_pass(relation_audit(ModuleSpec.through_lines(4, 1, -1, 1, point)))
 
 
-def test_relation_audit_negative_control(params):
+def test_relation_audit_negative_control(point):
     # an e_N built by the composition rules squares to the true s2, not to
     # a corrupted one
-    spec = ModuleSpec.big(3, params)
+    spec = ModuleSpec.big(3, point)
     e_n = generator_matrix(spec, 3)
-    assert (e_n @ e_n - e_n.scale(params.s2)).is_zero()
-    assert not (e_n @ e_n - e_n.scale(params.s2 + 1)).is_zero()
+    assert (e_n @ e_n - e_n.scale(point.s2)).is_zero()
+    assert not (e_n @ e_n - e_n.scale(point.s2 + 1)).is_zero()
 
 
-def test_centre_scalar_negative_control(params):
+def test_centre_scalar_negative_control(point):
     # tying the wrong horizontal-line weight to the twist breaks the
     # central scalar, which is the only place the tie is observable
     from tl2b.hecke import centre_audit, lift_to_hecke, murphy
 
-    spec = ModuleSpec(3, "big", params, b=params.b_for(3) + 1)
+    spec = ModuleSpec(3, "big", point, b=point.b_for(3) + 1)
     records = centre_audit(spec, murphy("C", lift_to_hecke(spec)))
     bad = {r["identity_id"] for r in records if r["status"] == "fail"}
     assert "centre.scalar" in bad
 
 
-def test_idempotent_annihilation_on_lines_modules(params):
+def test_idempotent_annihilation_on_lines_modules(point):
     for n, nn, e1, e2 in [(3, 2, 1, 1), (4, 1, 1, -1), (5, 2, -1, -1)]:
-        spec = ModuleSpec.through_lines(n, nn, e1, e2, params)
+        spec = ModuleSpec.through_lines(n, nn, e1, e2, point)
         w1, w2 = idempotent_words(n)
         assert word_product(spec.generators, w1).is_zero()
         assert word_product(spec.generators, w2).is_zero()
 
 
 @pytest.mark.parametrize("n_sites", (2, 3, 4))
-def test_word_diagrams_act_on_through_line_modules_as_products(params,
+def test_word_diagrams_act_on_through_line_modules_as_products(point,
                                                                 n_sites):
     # every word of length 1 to 3, on every module with a through line
     words = [w for k in (1, 2, 3)
              for w in product(range(n_sites + 1), repeat=k)]
     for n, e1, e2 in conjecture_cases(n_sites):
-        spec = ModuleSpec.through_lines(n_sites, n, e1, e2, params)
+        spec = ModuleSpec.through_lines(n_sites, n, e1, e2, point)
         for w in words:
             d = word_to_element(w, n_sites)
             assert (diagram_matrix(d, spec)
                     == word_product(spec.generators, w)), (n, e1, e2, w)
 
 
-def test_generator_matrix_example(params):
-    spec = ModuleSpec.big(2, params)
+def test_generator_matrix_example(point):
+    spec = ModuleSpec.big(2, point)
     basis = enumerate_basis(spec)
     col = {h.pattern: k for k, h in enumerate(basis)}[")("]
     e0 = generator_matrix(spec, 0)
-    assert e0.rows[col][col] == params.s1
+    assert e0.rows[col][col] == point.s1
 
 
-def test_invalid_module_specs(params):
+def test_invalid_module_specs(point):
     with pytest.raises(ValueError):
-        ModuleSpec.through_lines(3, 1, 1, 1, params)  # wrong parity
+        ModuleSpec.through_lines(3, 1, 1, 1, point)  # wrong parity
     with pytest.raises(ValueError):
-        ModuleSpec.through_lines(2, 1, -1, -1, params)  # no through lines
+        ModuleSpec.through_lines(2, 1, -1, -1, point)  # no through lines
     with pytest.raises(ValueError):
-        ModuleSpec.through_lines(3, 2, 1, 2, params)
+        ModuleSpec.through_lines(3, 2, 1, 2, point)
