@@ -16,9 +16,10 @@ Each checkout runs its own ``perfbench/run.py`` on its own ``src``, untraced,
 for the run length that ``BENCHMARK.json`` sets.  An existing
 ``BENCH_<label>.json`` is extended, not replaced.  After the runs, one line
 per workload and side gives the median over seeds of each gated end-to-end
-metric, with that side's interquartile range over seeds, the number of
-seeds on which that side had the lowest wall_s, and the number of its runs
-that were not correct or had a failed operation.  Two sides whose medians
+metric, with that side's interquartile range over seeds, the passes per
+run (median, min-max) and the median peak RSS of the first pass, the number
+of seeds on which that side had the lowest wall_s, and the number of its
+runs that were not correct or had a failed operation.  Two sides whose medians
 differ by less than their interquartile ranges are not told apart.  The
 script exits 1 when any run was not correct or had a failed operation, since
 its timings do not time the work.
@@ -76,11 +77,24 @@ def median_iqr(values: list[float]) -> str:
     return f"{statistics.median(values):.3f} (IQR {q3 - q1:.3f})"
 
 
+def pass_counts(runs: list[dict]) -> str:
+    """The passes per run, as ``median (min-max)``, and the median peak RSS
+    of the first pass.  A run's peak_rss_mb counts its passes, since the
+    harness keeps every report until the run ends, so two sides compare
+    fairly on it only when they made as many passes."""
+    counts = [len(run["passes"]) for run in runs]
+    first = [run["passes"][0]["peak_rss_mb"] for run in runs if run["passes"]]
+    rss = f"{statistics.median(first):.2f} MiB" if first else "n/a"
+    return (f"passes {statistics.median(counts):g} "
+            f"({min(counts)}-{max(counts)})  first-pass peak_rss_mb {rss}")
+
+
 def summarize(runs: list[dict], sides: list[str]) -> int:
     """Print, per workload and side, the median over seeds of each gated
-    metric with its interquartile range, the number of seeds on which the
-    side had the lowest wall_s, and the number of runs that were not correct
-    or had a failed operation; return the total of those runs."""
+    metric with its interquartile range, the passes per run and the first
+    pass's peak RSS (``pass_counts``), the number of seeds on which the side
+    had the lowest wall_s, and the number of runs that were not correct or
+    had a failed operation; return the total of those runs."""
     bad_runs = 0
     for workload in dict.fromkeys(run["workload"] for run in runs):
         ours = [run for run in runs if run["workload"] == workload]
@@ -99,7 +113,8 @@ def summarize(runs: list[dict], sides: list[str]) -> int:
                       for r in mine)
             bad_runs += bad
             print(f"{side:10s} {workload:14s} median of {len(mine)} seeds: "
-                  f"{medians}  lower wall_s on {wins} of {len(walls)}  "
+                  f"{medians}  {pass_counts(mine)}  "
+                  f"lower wall_s on {wins} of {len(walls)}  "
                   f"{bad} runs not correct or with failures")
     return bad_runs
 

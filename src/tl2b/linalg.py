@@ -1,20 +1,29 @@
 """Exact linear algebra over any field with decidable zero tests.
 
 Entries may be backend rationals, ints, or symbolic fractions; zero is
-detected with ``not entry`` and equality with ``==``.  Rational and int
-entries are made backend rationals once, on entry to ``exact_det``,
-``invert`` and ``rank``, so that every division is exact.  Determinants,
-inverses and ranks then use one kernel each: plain Gaussian elimination
-over the entries' field.  A nonzero residue of the determinant modulo one
-of three fixed primes (``nonsingular_certificate``) proves a rational matrix
-nonsingular without computing its determinant; the entries must be
-p-integral, that is p divides none of their denominators.  Pivoting is
-first-nonzero: with exact arithmetic, pivot choice affects speed only.
+detected with ``not entry`` and equality with ``==``.  A product of
+rational matrices A @ B is taken over cleared denominators: row i of A is
+scaled by the lcm r_i of its denominators and column j of B by the lcm c_j
+of its, the one sparse accumulation loop sums integers, and each nonzero
+sum s becomes the rational s / (r_i c_j) once.  ``commutator`` forms both
+of its products so and subtracts them in integers, making a rational only
+for a nonzero difference.  Products of int matrices, which stay ints, and
+of symbolic ones enter the same loop with their entries as they are.
+Rational and int entries are made backend rationals once, on entry to
+``exact_det``, ``invert`` and ``rank``, so that every division is exact.
+Determinants, inverses and ranks then use one kernel each: plain Gaussian
+elimination over the entries' field.  A nonzero residue of the determinant
+modulo one of three fixed primes (``nonsingular_certificate``) proves a
+rational matrix nonsingular without computing its determinant; the entries
+must be p-integral, that is p divides none of their denominators.  Pivoting
+is first-nonzero: with exact arithmetic, pivot choice affects speed only.
 """
 
 from __future__ import annotations
 
-from ._ratback import RAT, is_rational
+from math import lcm
+
+from ._ratback import RAT, RAT_TYPES, is_rational
 
 
 class Matrix:
@@ -88,6 +97,8 @@ class Matrix:
         return Matrix._sparse(len(rows), len(where), rows)
 
     def __add__(self, other: Matrix) -> Matrix:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
         rows = []
         for r1, r2 in zip(self._rows, other._rows):
             out = dict(r1)
@@ -119,14 +130,15 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        brows = other._rows
-        rows = []
-        for arow in self._rows:
-            acc = {}
-            for k, a in arow.items():
-                for j, b in brows[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            rows.append({j: x for j, x in acc.items() if x})
+        if not _both_rational(self, other):
+            rows = [{j: x for j, x in acc.items() if x}
+                    for acc in _accumulate(self._rows, other._rows)]
+            return Matrix._sparse(self.nrows, other.ncols, rows)
+        r = _row_scales(self)
+        bcols, c = _column_cleared(other)
+        rows = [{j: RAT(x, ri * c[j]) for j, x in acc.items() if x}
+                for ri, acc in zip(r, _accumulate(_row_cleared(self, r),
+                                                  bcols))]
         return Matrix._sparse(self.nrows, other.ncols, rows)
 
     def apply(self, vec: list) -> list:
@@ -170,6 +182,64 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
+
+
+# ---------------------------------------------------------------------------
+# products over cleared denominators
+
+_RATIONAL_TYPES = frozenset(RAT_TYPES)
+
+
+def _both_rational(a: Matrix, b: Matrix) -> bool:
+    """Whether every entry of a and b is rational and one is not an int:
+    the factors whose product is taken over cleared denominators.  Int
+    factors are integers already, and symbolic ones keep their own type."""
+    kinds = {type(x) for m in (a, b) for row in m._rows for x in row.values()}
+    return kinds <= _RATIONAL_TYPES and not kinds <= {int}
+
+
+def _row_scales(m: Matrix) -> list:
+    """The lcm of the denominators in each row of the rational ``m``."""
+    # two at a time: one lcm(*row) call per row raised the peak RSS of
+    # `relations --n 6` by about 0.6 MiB (Python 3.11)
+    scales = []
+    for row in m._rows:
+        s = 1
+        for x in row.values():
+            if x.denominator != 1:
+                s = lcm(s, x.denominator)
+        scales.append(s)
+    return scales
+
+
+def _row_cleared(m: Matrix, scales: list):
+    """Each row of ``m`` times its scale, in integers, one row at a time."""
+    for row, s in zip(m._rows, scales):
+        yield {j: x.numerator * (s // x.denominator) for j, x in row.items()}
+
+
+def _column_cleared(m: Matrix) -> tuple[list[dict], list]:
+    """The rows of the rational ``m`` with each column times the lcm of its
+    denominators, in integers, and those lcms."""
+    scales = [1] * m.ncols
+    for row in m._rows:
+        for j, x in row.items():
+            if x.denominator != 1:
+                scales[j] = lcm(scales[j], x.denominator)
+    return ([{j: x.numerator * (scales[j] // x.denominator)
+              for j, x in row.items()} for row in m._rows], scales)
+
+
+def _accumulate(arows, brows: list[dict]):
+    """Row by row, the sums over k of a_ik b_kj, taken over the stored
+    entries only; a sum that cancels is kept as a zero.  Each row is
+    yielded as it is done, so that only one row of sums is held."""
+    for arow in arows:
+        acc = {}
+        for k, a in arow.items():
+            for j, b in brows[k].items():
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +385,27 @@ def rank(matrix: Matrix) -> int:
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
-    return x @ y - y @ x
+    """x @ y - y @ x.  On rational entries, with x y = P / (r_i c_j) and
+    y x = Q / (r'_i c'_j) over cleared denominators, entry (i, j) is
+    P r'_i c'_j - Q r_i c_j over the product of the four scales; only a
+    nonzero difference becomes a rational."""
+    n = x.nrows
+    if not x.ncols == y.nrows == y.ncols == n:
+        raise ValueError("shape mismatch in commutator")
+    if not _both_rational(x, y):
+        return x @ y - y @ x
+    rx, ry = _row_scales(x), _row_scales(y)
+    (xcols, cx), (ycols, cy) = _column_cleared(x), _column_cleared(y)
+    rows = []
+    for i, p, q in zip(range(n), _accumulate(_row_cleared(x, rx), ycols),
+                       _accumulate(_row_cleared(y, ry), xcols)):
+        out = {}
+        for j in p.keys() | q.keys():
+            d = p.get(j, 0) * ry[i] * cx[j] - q.get(j, 0) * rx[i] * cy[j]
+            if d:
+                out[j] = RAT(d, rx[i] * cy[j] * ry[i] * cx[j])
+        rows.append(out)
+    return Matrix._sparse(n, n, rows)
 
 
 __all__ = [

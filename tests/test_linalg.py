@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -95,8 +96,8 @@ ZERO_OR_SMALL = st.one_of(
     st.builds(RAT, st.integers(-3, 3), st.integers(1, 4)))
 
 
-def dense_rows(nrows, ncols):
-    return st.lists(st.lists(ZERO_OR_SMALL, min_size=ncols, max_size=ncols),
+def dense_rows(nrows, ncols, entries=ZERO_OR_SMALL):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                     min_size=nrows, max_size=nrows)
 
 
@@ -161,6 +162,86 @@ def test_matrix_agrees_with_dense_lists(data, n, k, m):
     diag = [[s if i == j else 0 for j in range(n)] for i in range(n)]
     assert Matrix(diag).scalar_multiple_of_identity() == s
     assert Matrix.from_columns([list(col) for col in zip(*a)]) == ma
+
+
+# ---------------------------------------------------------------------------
+# products over cleared denominators against a schoolbook Fraction sum
+
+ENTRY_KINDS = {
+    "int": st.one_of(st.just(0), st.integers(-9, 9)),
+    "mixed": st.one_of(st.just(0), st.integers(-9, 9),
+                       st.builds(RAT, st.integers(-9, 9),
+                                 st.integers(1, 12))),
+    "large": st.one_of(st.just(0),
+                       st.builds(RAT, st.integers(-2 ** 90, 2 ** 90),
+                                 st.integers(1, 2 ** 90))),
+}
+
+
+def draw_rows(data, nrows, ncols, kind):
+    """Dense rows of one entry kind, with some rows and columns zeroed."""
+    rows = data.draw(dense_rows(nrows, ncols, ENTRY_KINDS[kind]))
+    zero_rows = data.draw(st.sets(st.integers(0, nrows - 1)))
+    zero_cols = data.draw(st.sets(st.integers(0, ncols - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def schoolbook(a, b):
+    """The product of dense rows as a sum of Fraction terms per entry."""
+    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j])
+                  for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def assert_product(got, want, int_factors):
+    assert got.rows == want
+    assert all(x for row in got._rows for x in row.values()), "stored zero"
+    if int_factors:
+        assert all(type(x) is int for row in got._rows for x in row.values())
+    assert got.first_nonzero() == naive_first_nonzero(want)
+
+
+KINDS = st.sampled_from(sorted(ENTRY_KINDS))
+
+
+@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 5),
+       m=st.integers(1, 5), kind_a=KINDS, kind_b=KINDS)
+@settings(max_examples=200, deadline=None)
+def test_products_match_the_schoolbook_sum(data, n, k, m, kind_a, kind_b):
+    a = draw_rows(data, n, k, kind_a)
+    b = draw_rows(data, k, m, kind_b)
+    ints = kind_a == kind_b == "int"
+    assert_product(Matrix(a) @ Matrix(b), schoolbook(a, b), ints)
+    # [a | a] times [b; -b]: every term has a partner that cancels it
+    doubled = Matrix([row + row for row in a])
+    stacked = Matrix(b + [[-x for x in row] for row in b])
+    assert_product(doubled @ stacked, [[0] * m for _ in range(n)], ints)
+
+    x = Matrix(draw_rows(data, n, n, kind_a))
+    y = Matrix(draw_rows(data, n, n, kind_b))
+    for left, right in ((x, y), (y, x), (x, x @ x), (x, Matrix.identity(n))):
+        want = [[p - q for p, q in zip(r, t)]
+                for r, t in zip(schoolbook(left.rows, right.rows),
+                                schoolbook(right.rows, left.rows))]
+        got = commutator(left, right)
+        assert_product(got, want, ints)
+        assert got.first_nonzero() == \
+            (left @ right - right @ left).first_nonzero()
+
+
+def test_sums_and_commutators_reject_mismatched_shapes():
+    two, three = Matrix.identity(2), Matrix.identity(3)
+    wide = Matrix([[1, 2, 3], [4, 5, 6]])
+    for left, right in ((two, three), (three, two), (two, wide)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            left + right
+        with pytest.raises(ValueError, match="shape mismatch"):
+            left - right
+    # both products exist, but they are 2x2 and 3x3
+    for left, right in ((two, three), (wide, wide.transpose())):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            commutator(left, right)
 
 
 def test_stored_zeros_and_the_dense_view():

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import assert_all_pass
 from tl2b.cli import main
-from tl2b.linalg import exact_det
+from tl2b.linalg import Matrix, commutator, exact_det
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, THETA,
                           SingularArgumentError, make_param_point)
 from tl2b.spinchain import SpinRep
-from tl2b.symbolic import LaurentPoly, SymbolicPoint
+from tl2b.symbolic import LaurentFrac, LaurentPoly, SymbolicPoint
 from tl2b.wordrep import ModuleSpec, gram_matrix, relation_audit
 
 
@@ -62,6 +62,31 @@ def test_fraction_field_axioms(sym):
     assert x ** -2 * x ** 2 == 1
     with pytest.raises(SingularArgumentError):
         _ = x / (y - y)
+
+
+def test_symbolic_products_take_the_generic_loop(sym):
+    # LaurentFrac entries, mixed with ints and Fractions, are multiplied as
+    # they are: the schoolbook sums below are the reference
+    x, y = sym.qnum(OMEGA1 + ONE), sym.qnum(THETA)
+    z = sym.q_power(HalfExponent(1, -1, 0, 2))
+    a = [[x, 0, Fraction(1, 3)], [y, z, 0]]
+    b = [[z, 1], [0, x], [y, Fraction(-2, 5)]]
+
+    def schoolbook(p, r):
+        return [[sum(p[i][k] * r[k][j] for k in range(len(r)))
+                 for j in range(len(r[0]))] for i in range(len(p))]
+
+    got = Matrix(a) @ Matrix(b)
+    assert got.rows == schoolbook(a, b)
+    assert all(isinstance(e, LaurentFrac) for row in got.rows for e in row)
+    square = Matrix(schoolbook(a, b))
+    other = Matrix([[y, Fraction(1, 2)], [0, z]])
+    want = [[p - q for p, q in zip(r, t)]
+            for r, t in zip(schoolbook(square.rows, other.rows),
+                            schoolbook(other.rows, square.rows))]
+    comm = commutator(square, other)
+    assert comm.rows == want and comm == square @ other - other @ square
+    assert commutator(square, square @ square).is_zero()
 
 
 def test_backend_agreement_battery(sym):
