@@ -72,6 +72,7 @@ def test_report_matches_golden(argv):
 #: benchmark invocations whose stored digest is checked, at point seed 4
 DIGEST_SEED = 4
 DIGEST_CASES = [
+    ["basis", "--n", "6"],
     ["gram", "--n", "6"],
     *(["gram", "--n", "6", f"--theta={twist}"]
       for twist in ("+,1,-,+", "+,3,-,+", "+,5,-,+")),
