@@ -41,6 +41,8 @@ class Matrix:
         rows = list(rows)
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
+        if any(len(row) != self.ncols for row in rows):
+            raise ValueError("dense rows of unequal length")
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
 
     @staticmethod

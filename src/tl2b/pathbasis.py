@@ -15,6 +15,16 @@ of the intermediate (single-boundary) family is diagonal, which forces the
 Gram matrix to be diagonal as well.  The diagonal entries follow a tile
 recursion whose closed product form, with multiplicities given by ballot
 sums, is evaluated here exactly.
+
+The tile rule gives the generators in path coordinates directly
+(``tile_generators``): M_0 .. M_N, with at most two nonzeros per column.
+The basis audits run in these coordinates.  ``action_audit_b1`` checks
+E_i b_p = sum_q (M_i)_qp b_q for every generator and every path, once per
+basis; when every column holds, E_i B = B M_i, so the Murphy elements J'_m
+built from the M_i satisfy J_m B = B J'_m, and a column of J'_m equal to
+lambda e_p proves J_m b_p = lambda b_p.  ``murphy_audit_b1`` decides every
+other record by applying J_m to b_p in canonical coordinates, so each
+verdict is the canonical one.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .audit import audit
-from .hecke import g_coefficients, murphy_word
+from .hecke import g_coefficients, lift_family, murphy, murphy_word
 from .linalg import Matrix, invert
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 from .wordrep import ModuleSpec, idempotent_words, irrep_dim, word_product
@@ -300,6 +310,7 @@ class BasisB1:
     vectors: dict[Path, list]
     change_of_basis: Matrix
     _inverse: Matrix | None = field(default=None, repr=False)
+    _tile_action: tuple | None = field(default=None, repr=False)
 
     @property
     def n_sites(self) -> int:
@@ -320,6 +331,47 @@ class BasisB1:
 
     def generator_in_coordinates(self, i: int) -> Matrix:
         return self.in_coordinates(self.rep.e_matrix(i))
+
+    def tile_action(self) -> tuple[list[Matrix], dict[tuple[int, Path], bool]]:
+        """``tile_generators`` of this basis, and for each (i, path) whether
+        E_i b_p = sum_q (M_i)_qp b_q holds exactly, that is whether column p
+        of E_i B equals column p of B M_i; computed once."""
+        if self._tile_action is None:
+            gens = tile_generators(self.paths, self.point)
+            cob = self.change_of_basis
+            held = {}
+            for i, gen in enumerate(gens):
+                lhs, rhs = self.rep.e_matrix(i) @ cob, cob @ gen
+                for k, path in enumerate(self.paths):
+                    held[i, path] = lhs.column(k) == rhs.column(k)
+            self._tile_action = (gens, held)
+        return self._tile_action
+
+
+def tile_generators(paths: list[Path], point) -> list[Matrix]:
+    """M_0 .. M_N, the generators in the coordinates of the path basis on
+    ``paths`` (columns in that order), from the tile rule alone.
+
+    M_0 is s1 on the paths with h_1 = -1 and 0 on the others.  At a bulk
+    position a path on a slope is sent to 0; every other path is the low or
+    the high end of a tile pair (p, p + t), and at position N every path is,
+    with the half-tile.  The block of a pair sends p to c_lo p + (p + t) and
+    p + t to c_lo c_hi p + c_hi (p + t), with c_lo = ``t.coeff(point)`` and
+    c_hi = ``t.coeff(point, -1)``.
+    """
+    dim, n = len(paths), len(paths[0]) - 1
+    index = {p: k for k, p in enumerate(paths)}
+    cols = [[[0] * dim for _ in paths] for _ in range(n + 1)]
+    for lo, path in enumerate(paths):
+        if path[1] == -1:
+            cols[0][lo][lo] = point.s1
+        for tile in addable_tiles(path):
+            hi = index[apply_tile(path, tile)]
+            c_lo, c_hi = tile.coeff(point), tile.coeff(point, -1)
+            col_lo, col_hi = cols[tile.position][lo], cols[tile.position][hi]
+            col_lo[lo], col_lo[hi] = c_lo, 1
+            col_hi[lo], col_hi[hi] = c_lo * c_hi, c_hi
+    return [Matrix.from_columns(c) for c in cols]
 
 
 def _add_tile(rep: ModuleRep, tile: TileEvent, vec: list) -> list:
@@ -366,35 +418,23 @@ def tile_order_independence(basis: BasisB1) -> bool:
 
 def action_audit_b1(basis: BasisB1) -> list[dict]:
     """Eigenvalue of the left boundary, vanishing on slopes, and the exact
-    two-by-two blocks on tile pairs, checked vector by vector."""
-    rep = basis.rep
-    point = rep.point
-    n = rep.n_sites
+    two-by-two blocks on tile pairs: each record reads the verdicts of
+    ``BasisB1.tile_action`` for its columns of ``tile_generators``."""
+    _, held = basis.tile_action()
+    n = basis.n_sites
     out = []
     for path in basis.paths:
-        vec = basis.vectors[path]
-        image = rep.apply_e(0, vec)
-        if path[1] == -1:
-            ok = image == [point.s1 * x for x in vec]
-        else:
-            ok = not any(image)
-        out.append(audit(f"b1.e0.{_pname(path)}", ok))
+        out.append(audit(f"b1.e0.{_pname(path)}", held[0, path]))
         for i in range(1, n):
             if path[i - 1] != path[i + 1]:
                 out.append(audit(f"b1.slope.e{i}.{_pname(path)}",
-                                 not any(rep.apply_e(i, vec))))
+                                 held[i, path]))
     for path in basis.paths:
         for tile in addable_tiles(path):
-            lo = basis.vectors[path]
-            hi = basis.vectors[apply_tile(path, tile)]
-            c_lo, c_hi = tile.coeff(point), tile.coeff(point, -1)
-            image_lo = rep.apply_e(tile.position, lo)
-            image_hi = rep.apply_e(tile.position, hi)
-            ok1 = image_lo == [c_lo * x + y for x, y in zip(lo, hi)]
-            ok2 = image_hi == [c_lo * c_hi * x + c_hi * y
-                               for x, y in zip(lo, hi)]
+            ok = held[tile.position, path] and held[tile.position,
+                                                    apply_tile(path, tile)]
             out.append(audit(f"b1.block.{tile.tag}.{_pname(path)}"
-                             f".h{tile.shoulder}", ok1 and ok2))
+                             f".h{tile.shoulder}", ok))
     return out
 
 
@@ -413,21 +453,30 @@ def murphy_eigenvalue(point, index: int, path: Path):
 def murphy_audit_b1(basis: BasisB1) -> list[dict]:
     """All single-boundary Murphy elements are diagonal with the height
     eigenvalues, the spectra separate paths, and their product matches the
-    closed central eigenvalue."""
+    closed central eigenvalue.
+
+    When every column of every M_i held in ``BasisB1.tile_action``, J_m is
+    built in path coordinates from the M_i (J'_m, with J_m B = B J'_m), and
+    a column of J'_m equal to lambda e_p passes ``b1.murphy.{m}.{path}``.
+    Every other such record is decided by ``ModuleRep.apply_murphy_b`` on
+    b_p, so a verdict never depends on which way it was reached."""
     rep = basis.rep
     point = rep.point
     n = rep.n_sites
+    gens, held = basis.tile_action()
+    fam = murphy("B", lift_family(gens, point)) if all(held.values()) else None
     out = []
     spectra = []
-    for path in basis.paths:
+    for k, path in enumerate(basis.paths):
         vec = basis.vectors[path]
         eigs = []
         for m in range(n):
             lam = murphy_eigenvalue(point, m, path)
             eigs.append(lam)
-            image = rep.apply_murphy_b(m, vec)
-            out.append(audit(f"b1.murphy.{m}.{_pname(path)}",
-                             image == [lam * x for x in vec]))
+            ok = fam is not None and _is_eigencolumn(fam.j[m], k, lam)
+            if not ok:
+                ok = rep.apply_murphy_b(m, vec) == [lam * x for x in vec]
+            out.append(audit(f"b1.murphy.{m}.{_pname(path)}", ok))
         spectra.append(eigs)
         prod = point.one
         for lam in eigs:
@@ -441,6 +490,12 @@ def murphy_audit_b1(basis: BasisB1) -> list[dict]:
                    for y in spectra[k + 1:])
     out.append(audit("b1.murphy.spectra_distinct", distinct))
     return out
+
+
+def _is_eigencolumn(mat: Matrix, k: int, lam) -> bool:
+    """Whether column k of ``mat`` is lam times the k-th unit vector."""
+    col = mat.column(k)
+    return col[k] == lam and not any(col[:k]) and not any(col[k + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +725,6 @@ __all__ = [
     "k_coeff", "kbar_coeff",
     "matrix_k", "matrix_kbar", "matrix_r", "murphy_audit_b1",
     "murphy_eigenvalue", "path_order", "path_weight", "r_coeff",
-    "removable_tiles", "tile_multiset", "tile_order_independence",
-    "unapply_tile", "ybe_audit",
+    "removable_tiles", "tile_generators", "tile_multiset",
+    "tile_order_independence", "unapply_tile", "ybe_audit",
 ]

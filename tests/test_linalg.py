@@ -256,6 +256,13 @@ def test_stored_zeros_and_the_dense_view():
         m.rows = view
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4, 5]], [[1, 2, 3], [4]],
+                                  [[1], []]])
+def test_dense_rows_of_unequal_length_are_rejected(rows):
+    with pytest.raises(ValueError, match="unequal length"):
+        Matrix(rows)
+
+
 # ---------------------------------------------------------------------------
 # the prime certificate of a nonzero determinant
 

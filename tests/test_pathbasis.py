@@ -3,9 +3,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import assert_all_pass
-from tl2b.linalg import exact_det
-from tl2b.scalars import HalfExponent, OMEGA1, OMEGA2, ONE
-from tl2b.pathbasis import (ModuleRep, action_audit_b1, addable_tiles,
+from tl2b import pathbasis
+from tl2b._ratback import RAT
+from tl2b.linalg import Matrix, exact_det
+from tl2b.scalars import HalfExponent, OMEGA1, OMEGA2, ONE, ParamPoint
+from tl2b.pathbasis import (BasisB1, ModuleRep, action_audit_b1,
+                            addable_tiles,
                             all_paths, apply_tile, build_b1,
                             exceptional_points, f_factor, fixed_height_gram,
                             fundamental_path, g_factor, gram_closed_form,
@@ -15,8 +18,9 @@ from tl2b.pathbasis import (ModuleRep, action_audit_b1, addable_tiles,
                             idempotent_identities, idempotent_image, k_coeff,
                             kbar_coeff, murphy_audit_b1,
                             murphy_eigenvalue, path_order, path_weight,
-                            r_coeff, removable_tiles, tile_multiset,
-                            tile_order_independence, unapply_tile, ybe_audit)
+                            r_coeff, removable_tiles, tile_generators,
+                            tile_multiset, tile_order_independence,
+                            unapply_tile, ybe_audit)
 from tl2b.wordrep import ModuleSpec, gram_matrix, irrep_dim
 
 
@@ -101,6 +105,91 @@ def test_action_audit(basis3):
 
 def test_murphy_audit(basis3):
     assert_all_pass(murphy_audit_b1(basis3))
+
+
+def _assert_tile_generators_transport(basis):
+    gens = tile_generators(basis.paths, basis.point)
+    assert len(gens) == basis.n_sites + 1
+    for i, gen in enumerate(gens):
+        assert all(sum(1 for x in gen.column(k) if x) <= 2
+                   for k in range(gen.ncols))
+        assert gen == basis.generator_in_coordinates(i), i
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tile_generators_equal_the_transported_generators(point, n):
+    # the tile rule against B^-1 E_i B, at a generic and an explicit twist
+    explicit = ParamPoint(point.s, point.a, point.v, RAT(3, 7),
+                          theta_mode="explicit")
+    for pt in (point, explicit):
+        _assert_tile_generators_transport(build_b1(ModuleRep(
+            ModuleSpec.big(n, pt))))
+
+
+def test_tile_generators_on_the_symbolic_backend():
+    from tl2b.symbolic import SymbolicPoint
+
+    _assert_tile_generators_transport(build_b1(ModuleRep(
+        ModuleSpec.big(2, SymbolicPoint()))))
+
+
+def _murphy_statuses(records) -> dict:
+    """The b1.murphy.{m}.{path} records, by id."""
+    return {r["identity_id"]: r["status"] for r in records
+            if r["identity_id"].split(".")[2].isdigit()}
+
+
+def _murphy_reference(basis) -> dict:
+    """The same records, each decided by J_m b_p in canonical coordinates."""
+    out = {}
+    for path in basis.paths:
+        vec = basis.vectors[path]
+        for m in range(basis.n_sites):
+            lam = pathbasis.murphy_eigenvalue(basis.point, m, path)
+            ok = basis.rep.apply_murphy_b(m, vec) == [lam * x for x in vec]
+            name = ",".join(map(str, path))
+            out[f"b1.murphy.{m}.{name}"] = "pass" if ok else "fail"
+    return out
+
+
+def test_murphy_audit_decides_in_path_coordinates(point, monkeypatch):
+    basis = build_b1(ModuleRep(ModuleSpec.big(4, point)))
+
+    def canonical(*_args):
+        raise AssertionError("a record fell back to canonical coordinates")
+
+    monkeypatch.setattr(ModuleRep, "apply_murphy_b", canonical)
+    assert_all_pass(murphy_audit_b1(basis))
+
+
+def test_murphy_verdicts_match_the_canonical_check_on_a_corrupt_basis(point):
+    basis = build_b1(ModuleRep(ModuleSpec.big(4, point)))
+    vectors = dict(basis.vectors)
+    p, q = basis.paths[5], basis.paths[6]
+    vectors[p] = [x + y for x, y in zip(vectors[p], vectors[q])]
+    corrupt = BasisB1(basis.rep, basis.paths, vectors,
+                      Matrix.from_columns([vectors[t] for t in basis.paths]))
+    assert any(r["status"] == "fail" for r in action_audit_b1(corrupt))
+    statuses = _murphy_statuses(murphy_audit_b1(corrupt))
+    assert "fail" in statuses.values()
+    assert statuses == _murphy_reference(corrupt)
+
+
+def test_a_wrong_murphy_eigenvalue_fails_both_ways(point, monkeypatch):
+    basis = build_b1(ModuleRep(ModuleSpec.big(4, point)))
+    target = basis.paths[7]
+    exact = pathbasis.murphy_eigenvalue
+
+    def wrong(pt, index, path):
+        lam = exact(pt, index, path)
+        return 2 * lam if (index, path) == (1, target) else lam
+
+    monkeypatch.setattr(pathbasis, "murphy_eigenvalue", wrong)
+    statuses = _murphy_statuses(murphy_audit_b1(basis))
+    assert statuses == _murphy_reference(basis)
+    name = ",".join(map(str, target))
+    assert [k for k, v in statuses.items() if v == "fail"] == [
+        f"b1.murphy.1.{name}"]
 
 
 def test_murphy_product_example(point):
