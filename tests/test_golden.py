@@ -77,7 +77,10 @@ DIGEST_CASES = [
     *(["gram", "--n", "6", f"--theta={twist}"]
       for twist in ("+,1,-,+", "+,3,-,+", "+,5,-,+")),
     ["irreps", "--n", "4"],
+    *(["irreps", "--n", "6", f"--theta={twist}"]
+      for twist in ("+,1,-,+", "+,3,-,+", "+,5,-,+")),
     ["modules", "--n", "7"],
+    ["spinchain", "--n", "6"],
 ]
 
 
