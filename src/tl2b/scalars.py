@@ -135,7 +135,7 @@ def _valuation_matrix(values) -> list[list[int]]:
 
 def _integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the rational kernel of the matrix."""
-    mat = [[Fraction(e) for e in row] for row in rows]
+    mat = [{j: Fraction(e) for j, e in enumerate(row) if e} for row in rows]
     pivots = _row_reduce(mat, ncols)
     free_cols = [c for c in range(ncols) if c not in pivots]
     kernel = []
@@ -143,7 +143,7 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
+            vec[pc] = -mat[pr].get(fc, 0)
         lcm = 1
         for e in vec:
             lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)

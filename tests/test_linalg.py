@@ -17,6 +17,8 @@ import tl2b
 from tl2b._ratback import RAT
 from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p, commutator,
                          exact_det, invert, nonsingular_certificate, rank)
+from tl2b.scalars import OMEGA1, ONE, THETA, HalfExponent
+from tl2b.symbolic import SymbolicPoint
 
 RAT_TYPE = type(RAT(1))
 
@@ -261,6 +263,97 @@ def test_stored_zeros_and_the_dense_view():
 def test_dense_rows_of_unequal_length_are_rejected(rows):
     with pytest.raises(ValueError, match="unequal length"):
         Matrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan over stored entries against a dense reference
+
+def dense_row_reduce(rows: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` in place, over their first
+    ``ncols`` columns, to reduced row echelon form; returns the pivot
+    column of each leading row."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+MOSTLY_ZERO = {
+    "int": st.one_of(st.just(0), st.just(0), st.just(0),
+                     st.integers(-4, 4)),
+    "rational": st.one_of(st.just(0), st.just(0), st.just(RAT(0)),
+                          st.integers(-4, 4),
+                          st.builds(RAT, st.integers(-9, 9),
+                                    st.integers(1, 6))),
+}
+
+
+def draw_mostly_zero(data, nrows, ncols, kind):
+    """Dense rows with mostly zero entries; when asked, the last row is
+    replaced by a combination of the others, so the rows are dependent."""
+    rows = data.draw(dense_rows(nrows, ncols, MOSTLY_ZERO[kind]))
+    if nrows and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=nrows - 1,
+                                    max_size=nrows - 1))
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), 0)
+                    for j in range(ncols)]
+    return rows
+
+
+@given(data=st.data(), n=st.integers(0, 8), k=st.integers(1, 8),
+       kind=st.sampled_from(sorted(MOSTLY_ZERO)))
+@settings(max_examples=300, deadline=None)
+def test_inverse_and_rank_match_the_dense_reduction(data, n, k, kind):
+    wide = draw_mostly_zero(data, n, k, kind)
+    m = Matrix(wide)
+    assert rank(m) == len(dense_row_reduce([[RAT(x) for x in row]
+                                            for row in wide], m.ncols))
+    assert m == Matrix(wide), "rank changed its input"
+
+    rows = draw_mostly_zero(data, n, n, kind)
+    m = Matrix(rows)
+    ref = [[RAT(x) for x in row] + [RAT(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    ref_rank = len(dense_row_reduce(ref, n))
+    assert rank(m) == ref_rank
+    if ref_rank < n:
+        with pytest.raises(ZeroDivisionError):
+            invert(m)
+        return
+    inv = invert(m)
+    assert m == Matrix(rows), "invert changed its input"
+    assert inv @ m == Matrix.identity(n)
+    assert inv.rows == [row[n:] for row in ref]
+    assert all(x and type(x) is RAT_TYPE
+               for row in inv._rows for x in row.values())
+
+
+def test_symbolic_inverse():
+    sym = SymbolicPoint()
+    x, y = sym.qnum(OMEGA1 + ONE), sym.qnum(THETA)
+    z = sym.q_power(HalfExponent(1, -1, 0, 2))
+    # a zero leading entry forces a row swap; ints and Fractions mix in
+    rows = [[0, x, Fraction(1, 3)], [y, z, 0], [1, 0, x * y]]
+    m = Matrix(rows)
+    inv = invert(m)
+    assert inv @ m == Matrix.identity(3)
+    assert m @ inv == Matrix.identity(3)
+    assert rank(m) == 3
+    assert m == Matrix(rows), "elimination changed its input"
+    assert rank(Matrix([[x, y], [x * z, y * z]])) == 1
 
 
 # ---------------------------------------------------------------------------

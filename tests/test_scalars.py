@@ -66,6 +66,19 @@ def test_multiplicative_kernel_detects_relation():
     assert g in ((1, 1, 1, -1), (-1, -1, -1, 1))
 
 
+@pytest.mark.parametrize("values, kernel", [
+    # one relation: s a v / (s a v) = 1
+    ([RAT(2, 3), RAT(3, 5), RAT(5, 7), RAT(2, 7)], [(-1, -1, -1, 1)]),
+    # two: (12/5) * 5/4 = 3, and 2^3 * 3 * |-6/25| = (12/5)^2
+    ([RAT(12, 5), RAT(2), RAT(3), RAT(5, 4), RAT(-6, 25)],
+     [(1, 0, -1, 1, 0), (-2, 3, 1, 0, 1)]),
+    # none: distinct primes
+    ([RAT(2), RAT(3), RAT(5)], []),
+])
+def test_multiplicative_kernel_is_pinned(values, kernel):
+    assert multiplicative_kernel(values) == kernel
+
+
 def test_coprime_basis_factors_exactly():
     basis = coprime_basis([12, 18, 35])
     assert all(b > 1 for b in basis)
