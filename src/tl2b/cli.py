@@ -3,9 +3,9 @@
 Every command writes one JSON document (schema ``tl2b/1``) that embeds the
 point, the seed and the library version, and exits nonzero if any audited
 identity fails.  Reports are byte-identical for identical configuration.
-``_check_request`` refuses, before any work, a chain length or twist that
-the command and backend do not serve; that and every other bad input get
-the ``tl2b/1`` error record and exit code 2.
+``_check_request`` refuses, before any work, a negative ``--bound`` and a
+chain length or twist that the command and backend do not serve; that and
+every other bad input get the ``tl2b/1`` error record and exit code 2.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def _check_request(args) -> None:
     ``ExceptionalSpec``."""
     if args.n < 2:
         raise ValueError(f"chain length must be at least 2, not n = {args.n}")
+    if args.bound < 0:
+        raise ValueError(f"--bound must be nonnegative, not {args.bound}")
     symbolic = "symbolic " if args.backend == "symbolic" else ""
     limit = _MAX_N[args.backend].get(args.command)
     if limit is None:

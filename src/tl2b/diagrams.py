@@ -30,13 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-_ORDER = {")": 0, "(": 1, "|": 2}
-
-
-def pattern_sort_key(pattern: str) -> tuple[int, ...]:
-    """Canonical basis order: lexicographic with ')' < '(' < '|'."""
-    return tuple(_ORDER[ch] for ch in pattern)
-
 
 class InvalidDiagramError(ValueError):
     """The site pattern cannot be drawn without crossings."""
@@ -80,7 +73,7 @@ def _strand_map(pattern: str) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfDiagram:
     """An immutable half-diagram; the horizontal-line flag is derived.
 
@@ -90,12 +83,10 @@ class HalfDiagram:
     ')(*'
     """
 
-    sort_index: tuple[int, ...] = field(init=False, repr=False)
     pattern: str
 
     def __post_init__(self):
         _strand_map(self.pattern)
-        object.__setattr__(self, "sort_index", pattern_sort_key(self.pattern))
 
     @property
     def strands(self) -> tuple:
@@ -305,6 +296,6 @@ def act_on_half(d: FullDiagram, x: HalfDiagram):
 
 __all__ = [
     "FullDiagram", "HalfDiagram", "InvalidDiagramError", "act_on_half",
-    "compose", "generator_diagram", "identity_diagram", "pattern_sort_key",
-    "transpose", "word_to_element",
+    "compose", "generator_diagram", "identity_diagram", "transpose",
+    "word_to_element",
 ]

@@ -16,11 +16,16 @@ Gram matrix to be diagonal as well.  The diagonal entries follow a tile
 recursion whose closed product form, with multiplicities given by ballot
 sums, is evaluated here exactly.
 
-The tile rule gives the generators in path coordinates directly
+A tile's coefficients c(u) and c(-u), with c = r or k, depend only on
+whether it is the half-tile and on its shoulder h, and are evaluated once
+per point.  The tile rule gives the generators in path coordinates directly
 (``tile_generators``): M_0 .. M_N, with at most two nonzeros per column.
-The basis audits run in these coordinates.  ``action_audit_b1`` checks
-E_i b_p = sum_q (M_i)_qp b_q for every generator and every path, once per
-basis; when every column holds, E_i B = B M_i, so the Murphy elements J'_m
+The basis audits run in these coordinates.  E_i b_p = sum_q (M_i)_qp b_q is
+checked for every generator and every path, once per basis;
+``action_audit_b1`` reads its records from those verdicts, and so does
+``tile_order_independence``, since column p of M_i at a tile pair
+(p, p + t) states b_{p+t} = (E_i - c_lo) b_p.  When every column holds,
+E_i B = B M_i, so the Murphy elements J'_m
 built from the M_i satisfy J_m B = B J'_m, and a column of J'_m equal to
 lambda e_p proves J_m b_p = lambda b_p.  ``murphy_audit_b1`` decides every
 other record by applying J_m to b_p in canonical coordinates, so each
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .audit import audit
 from .hecke import g_coefficients, lift_family, murphy, murphy_word
@@ -69,11 +75,6 @@ def k_coeff(u: HalfExponent, point):
 def kbar_coeff(u: HalfExponent, point):
     """Left-boundary mirror of k(u), with w1 and the same twist parameter."""
     return _wall_coeff(u, point, OMEGA1)
-
-
-def _tile_coeff(boundary: bool, u: HalfExponent, point):
-    """k(u) for the right-wall half-tile, r(u) for a square tile."""
-    return (k_coeff if boundary else r_coeff)(u, point)
 
 
 def _shift(rep: ModuleRep, j: int, c, vec: list | None = None):
@@ -203,32 +204,20 @@ def all_paths(n_sites: int) -> list[Path]:
     return paths
 
 
-def _shoulder_argument(h: int) -> HalfExponent:
-    """w1 - h, the spectral argument of a tile raised from shoulder h."""
-    return OMEGA1 + HalfExponent.integer(-h)
+class TileEvent(NamedTuple):
+    """One tile: the generator it acts through (N for the right-wall
+    half-tile), its shoulder height and whether it is the half-tile.
 
-
-@dataclass(frozen=True)
-class TileEvent:
-    """One tile addition: where, in which direction, and its shoulder height.
-
-    The tile acts through generator ``position``, which is N for the
-    right-wall half-tile.
-    """
+    Tiles sort by (position, shoulder, boundary)."""
 
     position: int
-    from_above: bool
-    boundary: bool
     shoulder: int
+    boundary: bool
 
-    def spectral_argument(self) -> HalfExponent:
-        u = _shoulder_argument(self.shoulder)
-        return u if self.from_above else -u
-
-    def coeff(self, point, sign: int = 1):
-        """r(+-u) of a square tile, k(+-u) of the half-tile."""
-        return _tile_coeff(self.boundary,
-                           self.spectral_argument().scale(sign), point)
+    @property
+    def from_above(self) -> bool:
+        """Whether the tile raises a minimum: its shoulder is nonnegative."""
+        return self.shoulder >= 0
 
     @property
     def tag(self) -> str:
@@ -246,9 +235,8 @@ def _tiles(path: Path, step: int) -> list[TileEvent]:
         h = path[i - 1]
         if i < n and path[i + 1] != h:
             continue
-        from_above = h >= 0
-        if path[i] == h - (step if from_above else -step):
-            out.append(TileEvent(i, from_above, i == n, h))
+        if path[i] == h - (step if h >= 0 else -step):
+            out.append(TileEvent(i, h, i == n))
     return out
 
 
@@ -277,16 +265,26 @@ def unapply_tile(path: Path, tile: TileEvent) -> Path:
 
 
 @lru_cache(maxsize=None)
-def tile_multiset(path: Path) -> tuple[tuple[int, int, bool], ...]:
-    """The tiles between a path and the fundamental one, as
-    (position, shoulder, boundary) with multiplicity; order-independent."""
+def tile_multiset(path: Path) -> tuple[TileEvent, ...]:
+    """The tiles between a path and the fundamental one, sorted, with
+    multiplicity; order-independent."""
     tiles = removable_tiles(path)
     if not tiles:
         return ()
     t = tiles[0]
-    prev = unapply_tile(path, t)
-    return tuple(sorted(tile_multiset(prev)
-                        + ((t.position, t.shoulder, t.boundary),)))
+    return tuple(sorted(tile_multiset(unapply_tile(path, t)) + (t,)))
+
+
+@lru_cache(maxsize=None)
+def _tile_coeffs(point, boundary: bool, shoulder: int) -> tuple:
+    """(c(u), c(-u)) of a tile on shoulder h, c = k for the half-tile and
+    r for a square tile, with u = w1 - h when h >= 0 and u = h - w1 when
+    h < 0; evaluated once per point."""
+    u = OMEGA1 + HalfExponent.integer(-shoulder)
+    if shoulder < 0:
+        u = -u
+    coeff = k_coeff if boundary else r_coeff
+    return coeff(u, point), coeff(-u, point)
 
 
 def path_weight(path: Path) -> int:
@@ -356,8 +354,8 @@ def tile_generators(paths: list[Path], point) -> list[Matrix]:
     position a path on a slope is sent to 0; every other path is the low or
     the high end of a tile pair (p, p + t), and at position N every path is,
     with the half-tile.  The block of a pair sends p to c_lo p + (p + t) and
-    p + t to c_lo c_hi p + c_hi (p + t), with c_lo = ``t.coeff(point)`` and
-    c_hi = ``t.coeff(point, -1)``.
+    p + t to c_lo c_hi p + c_hi (p + t), with (c_lo, c_hi) the tile's
+    (c(u), c(-u)).
     """
     dim, n = len(paths), len(paths[0]) - 1
     index = {p: k for k, p in enumerate(paths)}
@@ -367,16 +365,11 @@ def tile_generators(paths: list[Path], point) -> list[Matrix]:
             cols[0][lo][lo] = point.s1
         for tile in addable_tiles(path):
             hi = index[apply_tile(path, tile)]
-            c_lo, c_hi = tile.coeff(point), tile.coeff(point, -1)
+            c_lo, c_hi = _tile_coeffs(point, tile.boundary, tile.shoulder)
             col_lo, col_hi = cols[tile.position][lo], cols[tile.position][hi]
             col_lo[lo], col_lo[hi] = c_lo, 1
             col_hi[lo], col_hi[hi] = c_lo * c_hi, c_hi
     return [Matrix.from_columns(c) for c in cols]
-
-
-def _add_tile(rep: ModuleRep, tile: TileEvent, vec: list) -> list:
-    """The vector of the path one tile above the path of ``vec``."""
-    return _shift(rep, tile.position, tile.coeff(rep.point), vec)
 
 
 def build_b1(rep: ModuleRep) -> BasisB1:
@@ -393,7 +386,8 @@ def build_b1(rep: ModuleRep) -> BasisB1:
             prev = unapply_tile(path, tile)
             if prev not in vectors:
                 continue
-            vectors[path] = _add_tile(rep, tile, vectors[prev])
+            c_lo, _ = _tile_coeffs(rep.point, tile.boundary, tile.shoulder)
+            vectors[path] = _shift(rep, tile.position, c_lo, vectors[prev])
             break
         else:
             raise AssertionError(f"no built predecessor for path {path}")
@@ -402,14 +396,15 @@ def build_b1(rep: ModuleRep) -> BasisB1:
 
 
 def tile_order_independence(basis: BasisB1) -> bool:
-    """Every removable tile of every path yields the same vector."""
-    for path in basis.paths:
-        for tile in removable_tiles(path):
-            prev = basis.vectors[unapply_tile(path, tile)]
-            vec = _add_tile(basis.rep, tile, prev)
-            if vec != basis.vectors[path]:
-                return False
-    return True
+    """Every removable tile of every path yields the same vector.
+
+    Column p of M_i at a tile pair (p, p + t) stores only c_lo at p and 1
+    at p + t, so column p of E_i B = B M_i holds exactly when
+    b_{p+t} = (E_i - c_lo) b_p: the verdicts of ``BasisB1.tile_action``
+    decide it."""
+    _, held = basis.tile_action()
+    return all(held[t.position, p] for p in basis.paths
+               for t in addable_tiles(p))
 
 
 # ---------------------------------------------------------------------------
@@ -502,20 +497,20 @@ def _is_eigencolumn(mat: Matrix, k: int, lam) -> bool:
 # the Gram form in path coordinates
 
 
-def _tile_factor(shoulder: int, boundary: bool, point):
+def _tile_factor(point, boundary: bool, shoulder: int):
     """c(w1-h) c(-w1+h) for a tile on shoulder h, with c = r or k."""
-    u = _shoulder_argument(shoulder)
-    return _tile_coeff(boundary, u, point) * _tile_coeff(boundary, -u, point)
+    lo, hi = _tile_coeffs(point, boundary, shoulder)
+    return lo * hi
 
 
 def f_factor(h: int, point):
     """f(h) = r(w1-h) r(-w1+h)."""
-    return _tile_factor(h, False, point)
+    return _tile_factor(point, False, h)
 
 
 def g_factor(h: int, point):
     """g(h) = k(w1-h) k(-w1+h)."""
-    return _tile_factor(h, True, point)
+    return _tile_factor(point, True, h)
 
 
 def gram_diag_b1(basis: BasisB1) -> dict[Path, object]:
@@ -525,8 +520,8 @@ def gram_diag_b1(basis: BasisB1) -> dict[Path, object]:
     out = {}
     for path in basis.paths:
         d = point.one
-        for _pos, shoulder, boundary in tile_multiset(path):
-            d = d * _tile_factor(shoulder, boundary, point)
+        for tile in tile_multiset(path):
+            d = d * _tile_factor(point, tile.boundary, tile.shoulder)
         out[path] = d
     return out
 
@@ -601,17 +596,18 @@ def fixed_height_gram(n_sites: int, h_n: int, point):
     cls = [p for p in all_paths(n_sites) if p[-1] == h_n]
     lowest = tuple(min(p[i] for p in cls) for i in range(n_sites + 1))
     assert lowest in cls
-    counts: dict[tuple[int, int, bool], int] = {}
+    counts: dict[TileEvent, int] = {}
     for p in cls:
         for tile in tile_multiset(p):
             counts[tile] = counts.get(tile, 0) + 1
     base = {tile: len(cls) for tile in tile_multiset(lowest)}
     value = point.one
-    for (pos, shoulder, boundary), mult in sorted(counts.items()):
-        mult -= base.get((pos, shoulder, boundary), 0)
+    for tile, mult in sorted(counts.items()):
+        mult -= base.get(tile, 0)
         if not mult:
             continue
-        value = value * _tile_factor(shoulder, boundary, point) ** mult
+        value = value * _tile_factor(point, tile.boundary,
+                                     tile.shoulder) ** mult
     return value
 
 

@@ -144,13 +144,9 @@ def _integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
         vec[fc] = Fraction(1)
         for pr, pc in enumerate(pivots):
             vec[pc] = -mat[pr].get(fc, 0)
-        lcm = 1
-        for e in vec:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+        lcm = math.lcm(*(e.denominator for e in vec))
         ints = [int(e * lcm) for e in vec]
-        g = 0
-        for e in ints:
-            g = math.gcd(g, e)
+        g = math.gcd(*ints)
         kernel.append(tuple(e // g for e in ints))
     return kernel
 

@@ -98,11 +98,12 @@ class ModuleSpec:
 def _basis_patterns(n_sites: int, n_through: int,
                     parities: tuple[int, int] | None) -> tuple[str, ...]:
     """The drawable patterns with ``n_through`` through lines and, unless
-    ``parities`` is None, wall parities (eps1, eps2), in basis order.
+    ``parities`` is None, wall parities (eps1, eps2), in basis order:
+    lexicographic with ')' < '(' < '|'.
 
     The 2^N module is every pattern without through lines."""
     pats = []
-    for chars in product(")(|", repeat=n_sites):  # basis order
+    for chars in product(")(|", repeat=n_sites):
         pattern = "".join(chars)
         if pattern.count("|") != n_through:
             continue

@@ -129,6 +129,11 @@ def test_bad_chain_length(no_work):
         "ValueError: chain length must be at least 2, not n = 1")
 
 
+def test_negative_bound_is_refused_before_any_work(no_work):
+    assert refusal(["gram", "--n", "2", "--bound", "-1"]) == (
+        "ValueError: --bound must be nonnegative, not -1")
+
+
 def test_explicit_twist_roundtrip():
     code, out = run(["gram", "--n", "2", "--theta", "5/9"])
     doc = json.loads(out)

@@ -6,7 +6,8 @@ from conftest import assert_all_pass
 from tl2b import pathbasis
 from tl2b._ratback import RAT
 from tl2b.linalg import Matrix, exact_det
-from tl2b.scalars import HalfExponent, OMEGA1, OMEGA2, ONE, ParamPoint
+from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, ParamPoint,
+                          make_param_point)
 from tl2b.pathbasis import (BasisB1, ModuleRep, action_audit_b1,
                             addable_tiles,
                             all_paths, apply_tile, build_b1,
@@ -63,11 +64,29 @@ def test_tile_moves_roundtrip():
                 q = apply_tile(p, tile)
                 assert unapply_tile(q, tile) == p
                 assert tile in removable_tiles(q)
+                assert tile.from_above == (tile.shoulder >= 0)
                 assert tile_multiset(q) == tuple(sorted(
-                    tile_multiset(p) + ((tile.position, tile.shoulder,
-                                         tile.boundary),)))
+                    tile_multiset(p) + (tile,)))
             for tile in removable_tiles(p):
                 assert tile in addable_tiles(unapply_tile(p, tile))
+
+
+def test_each_tile_coefficient_is_evaluated_once_per_point(point,
+                                                           monkeypatch):
+    calls = []
+    for name in ("r_coeff", "k_coeff"):
+        def counted(u, pt, exact=getattr(pathbasis, name)):
+            calls.append(u)
+            return exact(u, pt)
+
+        monkeypatch.setattr(pathbasis, name, counted)
+    pathbasis._tile_coeffs.cache_clear()
+    basis = build_b1(ModuleRep(ModuleSpec.big(6, point)))
+    tile_generators(basis.paths, point)
+    gram_diag_b1(basis)
+    distinct = {(t.boundary, t.shoulder)
+                for p in basis.paths for t in tile_multiset(p)}
+    assert len(calls) <= 2 * len(distinct)
 
 
 def test_every_path_reachable():
@@ -85,6 +104,73 @@ def test_fundamental_vector_is_idempotent_image(rep3):
 
 def test_order_independence(basis3):
     assert tile_order_independence(basis3)
+
+
+def _regrown_order_independence(basis):
+    """Every removable tile of every path yields the same vector, decided
+    by growing each vector again from its predecessor."""
+    for path in basis.paths:
+        for tile in removable_tiles(path):
+            prev = basis.vectors[unapply_tile(path, tile)]
+            vec = _add_tile(basis.rep, tile, prev)
+            if vec != basis.vectors[path]:
+                return False
+    return True
+
+
+def _add_tile(rep, tile, vec):
+    """(E_i - c) vec, c = r(+-u) or k(+-u) with u = w1 - h, the sign + when
+    the shoulder h is nonnegative."""
+    u = OMEGA1 + HalfExponent.integer(-tile.shoulder)
+    u = u if tile.shoulder >= 0 else -u
+    c = (k_coeff if tile.boundary else r_coeff)(u, rep.point)
+    return [y - c * x for x, y in zip(vec, rep.apply_e(tile.position, vec))]
+
+
+def _altered(basis, k):
+    """``basis`` with column k doubled in both its vectors and its
+    change of basis."""
+    vectors = dict(basis.vectors)
+    path = basis.paths[k]
+    vectors[path] = [2 * x for x in vectors[path]]
+    return BasisB1(basis.rep, basis.paths, vectors,
+                   Matrix.from_columns([vectors[p] for p in basis.paths]))
+
+
+#: (n, kind, argument) of the bases both order-independence checks decide:
+#: point seeds, critical twists by their index in ``exceptional_points``,
+#: and the symbolic point
+ORACLE_CASES = ([(n, "seed", seed) for seed in (1, 2) for n in range(2, 7)]
+                + [(n, "critical", k) for n in (3, 4) for k in range(4)]
+                + [(3, "symbolic", None)])
+
+
+def _oracle_point(n, kind, arg):
+    from tl2b.irreps import ExceptionalSpec, make_exceptional_point
+    from tl2b.symbolic import SymbolicPoint
+
+    if kind == "seed":
+        return make_param_point(arg)
+    if kind == "critical":
+        twist = exceptional_points(n)[arg]
+        return make_exceptional_point(1, ExceptionalSpec(n, *twist))
+    return SymbolicPoint()
+
+
+@pytest.mark.parametrize("n, kind, arg", ORACLE_CASES)
+def test_order_independence_agrees_with_regrowing_every_vector(n, kind, arg):
+    basis = build_b1(ModuleRep(ModuleSpec.big(n, _oracle_point(n, kind, arg))))
+    assert tile_order_independence(basis)
+    assert _regrown_order_independence(basis)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (4, 2)])
+def test_order_independence_fails_with_one_column_altered(n, seed):
+    basis = build_b1(ModuleRep(ModuleSpec.big(n, make_param_point(seed))))
+    for k in range(len(basis.paths)):
+        altered = _altered(basis, k)
+        assert not tile_order_independence(altered), k
+        assert not _regrown_order_independence(altered), k
 
 
 def test_sample_path_tile_word(point):
