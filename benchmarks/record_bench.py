@@ -10,16 +10,22 @@ peak RSS and wall time of each pass, and the run's final JSON line.
 
 Run:  python benchmarks/record_bench.py --label det_kernel \\
           --side parent=../parent-checkout --side change=. \\
-          --workloads determinants critical --seeds 1 2 3
+          --workloads determinants critical --seeds 1 2 3 \\
+          --layers linalg.det.self_s linalg.self_s
 
 Each checkout runs its own ``perfbench/run.py`` on its own ``src``, untraced,
-for the run length that ``BENCHMARK.json`` sets.  An existing
+for the run length that ``BENCHMARK.json`` sets.  With ``--layers``, each
+side also runs ``perfbench/run.py --trace 1`` once per workload and seed,
+after its untraced run; that record has ``"trace": 1`` and carries the
+per-layer metrics, of which the named ones are summarized.  An existing
 ``BENCH_<label>.json`` is extended, not replaced.  After the runs, one line
 per workload and side gives the median over seeds of each gated end-to-end
 metric, with that side's interquartile range over seeds, the passes per
 run (median, min-max) and the median peak RSS of the first pass, the number
 of seeds on which that side had the lowest wall_s, and the number of its
-runs that were not correct or had a failed operation.  Two sides whose medians
+runs that were not correct or had a failed operation; with ``--layers``, a
+second line gives the median over seeds of each named per-layer metric of
+the traced runs, with its interquartile range.  Two sides whose medians
 differ by less than their interquartile ranges are not told apart.  The
 script exits 1 when any run was not correct or had a failed operation, since
 its timings do not time the work.
@@ -43,11 +49,11 @@ RSS = re.compile(r"\s(\d+\.\d+) s\s+cpu .* rss\s+(\d+\.\d+) MiB")
 GATED = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)
     if proc.returncode != 0:
@@ -57,6 +63,8 @@ def run_once(checkout: Path, workload: str, seed: int,
                 if line.startswith("meta "))
     passes = []
     for line in lines:
+        if line.startswith("traced pass"):  # timed with the spans: not a pass
+            break
         if line.startswith("pass "):
             passes.append({"wall_s": 0.0, "peak_rss_mb": 0.0})
         elif passes and (hit := RSS.search(line)):
@@ -89,15 +97,21 @@ def pass_counts(runs: list[dict]) -> str:
             f"({min(counts)}-{max(counts)})  first-pass peak_rss_mb {rss}")
 
 
-def summarize(runs: list[dict], sides: list[str]) -> int:
+def summarize(runs: list[dict], sides: list[str],
+              layers: tuple[str, ...] = ()) -> int:
     """Print, per workload and side, the median over seeds of each gated
     metric with its interquartile range, the passes per run and the first
     pass's peak RSS (``pass_counts``), the number of seeds on which the side
     had the lowest wall_s, and the number of runs that were not correct or
-    had a failed operation; return the total of those runs."""
+    had a failed operation; then, for the traced runs, the median over seeds
+    of each of the per-layer metrics ``layers``.  Return the number of runs,
+    traced or not, that were not correct or had a failed operation."""
     bad_runs = 0
     for workload in dict.fromkeys(run["workload"] for run in runs):
-        ours = [run for run in runs if run["workload"] == workload]
+        ours = [run for run in runs
+                if run["workload"] == workload and not run.get("trace")]
+        traced = [run for run in runs
+                  if run["workload"] == workload and run.get("trace")]
         walls: dict[int, dict[str, float]] = {}
         for run in ours:
             walls.setdefault(run["seed"], {})[run["side"]] = metric(run,
@@ -116,6 +130,18 @@ def summarize(runs: list[dict], sides: list[str]) -> int:
                   f"{medians}  {pass_counts(mine)}  "
                   f"lower wall_s on {wins} of {len(walls)}  "
                   f"{bad} runs not correct or with failures")
+            mine = [run for run in traced if run["side"] == side]
+            if not (layers and mine):
+                continue
+            medians = "  ".join(
+                f"{name} {median_iqr([metric(r, name) for r in mine])}"
+                for name in layers)
+            bad = sum(not r["result"]["correct"] or r["result"]["failed"] > 0
+                      for r in mine)
+            bad_runs += bad
+            print(f"{side:10s} {workload:14s} traced, median of {len(mine)} "
+                  f"seeds: {medians}  {bad} runs not correct or with "
+                  "failures")
     return bad_runs
 
 
@@ -127,6 +153,9 @@ def main() -> int:
                         help="a named checkout to run; repeat for each side")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--layers", nargs="+", default=[], metavar="NAME",
+                        help="per-layer metrics to record from one traced "
+                        "run per side, workload and seed")
     args = parser.parse_args()
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     sides = []
@@ -143,16 +172,24 @@ def main() -> int:
         for k, seed in enumerate(args.seeds):
             turn = k % len(sides)
             for name, checkout in sides[turn:] + sides[:turn]:
-                run = {"side": name, "workload": workload, "seed": seed,
-                       "seconds": seconds, "trace": 0,
-                       **run_once(checkout, workload, seed, seconds)}
-                runs.append(run)
-                doc["runs"].append(run)
-                print(f"{name:10s} {workload:14s} seed {seed}: "
-                      f"wall_s {metric(run, 'wall_s'):.2f}", flush=True)
-                out.write_text(json.dumps(doc, indent=2, sort_keys=True)
-                               + "\n")
-    return 1 if summarize(runs, [name for name, _ in sides]) else 0
+                for trace in (0, 1) if args.layers else (0,):
+                    run = {"side": name, "workload": workload, "seed": seed,
+                           "seconds": seconds, "trace": trace,
+                           **run_once(checkout, workload, seed, seconds,
+                                      trace)}
+                    missing = set(args.layers if trace else ()) - set(
+                        run["result"]["metrics"])
+                    if missing:
+                        raise SystemExit(f"no per-layer metrics {missing}")
+                    runs.append(run)
+                    doc["runs"].append(run)
+                    shown = args.layers[0] if trace else "wall_s"
+                    print(f"{name:10s} {workload:14s} seed {seed}: "
+                          f"{shown} {metric(run, shown):.2f}", flush=True)
+                    out.write_text(json.dumps(doc, indent=2, sort_keys=True)
+                                   + "\n")
+    return 1 if summarize(runs, [name for name, _ in sides],
+                          tuple(args.layers)) else 0
 
 
 if __name__ == "__main__":

@@ -361,37 +361,44 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
     point = spec.point
     n = spec.n_sites
     i1, i2 = (word_product(fam.gens.e, w) for w in idempotent_words(n))
+    mats = {"I1": i1, "I2": i2}
+    formed = {}
+
+    def iji(name: str, sign: int, k: int) -> Matrix:
+        """I J_k^sign I, formed once per idempotent, sign and k."""
+        if (name, sign, k) not in formed:
+            imat = mats[name]
+            fam_j = fam.j if sign == 1 else fam.jinv
+            formed[name, sign, k] = imat @ fam_j[k] @ imat
+        return formed[name, sign, k]
+
     qsq = point.q_power(ONE.scale(2))
     out = []
     # (a) recursions
-    for name, imat in (("I1", i1), ("I2", i2)):
+    for name in mats:
         parity = 0 if name == "I1" else 1
         # the two-step chain stops before the index tied to the far boundary
         stop2 = n - 2 if parity == n % 2 else n - 4
         for sign, tag in ((1, "j"), (-1, "jinv")):
-            fam_j = fam.j if sign == 1 else fam.jinv
             step = qsq if sign == 1 else 1 / qsq
             for lo in range(parity, n - 1, 2):
                 hi = lo + 1
                 out.append(audit(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
-                                 imat @ fam_j[hi] @ imat
-                                 - (imat @ fam_j[lo] @ imat).scale(step)))
+                                 iji(name, sign, hi)
+                                 - iji(name, sign, lo).scale(step)))
             for lo in range(parity, stop2, 2):
                 hi = lo + 2
                 out.append(audit(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
-                                 imat @ fam_j[hi] @ imat
-                                 - (imat @ fam_j[lo] @ imat).scale(1 / step)))
+                                 iji(name, sign, hi)
+                                 - iji(name, sign, lo).scale(1 / step)))
     # (b) explicit evaluations, Murphy and inverse-Murphy
-    mats = {"I1": i1, "I2": i2}
     sandwiches = {"I1": i1 @ i2 @ i1, "I2": i2 @ i1 @ i2}
     for sign, tag in ((1, ""), (-1, ".inv")):
-        fam_j = fam.j if sign == 1 else fam.jinv
         for ident, name, jidx, rhs in _iji_sandwich_identities(spec, sign):
             if jidx >= n:
                 continue
-            imat = mats[name]
-            lhs = imat @ fam_j[jidx] @ imat
-            out.append(audit(ident + tag, lhs - rhs(imat, sandwiches[name])))
+            out.append(audit(ident + tag, iji(name, sign, jidx)
+                             - rhs(mats[name], sandwiches[name])))
     # (c) idempotent normalisations
     qn = point.qnum
     two = qn(HalfExponent.integer(2))

@@ -1,16 +1,25 @@
 """Exact linear algebra over any field with decidable zero tests.
 
 Entries may be backend rationals, ints, or symbolic fractions; zero is
-detected with ``not entry`` and equality with ``==``.  A product of
-rational matrices A @ B is taken over cleared denominators: row i of A is
-scaled by the lcm r_i of its denominators and column j of B by the lcm c_j
-of its, the one sparse accumulation loop sums integers, and each nonzero
-sum s becomes the rational s / (r_i c_j) once.  ``commutator`` forms both
-of its products so and subtracts them in integers, making a rational only
-for a nonzero difference.  Products of int matrices, which stay ints, and
-of symbolic ones enter the same loop with their entries as they are.
-Rational and int entries are made backend rationals once, on entry to
-``exact_det``, ``invert`` and ``rank``, so that every division is exact.
+detected with ``not entry`` and equality with ``==``.  A rational matrix is
+stored as integer numerators over one common denominator D > 0, in lowest
+terms: D and the numerators have no common factor, so equal matrices store
+equal numerators.  A matrix switches to this form in place the first time
+it enters a product, sum, difference, ``scale``, ``commutator`` or
+``product_difference``; a matrix that is only read keeps its entries as
+they were given, so the Gram matrix, which is built, read by ``exact_det``
+and written out but never multiplied, is never converted.  An int matrix is
+already its own numerator form over D = 1 and is left as it is: it reads
+back ints.  A product then runs one sparse accumulation loop on integers
+over the denominator D_a D_b, followed by a single gcd over the result, and
+``product_difference`` sums a @ b - c @ d row by row in integers without
+forming either product (a commutator compares x y with y x over their
+shared denominator).  Symbolic entries go through the same sparse loops as
+they are.  An entry becomes a backend rational only when it is read:
+``m[i, j]``, ``rows``, ``column``, ``apply``, comparison with a matrix that
+is not converted, and elimination.  Rational and int entries are made
+backend rationals on entry to ``exact_det``, ``invert`` and ``rank``, so
+that every division is exact.
 Determinants use dense Gaussian elimination over the entries' field, since
 their inputs are dense (the Gram matrix at N = 6 has no zero entry).
 Inverses and ranks use Gauss-Jordan elimination over the stored nonzeros,
@@ -26,7 +35,7 @@ choice affects speed only.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from ._ratback import RAT, RAT_TYPES, is_rational
 
@@ -36,10 +45,13 @@ class Matrix:
 
     Each row is a ``{column: value}`` dict without zeros, so products, sums,
     scaling, comparison and application cost time in the nonzero entries.
-    ``rows`` is a dense copy, with ``0`` wherever nothing is stored.
+    ``_den`` is None while the values are stored as they are, and the
+    common denominator D once a rational matrix holds integer numerators
+    over it.  ``rows`` is a dense copy of the values, with ``0`` wherever
+    nothing is stored.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_rows", "_den")
 
     def __init__(self, rows):
         """From dense rows: a list of equal-length lists."""
@@ -49,11 +61,13 @@ class Matrix:
         if any(len(row) != self.ncols for row in rows):
             raise ValueError("dense rows of unequal length")
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        self._den = None
 
     @staticmethod
-    def _sparse(nrows: int, ncols: int, rows: list[dict]) -> Matrix:
+    def _sparse(nrows: int, ncols: int, rows: list[dict],
+                den=None) -> Matrix:
         out = object.__new__(Matrix)
-        out.nrows, out.ncols, out._rows = nrows, ncols, rows
+        out.nrows, out.ncols, out._rows, out._den = nrows, ncols, rows, den
         return out
 
     @staticmethod
@@ -73,11 +87,19 @@ class Matrix:
                     rows[i][j] = x
         return Matrix._sparse(len(rows), len(cols), rows)
 
+    def _values(self) -> list[dict]:
+        """The stored rows with each entry as it reads: the rows themselves
+        unless the matrix holds numerators, else new backend rationals."""
+        if self._den is None:
+            return self._rows
+        den = self._den
+        return [{j: RAT(x, den) for j, x in row.items()} for row in self._rows]
+
     @property
     def rows(self) -> list[list]:
         """Dense copy of the entries, row by row."""
         out = []
-        for row in self._rows:
+        for row in self._values():
             dense = [0] * self.ncols
             for j, x in row.items():
                 dense[j] = x
@@ -85,70 +107,72 @@ class Matrix:
         return out
 
     def __getitem__(self, ij):
-        return self._rows[ij[0]].get(ij[1], 0)
+        x = self._rows[ij[0]].get(ij[1], 0)
+        return x if self._den is None or not x else RAT(x, self._den)
 
     def column(self, j: int) -> list:
-        return [row.get(j, 0) for row in self._rows]
+        if self._den is None:
+            return [row.get(j, 0) for row in self._rows]
+        den = self._den
+        return [RAT(row[j], den) if j in row else 0 for row in self._rows]
 
     def transpose(self) -> Matrix:
         cols = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self._rows):
             for j, x in row.items():
                 cols[j][i] = x
-        return Matrix._sparse(self.ncols, self.nrows, cols)
+        # the same numerators over the same D: still in lowest terms
+        return Matrix._sparse(self.ncols, self.nrows, cols, self._den)
 
     def submatrix(self, row_idx, col_idx) -> Matrix:
         where = {j: k for k, j in enumerate(col_idx)}
         rows = [{where[j]: x for j, x in self._rows[i].items() if j in where}
                 for i in row_idx]
-        return Matrix._sparse(len(rows), len(where), rows)
+        if self._den is None:
+            return Matrix._sparse(len(rows), len(where), rows)
+        return _lowest(len(rows), len(where), rows, self._den)
 
     def __add__(self, other: Matrix) -> Matrix:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
-        rows = []
-        for r1, r2 in zip(self._rows, other._rows):
-            out = dict(r1)
-            for j, y in r2.items():
-                s = out[j] + y if j in out else y
-                if s:
-                    out[j] = s
-                else:
-                    del out[j]
-            rows.append(out)
-        return Matrix._sparse(self.nrows, self.ncols, rows)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self + -other
+        return _sum(self, other, -1)
 
     def __neg__(self) -> Matrix:
         return Matrix._sparse(self.nrows, self.ncols,
                               [{j: -x for j, x in row.items()}
-                               for row in self._rows])
+                               for row in self._rows], self._den)
 
     def scale(self, c) -> Matrix:
         # a product of nonzero field elements is nonzero: no zeros to drop
         if not c:
             return Matrix.zeros(self.nrows, self.ncols)
-        return Matrix._sparse(self.nrows, self.ncols,
-                              [{j: c * x for j, x in row.items()}
-                               for row in self._rows])
+        # symbolic entries or factor, or an int matrix times an int: entry
+        # by entry as they are
+        if (not (is_rational(c) and _numeric(self))
+                or (self._den is None and type(c) is int)):
+            return Matrix._sparse(self.nrows, self.ncols,
+                                  [{j: c * x for j, x in row.items()}
+                                   for row in self._values()])
+        num = c.numerator
+        return _lowest(self.nrows, self.ncols,
+                       [{j: num * x for j, x in row.items()}
+                        for row in self._rows],
+                       (self._den or 1) * c.denominator)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        if not _both_rational(self, other):
-            rows = [{j: x for j, x in acc.items() if x}
-                    for acc in _accumulate(self._rows, other._rows)]
-            return Matrix._sparse(self.nrows, other.ncols, rows)
-        r = _row_scales(self)
-        bcols, c = _column_cleared(other)
-        rows = [{j: RAT(x, ri * c[j]) for j, x in acc.items() if x}
-                for ri, acc in zip(r, _accumulate(_row_cleared(self, r),
-                                                  bcols))]
+        if _numeric(self) and _numeric(other):
+            return _product_sum(((self, other, 1),), self.nrows, other.ncols)
+        rows = [{j: x for j, x in acc.items() if x}
+                for acc in _accumulate(((self._values(), other._values(),
+                                         1),), self.nrows)]
         return Matrix._sparse(self.nrows, other.ncols, rows)
 
     def apply(self, vec: list) -> list:
+        """The matrix times ``vec``; over numerators, each nonzero sum is
+        divided by D once."""
         out = []
         for row in self._rows:
             acc = 0
@@ -156,13 +180,22 @@ class Matrix:
                 if vec[j]:
                     acc = acc + e * vec[j]
             out.append(acc)
-        return out
+        if self._den is None:
+            return out
+        # times 1/D, not divided by D: an int sum over an int D would divide
+        # in floating point
+        inv = RAT(1, self._den)
+        return [x * inv if x else x for x in out]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self._rows == other._rows)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            return False
+        if self._den is not None and other._den is not None:
+            # lowest terms: equal matrices store equal numerators and D
+            return self._den == other._den and self._rows == other._rows
+        return self._values() == other._values()
 
     def __hash__(self):
         raise TypeError("Matrix is unhashable")
@@ -181,72 +214,130 @@ class Matrix:
         """The scalar c with self == c * I, or None."""
         if self.nrows != self.ncols:
             return None
-        c = self[0, 0]
+        c = self._rows[0].get(0, 0)
         for i, row in enumerate(self._rows):
             if row != ({i: c} if c else {}):
                 return None
-        return c
+        return self[0, 0]
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
 # ---------------------------------------------------------------------------
-# products over cleared denominators
+# arithmetic over one common denominator
 
 _RATIONAL_TYPES = frozenset(RAT_TYPES)
 
 
-def _both_rational(a: Matrix, b: Matrix) -> bool:
-    """Whether every entry of a and b is rational and one is not an int:
-    the factors whose product is taken over cleared denominators.  Int
-    factors are integers already, and symbolic ones keep their own type."""
-    kinds = {type(x) for m in (a, b) for row in m._rows for x in row.values()}
-    return kinds <= _RATIONAL_TYPES and not kinds <= {int}
-
-
-def _row_scales(m: Matrix) -> list:
-    """The lcm of the denominators in each row of the rational ``m``."""
-    # two at a time: one lcm(*row) call per row raised the peak RSS of
-    # `relations --n 6` by about 0.6 MiB (Python 3.11)
-    scales = []
+def _numeric(m: Matrix) -> bool:
+    """Whether every entry of ``m`` is an int or a rational.  A rational
+    ``m`` that still stores its values is switched in place to integer
+    numerators over the lcm D of its denominators, which is in lowest
+    terms: a prime p dividing D divides the denominator d of some entry n/d
+    as often as it divides D, and so divides neither n nor D/d."""
+    if m._den is not None:
+        return True
+    den, ints = 1, True
     for row in m._rows:
-        s = 1
         for x in row.values():
+            if type(x) is int:
+                continue
+            if type(x) not in _RATIONAL_TYPES:
+                return False
+            ints = False
+            # two at a time: one lcm(*row) call per row raised the peak RSS
+            # of `relations --n 6` by about 0.6 MiB (Python 3.11)
             if x.denominator != 1:
-                s = lcm(s, x.denominator)
-        scales.append(s)
-    return scales
+                den = lcm(den, x.denominator)
+    if not ints:
+        m._rows = [{j: x.numerator * (den // x.denominator)
+                    for j, x in row.items()} for row in m._rows]
+        m._den = den
+    return True
 
 
-def _row_cleared(m: Matrix, scales: list):
-    """Each row of ``m`` times its scale, in integers, one row at a time."""
-    for row, s in zip(m._rows, scales):
-        yield {j: x.numerator * (s // x.denominator) for j, x in row.items()}
+def _lowest(nrows: int, ncols: int, rows: list[dict], den) -> Matrix:
+    """The matrix of numerators ``rows`` (no zeros stored) over ``den``,
+    brought to lowest terms by one gcd over all of them, which stops at the
+    first row that brings it to 1."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g != 1:
+        rows = [{j: x // g for j, x in row.items()} for row in rows]
+        den //= g
+    return Matrix._sparse(nrows, ncols, rows, den)
 
 
-def _column_cleared(m: Matrix) -> tuple[list[dict], list]:
-    """The rows of the rational ``m`` with each column times the lcm of its
-    denominators, in integers, and those lcms."""
-    scales = [1] * m.ncols
-    for row in m._rows:
-        for j, x in row.items():
-            if x.denominator != 1:
-                scales[j] = lcm(scales[j], x.denominator)
-    return ([{j: x.numerator * (scales[j] // x.denominator)
-              for j, x in row.items()} for row in m._rows], scales)
+def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """a + sign * b as fa a + fb b, row by row over the stored entries,
+    dropping every sum that cancels; over numerators, fa and fb bring both
+    to the lcm of the two denominators."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch in matrix sum")
+    den = None
+    if not (_numeric(a) and _numeric(b)):
+        arows, brows = a._values(), (b if sign == 1 else -b)._values()
+        fa = fb = 1
+    elif a._den is None and b._den is None:
+        arows, brows, fa, fb = a._rows, b._rows, 1, sign
+    else:
+        da, db = a._den or 1, b._den or 1
+        den = lcm(da, db)
+        arows, brows, fa, fb = a._rows, b._rows, den // da, sign * (den // db)
+    rows = []
+    for r1, r2 in zip(arows, brows):
+        out = dict(r1) if fa == 1 else {j: fa * x for j, x in r1.items()}
+        for j, y in r2.items():
+            if fb != 1:
+                y = fb * y
+            s = out[j] + y if j in out else y
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+        rows.append(out)
+    if den is None:
+        return Matrix._sparse(a.nrows, a.ncols, rows)
+    return _lowest(a.nrows, a.ncols, rows, den)
 
 
-def _accumulate(arows, brows: list[dict]):
-    """Row by row, the sums over k of a_ik b_kj, taken over the stored
-    entries only; a sum that cancels is kept as a zero.  Each row is
-    yielded as it is done, so that only one row of sums is held."""
-    for arow in arows:
+def _accumulate(terms, nrows: int):
+    """Row by row, the sums over k and over the terms (arows, brows, f) of
+    f a_ik b_kj, taken over the stored entries only; a sum that cancels is
+    kept as a zero.  Each row is yielded as it is done, so that only one
+    row of sums is held."""
+    for i in range(nrows):
         acc = {}
-        for k, a in arow.items():
-            for j, b in brows[k].items():
-                acc[j] = acc[j] + a * b if j in acc else a * b
+        for arows, brows, f in terms:
+            for k, a in arows[i].items():
+                if f != 1:
+                    a = f * a
+                for j, b in brows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
         yield acc
+
+
+def _product_sum(terms, nrows: int, ncols: int) -> Matrix:
+    """The sum of sign * (a @ b) over the numeric ``terms`` (a, b, sign), in
+    integers over the lcm D of the products' denominators D_a D_b; an int
+    result (every factor int) stays ints."""
+    if all(a._den is None and b._den is None for a, b, _ in terms):
+        den = None
+        parts = [(a._rows, b._rows, sign) for a, b, sign in terms]
+    else:
+        dens = [(a._den or 1) * (b._den or 1) for a, b, _ in terms]
+        den = lcm(*dens)
+        parts = [(a._rows, b._rows, sign * (den // d))
+                 for (a, b, sign), d in zip(terms, dens)]
+    rows = [{j: x for j, x in acc.items() if x}
+            for acc in _accumulate(parts, nrows)]
+    if den is None:
+        return Matrix._sparse(nrows, ncols, rows)
+    return _lowest(nrows, ncols, rows, den)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +484,8 @@ def invert(matrix: Matrix) -> Matrix:
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
-    m = _field_rows([{**row, n + i: 1} for i, row in enumerate(matrix._rows)])
+    m = _field_rows([{**row, n + i: 1}
+                     for i, row in enumerate(matrix._values())])
     if len(_row_reduce(m, n)) < n:
         raise ZeroDivisionError("matrix is singular")
     # row i of the reduced [I | matrix^-1] stores its pivot 1 at column i
@@ -402,34 +494,28 @@ def invert(matrix: Matrix) -> Matrix:
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_row_reduce(_field_rows(matrix._rows), matrix.ncols))
+    return len(_row_reduce(_field_rows(matrix._values()), matrix.ncols))
+
+
+def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
+    """a @ b - c @ d, summed row by row in integers over the lcm of the
+    products' denominators, without forming either product; symbolic
+    factors take the two products and subtract them."""
+    if (a.ncols != b.nrows or c.ncols != d.nrows
+            or (a.nrows, b.ncols) != (c.nrows, d.ncols)):
+        raise ValueError("shape mismatch in product difference")
+    if not all(_numeric(m) for m in (a, b, c, d)):
+        return a @ b - c @ d
+    return _product_sum(((a, b, 1), (c, d, -1)), a.nrows, b.ncols)
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
-    """x @ y - y @ x.  On rational entries, with x y = P / (r_i c_j) and
-    y x = Q / (r'_i c'_j) over cleared denominators, entry (i, j) is
-    P r'_i c'_j - Q r_i c_j over the product of the four scales; only a
-    nonzero difference becomes a rational."""
-    n = x.nrows
-    if not x.ncols == y.nrows == y.ncols == n:
-        raise ValueError("shape mismatch in commutator")
-    if not _both_rational(x, y):
-        return x @ y - y @ x
-    rx, ry = _row_scales(x), _row_scales(y)
-    (xcols, cx), (ycols, cy) = _column_cleared(x), _column_cleared(y)
-    rows = []
-    for i, p, q in zip(range(n), _accumulate(_row_cleared(x, rx), ycols),
-                       _accumulate(_row_cleared(y, ry), xcols)):
-        out = {}
-        for j in p.keys() | q.keys():
-            d = p.get(j, 0) * ry[i] * cx[j] - q.get(j, 0) * rx[i] * cy[j]
-            if d:
-                out[j] = RAT(d, rx[i] * cy[j] * ry[i] * cx[j])
-        rows.append(out)
-    return Matrix._sparse(n, n, rows)
+    """x @ y - y @ x; over numerators both products share the denominator
+    D_x D_y, so the two are compared directly in integers."""
+    return product_difference(x, y, y, x)
 
 
 __all__ = [
     "Matrix", "commutator", "exact_det", "invert", "nonsingular_certificate",
-    "rank",
+    "product_difference", "rank",
 ]

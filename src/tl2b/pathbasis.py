@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .audit import audit
 from .hecke import g_coefficients, lift_family, murphy, murphy_word
-from .linalg import Matrix, invert
+from .linalg import Matrix, invert, product_difference
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 from .wordrep import ModuleSpec, idempotent_words, irrep_dim, word_product
 
@@ -324,8 +324,12 @@ class BasisB1:
         return self._inverse
 
     def in_coordinates(self, mat: Matrix) -> Matrix:
-        """Transport a canonical-coordinate operator into path coordinates."""
-        return self.inverse() @ mat @ self.change_of_basis
+        """Transport a canonical-coordinate operator into path coordinates.
+
+        B^-1 (E B), not (B^-1 E) B: the common denominator of B^-1 is much
+        longer than its entries (1554 against at most 944 bits at N = 6),
+        so the product that carries it should be the last one."""
+        return self.inverse() @ (mat @ self.change_of_basis)
 
     def generator_in_coordinates(self, i: int) -> Matrix:
         return self.in_coordinates(self.rep.e_matrix(i))
@@ -333,15 +337,15 @@ class BasisB1:
     def tile_action(self) -> tuple[list[Matrix], dict[tuple[int, Path], bool]]:
         """``tile_generators`` of this basis, and for each (i, path) whether
         E_i b_p = sum_q (M_i)_qp b_q holds exactly, that is whether column p
-        of E_i B equals column p of B M_i; computed once."""
+        of E_i B - B M_i is zero; computed once."""
         if self._tile_action is None:
             gens = tile_generators(self.paths, self.point)
             cob = self.change_of_basis
             held = {}
             for i, gen in enumerate(gens):
-                lhs, rhs = self.rep.e_matrix(i) @ cob, cob @ gen
+                diff = product_difference(self.rep.e_matrix(i), cob, cob, gen)
                 for k, path in enumerate(self.paths):
-                    held[i, path] = lhs.column(k) == rhs.column(k)
+                    held[i, path] = not any(diff.column(k))
             self._tile_action = (gens, held)
         return self._tile_action
 

@@ -19,7 +19,8 @@ from functools import cached_property
 from .audit import audit
 from ._ratback import RAT
 from .hecke import centre_offset, lift_family, murphy
-from .linalg import Matrix, commutator, nonsingular_certificate
+from .linalg import (Matrix, commutator, nonsingular_certificate,
+                     product_difference)
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
 from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, apply_idempotent, build_b1
 from .wordrep import ModuleSpec, check_relations
@@ -185,7 +186,8 @@ def equivalence_audit(rep: SpinRep) -> list[dict]:
         basis_s.inverse()  # exact; raises ZeroDivisionError when singular
     for i, e_spin in enumerate(spin_gens):
         md = basis_d.generator_in_coordinates(i)
-        out.append(audit(f"spin.equiv.e{i}", e_spin @ cob - cob @ md))
+        out.append(audit(f"spin.equiv.e{i}",
+                         product_difference(e_spin, cob, cob, md)))
     # centre: the sum of the affine Murphy elements and their inverses
     out.append(audit("spin.centre.scalar", centre_offset(
         murphy("C", lift_family(spin_gens, rep.point)), THETA)))

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import tl2b
 from tl2b._ratback import RAT
 from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p, commutator,
-                         exact_det, invert, nonsingular_certificate, rank)
+                         exact_det, invert, nonsingular_certificate,
+                         product_difference, rank)
 from tl2b.scalars import OMEGA1, ONE, THETA, HalfExponent
 from tl2b.symbolic import SymbolicPoint
 
@@ -167,7 +168,7 @@ def test_matrix_agrees_with_dense_lists(data, n, k, m):
 
 
 # ---------------------------------------------------------------------------
-# products over cleared denominators against a schoolbook Fraction sum
+# arithmetic over one common denominator against a schoolbook Fraction sum
 
 ENTRY_KINDS = {
     "int": st.one_of(st.just(0), st.integers(-9, 9)),
@@ -196,12 +197,54 @@ def schoolbook(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def assert_product(got, want, int_factors):
+def entrywise(op, a, b):
+    return [[op(Fraction(x), Fraction(y)) for x, y in zip(r, t)]
+            for r, t in zip(a, b)]
+
+
+def has_rational(*matrices) -> bool:
+    """Whether a nonzero entry of the dense rows is not an int."""
+    return any(x and type(x) is not int
+               for rows in matrices for row in rows for x in row)
+
+
+def assert_stored_form(m):
+    """No stored zero, and numerators in lowest terms over a D > 0."""
+    values = [x for row in m._rows for x in row.values()]
+    assert all(values), "stored zero"
+    if m._den is not None:
+        assert m._den > 0
+        assert math.gcd(m._den, *values) == 1, "not in lowest terms"
+    assert m == Matrix(m.rows)
+
+
+def assert_reads(m, rational):
+    """Every nonzero entry, read through ``rows``, ``[i, j]`` and
+    ``column``, is a backend rational when ``rational``, else an int: an int
+    read where a rational is expected would divide in floating point."""
+    kind = RAT_TYPE if rational else int
+    reads = [x for row in m.rows for x in row]
+    reads += [m[i, j] for i in range(m.nrows) for j in range(m.ncols)]
+    reads += [x for j in range(m.ncols) for x in m.column(j)]
+    assert all(type(x) is kind for x in reads if x)
+
+
+def assert_result(got, want, rational):
     assert got.rows == want
-    assert all(x for row in got._rows for x in row.values()), "stored zero"
-    if int_factors:
-        assert all(type(x) is int for row in got._rows for x in row.values())
+    assert_stored_form(got)
+    assert_reads(got, rational)
     assert got.first_nonzero() == naive_first_nonzero(want)
+
+
+def operand(data, rows):
+    """Matrix(rows), switched to numerators beforehand or not (as drawn):
+    entering a product converts a matrix in place."""
+    m = Matrix(rows)
+    if data.draw(st.booleans()):
+        m @ Matrix.identity(m.ncols)
+        assert_stored_form(m)
+        assert_reads(m, has_rational(rows))
+    return m
 
 
 KINDS = st.sampled_from(sorted(ENTRY_KINDS))
@@ -213,23 +256,82 @@ KINDS = st.sampled_from(sorted(ENTRY_KINDS))
 def test_products_match_the_schoolbook_sum(data, n, k, m, kind_a, kind_b):
     a = draw_rows(data, n, k, kind_a)
     b = draw_rows(data, k, m, kind_b)
-    ints = kind_a == kind_b == "int"
-    assert_product(Matrix(a) @ Matrix(b), schoolbook(a, b), ints)
+    assert_result(operand(data, a) @ operand(data, b), schoolbook(a, b),
+                  has_rational(a, b))
     # [a | a] times [b; -b]: every term has a partner that cancels it
-    doubled = Matrix([row + row for row in a])
-    stacked = Matrix(b + [[-x for x in row] for row in b])
-    assert_product(doubled @ stacked, [[0] * m for _ in range(n)], ints)
+    doubled = operand(data, [row + row for row in a])
+    stacked = operand(data, b + [[-x for x in row] for row in b])
+    assert_result(doubled @ stacked, [[0] * m for _ in range(n)], False)
 
-    x = Matrix(draw_rows(data, n, n, kind_a))
-    y = Matrix(draw_rows(data, n, n, kind_b))
+    c = draw_rows(data, n, k, kind_a)
+    d = draw_rows(data, k, m, kind_b)
+    want = entrywise(lambda p, q: p - q, schoolbook(a, b), schoolbook(c, d))
+    assert_result(product_difference(operand(data, a), operand(data, b),
+                                     operand(data, c), operand(data, d)),
+                  want, has_rational(a, b, c, d))
+
+    x = operand(data, draw_rows(data, n, n, kind_a))
+    y = operand(data, draw_rows(data, n, n, kind_b))
     for left, right in ((x, y), (y, x), (x, x @ x), (x, Matrix.identity(n))):
-        want = [[p - q for p, q in zip(r, t)]
-                for r, t in zip(schoolbook(left.rows, right.rows),
-                                schoolbook(right.rows, left.rows))]
+        want = entrywise(lambda p, q: p - q, schoolbook(left.rows, right.rows),
+                         schoolbook(right.rows, left.rows))
         got = commutator(left, right)
-        assert_product(got, want, ints)
+        assert_result(got, want, has_rational(left.rows, right.rows))
         assert got.first_nonzero() == \
             (left @ right - right @ left).first_nonzero()
+
+
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4),
+       kind_a=KINDS, kind_b=KINDS)
+@settings(max_examples=200, deadline=None)
+def test_sums_and_scaling_match_the_fraction_sums(data, n, m, kind_a,
+                                                  kind_b):
+    a = draw_rows(data, n, m, kind_a)
+    b = draw_rows(data, n, m, kind_b)
+    s = data.draw(ENTRY_KINDS[kind_b])
+    rational = has_rational(a, b)
+    for op, got in ((lambda p, q: p + q, operand(data, a) + operand(data, b)),
+                    (lambda p, q: p - q, operand(data, a) - operand(data, b))):
+        assert_result(got, entrywise(op, a, b), rational)
+    ma = operand(data, a)
+    assert_result(ma - ma, [[0] * m for _ in range(n)], False)
+    assert_result(-ma, [[-Fraction(x) for x in row] for row in a],
+                  has_rational(a))
+    assert_result(ma.scale(s), [[Fraction(s) * x for x in row] for row in a],
+                  has_rational(a, [[s]]))
+    vec = data.draw(st.lists(ENTRY_KINDS[kind_b], min_size=m, max_size=m))
+    image = ma.apply(vec)
+    assert image == [sum((Fraction(x) * y for x, y in zip(row, vec)),
+                         Fraction(0)) for row in a]
+    if has_rational(a):  # converted by ``ma - ma``
+        assert all(type(x) is RAT_TYPE for x in image if x)
+
+
+def test_reading_a_matrix_leaves_it_as_given():
+    # the Gram matrix is built, read and eliminated, and never converted
+    rows = [[RAT(1, 2), 1, 0], [RAT(2, 3), RAT(-5, 4), 3], [1, 0, RAT(7)]]
+    m = Matrix(rows)
+    stored = [dict(row) for row in m._rows]
+    m.rows, m[1, 1], m.column(0), m.apply([1, 2, 3]), m.transpose()
+    exact_det(m), nonsingular_certificate(m), invert(m), rank(m)
+    assert m == Matrix(rows) and m.scalar_multiple_of_identity() is None
+    assert m._den is None and m._rows == stored
+    m @ m
+    assert m._den == 12 and m._rows == [{0: 6, 1: 12}, {0: 8, 1: -15, 2: 36},
+                                        {0: 12, 2: 84}]
+    assert m.rows == rows and type(m[0, 1]) is RAT_TYPE
+
+
+def test_an_int_matrix_stays_ints():
+    ints = Matrix([[2, 0], [1, -3]])
+    for got in (ints @ ints, ints + ints, ints - ints.scale(3), -ints,
+                commutator(ints, ints.transpose()),
+                product_difference(ints, ints, ints, ints.scale(2))):
+        assert got._den is None
+        assert_reads(got, False)
+    assert ints._den is None and ints.rows == [[2, 0], [1, -3]]
+    assert_reads(ints.scale(RAT(2)), True)
+    assert_reads(ints @ Matrix([[RAT(3), 0], [0, 1]]), True)
 
 
 def test_sums_and_commutators_reject_mismatched_shapes():
@@ -244,6 +346,28 @@ def test_sums_and_commutators_reject_mismatched_shapes():
     for left, right in ((two, three), (wide, wide.transpose())):
         with pytest.raises(ValueError, match="shape mismatch"):
             commutator(left, right)
+    tall = wide.transpose()
+    for args in ((two, wide, three, two),     # c @ d does not exist
+                 (wide, two, two, wide),      # a @ b does not exist
+                 (two, two, tall, wide),      # 2x2 against 3x3
+                 (two, wide, wide, tall)):    # 2x3 against 2x2
+        with pytest.raises(ValueError, match="shape mismatch"):
+            product_difference(*args)
+
+
+def test_symbolic_product_difference_takes_both_products():
+    sym = SymbolicPoint()
+    x, y = sym.qnum(OMEGA1 + ONE), sym.qnum(THETA)
+    z = sym.q_power(HalfExponent(1, -1, 0, 2))
+    a = Matrix([[x, 0], [Fraction(1, 3), z]])
+    b = Matrix([[y, 1], [z, RAT(-2, 5)]])
+    c = Matrix([[1, y], [0, x * z]])
+    d = Matrix([[RAT(1, 7), x], [2, 0]])
+    got = product_difference(a, b, c, d)
+    assert got == a @ b - c @ d
+    assert got.rows == (a @ b - c @ d).rows
+    assert product_difference(a, b, a, b).is_zero()
+    assert commutator(a, b) == a @ b - b @ a
 
 
 def test_stored_zeros_and_the_dense_view():
@@ -337,8 +461,9 @@ def test_inverse_and_rank_match_the_dense_reduction(data, n, k, kind):
     assert m == Matrix(rows), "invert changed its input"
     assert inv @ m == Matrix.identity(n)
     assert inv.rows == [row[n:] for row in ref]
-    assert all(x and type(x) is RAT_TYPE
-               for row in inv._rows for x in row.values())
+    # read through ``rows``: once multiplied, ``_rows`` holds numerators
+    assert all(type(x) is RAT_TYPE for row in inv.rows for x in row if x)
+    assert_stored_form(inv)
 
 
 def test_symbolic_inverse():
