@@ -295,6 +295,15 @@ def test_sums_and_scaling_match_the_fraction_sums(data, n, m, kind_a,
         assert_result(got, entrywise(op, a, b), rational)
     ma = operand(data, a)
     assert_result(ma - ma, [[0] * m for _ in range(n)], False)
+    # ``ma`` holds numerators now, when it has a rational entry
+    assert_result(ma.transpose(), [list(col) for col in zip(*a)],
+                  has_rational(a))
+    rows, cols = range(n - 1, -1, -1), range(0, m, 2)
+    assert_result(ma.submatrix(rows, cols),
+                  [[a[i][j] for j in cols] for i in rows], has_rational(a))
+    diag = operand(data, [[s if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+    assert diag.scalar_multiple_of_identity() == s
     assert_result(-ma, [[-Fraction(x) for x in row] for row in a],
                   has_rational(a))
     assert_result(ma.scale(s), [[Fraction(s) * x for x in row] for row in a],
