@@ -1,25 +1,26 @@
 """Exact linear algebra over any field with decidable zero tests.
 
 Entries may be backend rationals, ints, or symbolic fractions; zero is
-detected with ``not entry`` and equality with ``==``.  A rational matrix is
-stored as integer numerators over one common denominator D > 0, in lowest
-terms: D and the numerators have no common factor, so equal matrices store
-equal numerators.  A matrix switches to this form in place the first time
-it enters a product, sum, difference, ``scale``, ``commutator`` or
-``product_difference``; a matrix that is only read keeps its entries as
-they were given, so the Gram matrix, which is built, read by ``exact_det``
-and written out but never multiplied, is never converted.  An int matrix is
-already its own numerator form over D = 1 and is left as it is: it reads
-back ints.  A product then runs one sparse accumulation loop on integers
-over the denominator D_a D_b, followed by a single gcd over the result, and
-``product_difference`` sums a @ b - c @ d row by row in integers without
-forming either product (a commutator compares x y with y x over their
-shared denominator).  Symbolic entries go through the same sparse loops as
-they are.  An entry becomes a backend rational only when it is read:
-``m[i, j]``, ``rows``, ``column``, ``apply``, comparison with a matrix that
-is not converted, and elimination.  Rational and int entries are made
-backend rationals on entry to ``exact_det``, ``invert`` and ``rank``, so
-that every division is exact.
+detected with ``not entry`` and equality with ``==``.  A matrix holds either
+its values as given or integer numerators over one common denominator
+D > 0, in lowest terms: D and the numerators have no common factor, so
+equal matrices store equal numerators.  A numeric matrix, ints included
+(D = 1), switches to numerators in place the first time it enters a
+product, sum, difference, ``scale``, ``commutator`` or
+``product_difference``; a matrix that is only read keeps its values, so
+the Gram matrix, which is built, read by ``exact_det`` and written out but
+never multiplied, is never converted, and a matrix with a symbolic entry
+keeps its values for good.  Every product goes through one routine: over
+numerators it runs one sparse accumulation loop on integers over the
+denominator D_a D_b, followed by a single gcd over the result, and over
+values the same loop on the values.  ``product_difference`` sums
+a @ b - c @ d row by row without forming either product (a commutator
+compares x y with y x over their shared denominator).  An entry becomes a
+backend rational only when it is read: ``m[i, j]``, ``rows``, ``column``,
+``apply``, comparison with a matrix that is not converted, and elimination;
+so a matrix that has entered arithmetic never reads an int.  Rational and
+int entries are made backend rationals on entry to ``exact_det``,
+``invert`` and ``rank``, so that every division is exact.
 Determinants use dense Gaussian elimination over the entries' field, since
 their inputs are dense (the Gram matrix at N = 6 has no zero entry).
 Inverses and ranks use Gauss-Jordan elimination over the stored nonzeros,
@@ -45,9 +46,9 @@ class Matrix:
 
     Each row is a ``{column: value}`` dict without zeros, so products, sums,
     scaling, comparison and application cost time in the nonzero entries.
-    ``_den`` is None while the values are stored as they are, and the
-    common denominator D once a rational matrix holds integer numerators
-    over it.  ``rows`` is a dense copy of the values, with ``0`` wherever
+    ``_den`` is None while the values are stored as given (a matrix that
+    has only been read, or one with a symbolic entry), and the common
+    denominator D once a numeric matrix holds integer numerators over it.  ``rows`` is a dense copy of the values, with ``0`` wherever
     nothing is stored.
     """
 
@@ -128,8 +129,6 @@ class Matrix:
         where = {j: k for k, j in enumerate(col_idx)}
         rows = [{where[j]: x for j, x in self._rows[i].items() if j in where}
                 for i in row_idx]
-        if self._den is None:
-            return Matrix._sparse(len(rows), len(where), rows)
         return _lowest(len(rows), len(where), rows, self._den)
 
     def __add__(self, other: Matrix) -> Matrix:
@@ -147,28 +146,18 @@ class Matrix:
         # a product of nonzero field elements is nonzero: no zeros to drop
         if not c:
             return Matrix.zeros(self.nrows, self.ncols)
-        # symbolic entries or factor, or an int matrix times an int: entry
-        # by entry as they are
-        if (not (is_rational(c) and _numeric(self))
-                or (self._den is None and type(c) is int)):
-            return Matrix._sparse(self.nrows, self.ncols,
-                                  [{j: c * x for j, x in row.items()}
-                                   for row in self._values()])
-        num = c.numerator
+        if is_rational(c) and _numeric(self):
+            f, rows, den = c.numerator, self._rows, self._den * c.denominator
+        else:  # symbolic entries or factor: entry by entry as they are
+            f, rows, den = c, self._values(), None
         return _lowest(self.nrows, self.ncols,
-                       [{j: num * x for j, x in row.items()}
-                        for row in self._rows],
-                       (self._den or 1) * c.denominator)
+                       [{j: f * x for j, x in row.items()} for row in rows],
+                       den)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        if _numeric(self) and _numeric(other):
-            return _product_sum(((self, other, 1),), self.nrows, other.ncols)
-        rows = [{j: x for j, x in acc.items() if x}
-                for acc in _accumulate(((self._values(), other._values(),
-                                         1),), self.nrows)]
-        return Matrix._sparse(self.nrows, other.ncols, rows)
+        return _product_sum(((self, other, 1),), self.nrows, other.ncols)
 
     def apply(self, vec: list) -> list:
         """The matrix times ``vec``; over numerators, each nonzero sum is
@@ -231,37 +220,34 @@ _RATIONAL_TYPES = frozenset(RAT_TYPES)
 
 
 def _numeric(m: Matrix) -> bool:
-    """Whether every entry of ``m`` is an int or a rational.  A rational
+    """Whether every entry of ``m`` is an int or a rational.  A numeric
     ``m`` that still stores its values is switched in place to integer
-    numerators over the lcm D of its denominators, which is in lowest
-    terms: a prime p dividing D divides the denominator d of some entry n/d
-    as often as it divides D, and so divides neither n nor D/d."""
+    numerators over the lcm D of its denominators (D = 1 for ints), which is
+    in lowest terms: a prime p dividing D divides the denominator d of some
+    entry n/d as often as it divides D, and so divides neither n nor D/d."""
     if m._den is not None:
         return True
-    den, ints = 1, True
+    den = 1
     for row in m._rows:
         for x in row.values():
-            if type(x) is int:
-                continue
             if type(x) not in _RATIONAL_TYPES:
                 return False
-            ints = False
             # two at a time: one lcm(*row) call per row raised the peak RSS
             # of `relations --n 6` by about 0.6 MiB (Python 3.11)
             if x.denominator != 1:
                 den = lcm(den, x.denominator)
-    if not ints:
-        m._rows = [{j: x.numerator * (den // x.denominator)
-                    for j, x in row.items()} for row in m._rows]
-        m._den = den
+    m._rows = [{j: x.numerator * (den // x.denominator)
+                for j, x in row.items()} for row in m._rows]
+    m._den = den
     return True
 
 
 def _lowest(nrows: int, ncols: int, rows: list[dict], den) -> Matrix:
-    """The matrix of numerators ``rows`` (no zeros stored) over ``den``,
-    brought to lowest terms by one gcd over all of them, which stops at the
-    first row that brings it to 1."""
-    g = den
+    """The matrix of ``rows`` (no zeros stored): values as they are when
+    ``den`` is None, else numerators over ``den``, brought to lowest terms
+    by one gcd over all of them, which stops at the first row that brings
+    it to 1."""
+    g = den or 1
     for row in rows:
         if g == 1:
             break
@@ -278,16 +264,13 @@ def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
     to the lcm of the two denominators."""
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise ValueError("shape mismatch in matrix sum")
-    den = None
-    if not (_numeric(a) and _numeric(b)):
-        arows, brows = a._values(), (b if sign == 1 else -b)._values()
-        fa = fb = 1
-    elif a._den is None and b._den is None:
-        arows, brows, fa, fb = a._rows, b._rows, 1, sign
+    if _numeric(a) and _numeric(b):
+        den = lcm(a._den, b._den)
+        arows, brows = a._rows, b._rows
+        fa, fb = den // a._den, sign * (den // b._den)
     else:
-        da, db = a._den or 1, b._den or 1
-        den = lcm(da, db)
-        arows, brows, fa, fb = a._rows, b._rows, den // da, sign * (den // db)
+        arows, brows = a._values(), (b if sign == 1 else -b)._values()
+        fa, fb, den = 1, 1, None
     rows = []
     for r1, r2 in zip(arows, brows):
         out = dict(r1) if fa == 1 else {j: fa * x for j, x in r1.items()}
@@ -300,8 +283,6 @@ def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
             else:
                 del out[j]
         rows.append(out)
-    if den is None:
-        return Matrix._sparse(a.nrows, a.ncols, rows)
     return _lowest(a.nrows, a.ncols, rows, den)
 
 
@@ -322,21 +303,20 @@ def _accumulate(terms, nrows: int):
 
 
 def _product_sum(terms, nrows: int, ncols: int) -> Matrix:
-    """The sum of sign * (a @ b) over the numeric ``terms`` (a, b, sign), in
-    integers over the lcm D of the products' denominators D_a D_b; an int
-    result (every factor int) stays ints."""
-    if all(a._den is None and b._den is None for a, b, _ in terms):
-        den = None
-        parts = [(a._rows, b._rows, sign) for a, b, sign in terms]
-    else:
-        dens = [(a._den or 1) * (b._den or 1) for a, b, _ in terms]
+    """The sum of sign * (a @ b) over the ``terms`` (a, b, sign): in
+    integers over the lcm D of the products' denominators D_a D_b when every
+    factor is numeric, else over the values as they are."""
+    if all(_numeric(m) for a, b, _ in terms for m in (a, b)):
+        dens = [a._den * b._den for a, b, _ in terms]
         den = lcm(*dens)
         parts = [(a._rows, b._rows, sign * (den // d))
                  for (a, b, sign), d in zip(terms, dens)]
+    else:  # -a: negating a symbolic entry does not cancel its factors again
+        den = None
+        parts = [((a if sign == 1 else -a)._values(), b._values(), 1)
+                 for a, b, sign in terms]
     rows = [{j: x for j, x in acc.items() if x}
             for acc in _accumulate(parts, nrows)]
-    if den is None:
-        return Matrix._sparse(nrows, ncols, rows)
     return _lowest(nrows, ncols, rows, den)
 
 
@@ -498,14 +478,12 @@ def rank(matrix: Matrix) -> int:
 
 
 def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
-    """a @ b - c @ d, summed row by row in integers over the lcm of the
-    products' denominators, without forming either product; symbolic
-    factors take the two products and subtract them."""
+    """a @ b - c @ d, summed row by row without forming either product: in
+    integers over the lcm of the products' denominators when every factor
+    is numeric."""
     if (a.ncols != b.nrows or c.ncols != d.nrows
             or (a.nrows, b.ncols) != (c.nrows, d.ncols)):
         raise ValueError("shape mismatch in product difference")
-    if not all(_numeric(m) for m in (a, b, c, d)):
-        return a @ b - c @ d
     return _product_sum(((a, b, 1), (c, d, -1)), a.nrows, b.ncols)
 
 

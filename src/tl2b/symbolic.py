@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ._ratback import is_rational
 from .scalars import ONE, HalfExponent, LoopWeights, SingularArgumentError
 
 Mono = tuple[int, int, int, int]
@@ -194,8 +195,9 @@ class LaurentFrac:
     def coerce(value) -> LaurentFrac:
         if isinstance(value, LaurentFrac):
             return value
-        if isinstance(value, (int, Fraction)):
-            return LaurentFrac(LaurentPoly.const(value))
+        if is_rational(value):  # int, Fraction or the backend's mpq
+            return LaurentFrac(LaurentPoly.const(
+                Fraction(int(value.numerator), int(value.denominator))))
         raise TypeError(f"cannot coerce {value!r} to LaurentFrac")
 
     @staticmethod

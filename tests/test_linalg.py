@@ -202,12 +202,6 @@ def entrywise(op, a, b):
             for r, t in zip(a, b)]
 
 
-def has_rational(*matrices) -> bool:
-    """Whether a nonzero entry of the dense rows is not an int."""
-    return any(x and type(x) is not int
-               for rows in matrices for row in rows for x in row)
-
-
 def assert_stored_form(m):
     """No stored zero, and numerators in lowest terms over a D > 0."""
     values = [x for row in m._rows for x in row.values()]
@@ -218,21 +212,21 @@ def assert_stored_form(m):
     assert m == Matrix(m.rows)
 
 
-def assert_reads(m, rational):
+def assert_reads(m):
     """Every nonzero entry, read through ``rows``, ``[i, j]`` and
-    ``column``, is a backend rational when ``rational``, else an int: an int
-    read where a rational is expected would divide in floating point."""
-    kind = RAT_TYPE if rational else int
+    ``column``, is a backend rational, ints included: a matrix that has
+    entered arithmetic never reads an int, which would divide in floating
+    point."""
     reads = [x for row in m.rows for x in row]
     reads += [m[i, j] for i in range(m.nrows) for j in range(m.ncols)]
     reads += [x for j in range(m.ncols) for x in m.column(j)]
-    assert all(type(x) is kind for x in reads if x)
+    assert all(type(x) is RAT_TYPE for x in reads if x)
 
 
-def assert_result(got, want, rational):
+def assert_result(got, want):
     assert got.rows == want
     assert_stored_form(got)
-    assert_reads(got, rational)
+    assert_reads(got)
     assert got.first_nonzero() == naive_first_nonzero(want)
 
 
@@ -243,7 +237,7 @@ def operand(data, rows):
     if data.draw(st.booleans()):
         m @ Matrix.identity(m.ncols)
         assert_stored_form(m)
-        assert_reads(m, has_rational(rows))
+        assert_reads(m)
     return m
 
 
@@ -256,19 +250,18 @@ KINDS = st.sampled_from(sorted(ENTRY_KINDS))
 def test_products_match_the_schoolbook_sum(data, n, k, m, kind_a, kind_b):
     a = draw_rows(data, n, k, kind_a)
     b = draw_rows(data, k, m, kind_b)
-    assert_result(operand(data, a) @ operand(data, b), schoolbook(a, b),
-                  has_rational(a, b))
+    assert_result(operand(data, a) @ operand(data, b), schoolbook(a, b))
     # [a | a] times [b; -b]: every term has a partner that cancels it
     doubled = operand(data, [row + row for row in a])
     stacked = operand(data, b + [[-x for x in row] for row in b])
-    assert_result(doubled @ stacked, [[0] * m for _ in range(n)], False)
+    assert_result(doubled @ stacked, [[0] * m for _ in range(n)])
 
     c = draw_rows(data, n, k, kind_a)
     d = draw_rows(data, k, m, kind_b)
     want = entrywise(lambda p, q: p - q, schoolbook(a, b), schoolbook(c, d))
     assert_result(product_difference(operand(data, a), operand(data, b),
                                      operand(data, c), operand(data, d)),
-                  want, has_rational(a, b, c, d))
+                  want)
 
     x = operand(data, draw_rows(data, n, n, kind_a))
     y = operand(data, draw_rows(data, n, n, kind_b))
@@ -276,7 +269,7 @@ def test_products_match_the_schoolbook_sum(data, n, k, m, kind_a, kind_b):
         want = entrywise(lambda p, q: p - q, schoolbook(left.rows, right.rows),
                          schoolbook(right.rows, left.rows))
         got = commutator(left, right)
-        assert_result(got, want, has_rational(left.rows, right.rows))
+        assert_result(got, want)
         assert got.first_nonzero() == \
             (left @ right - right @ left).first_nonzero()
 
@@ -289,31 +282,26 @@ def test_sums_and_scaling_match_the_fraction_sums(data, n, m, kind_a,
     a = draw_rows(data, n, m, kind_a)
     b = draw_rows(data, n, m, kind_b)
     s = data.draw(ENTRY_KINDS[kind_b])
-    rational = has_rational(a, b)
     for op, got in ((lambda p, q: p + q, operand(data, a) + operand(data, b)),
                     (lambda p, q: p - q, operand(data, a) - operand(data, b))):
-        assert_result(got, entrywise(op, a, b), rational)
+        assert_result(got, entrywise(op, a, b))
     ma = operand(data, a)
-    assert_result(ma - ma, [[0] * m for _ in range(n)], False)
-    # ``ma`` holds numerators now, when it has a rational entry
-    assert_result(ma.transpose(), [list(col) for col in zip(*a)],
-                  has_rational(a))
+    assert_result(ma - ma, [[0] * m for _ in range(n)])
+    # ``ma`` holds numerators now, over D = 1 when every entry is an int
+    assert_result(ma.transpose(), [list(col) for col in zip(*a)])
     rows, cols = range(n - 1, -1, -1), range(0, m, 2)
     assert_result(ma.submatrix(rows, cols),
-                  [[a[i][j] for j in cols] for i in rows], has_rational(a))
+                  [[a[i][j] for j in cols] for i in rows])
     diag = operand(data, [[s if i == j else 0 for j in range(n)]
                           for i in range(n)])
     assert diag.scalar_multiple_of_identity() == s
-    assert_result(-ma, [[-Fraction(x) for x in row] for row in a],
-                  has_rational(a))
-    assert_result(ma.scale(s), [[Fraction(s) * x for x in row] for row in a],
-                  has_rational(a, [[s]]))
+    assert_result(-ma, [[-Fraction(x) for x in row] for row in a])
+    assert_result(ma.scale(s), [[Fraction(s) * x for x in row] for row in a])
     vec = data.draw(st.lists(ENTRY_KINDS[kind_b], min_size=m, max_size=m))
     image = ma.apply(vec)
     assert image == [sum((Fraction(x) * y for x, y in zip(row, vec)),
                          Fraction(0)) for row in a]
-    if has_rational(a):  # converted by ``ma - ma``
-        assert all(type(x) is RAT_TYPE for x in image if x)
+    assert all(type(x) is RAT_TYPE for x in image if x)
 
 
 def test_reading_a_matrix_leaves_it_as_given():
@@ -331,16 +319,23 @@ def test_reading_a_matrix_leaves_it_as_given():
     assert m.rows == rows and type(m[0, 1]) is RAT_TYPE
 
 
-def test_an_int_matrix_stays_ints():
+def test_an_int_matrix_joins_the_numerators_over_one():
     ints = Matrix([[2, 0], [1, -3]])
+    assert ints._den is None and ints[1, 0] == 1 and type(ints[1, 0]) is int
     for got in (ints @ ints, ints + ints, ints - ints.scale(3), -ints,
                 commutator(ints, ints.transpose()),
-                product_difference(ints, ints, ints, ints.scale(2))):
-        assert got._den is None
-        assert_reads(got, False)
-    assert ints._den is None and ints.rows == [[2, 0], [1, -3]]
-    assert_reads(ints.scale(RAT(2)), True)
-    assert_reads(ints @ Matrix([[RAT(3), 0], [0, 1]]), True)
+                product_difference(ints, ints, ints, ints.scale(2)),
+                ints.scale(RAT(2))):
+        assert got._den == 1
+        assert_stored_form(got)
+        assert_reads(got)
+    # the operand itself now holds its entries as numerators over D = 1
+    assert ints._den == 1 and ints._rows == [{0: 2}, {0: 1, 1: -3}]
+    assert ints.rows == [[2, 0], [1, -3]]
+    assert_reads(ints)
+    image = ints.apply([1, 1])
+    assert image == [2, -2] and all(type(x) is RAT_TYPE for x in image)
+    assert ints.scale(RAT(1, 2))._den == 2
 
 
 def test_sums_and_commutators_reject_mismatched_shapes():

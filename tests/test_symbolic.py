@@ -9,7 +9,8 @@ import pytest
 
 from conftest import assert_all_pass
 from tl2b.cli import main
-from tl2b.linalg import Matrix, commutator, exact_det
+from tl2b._ratback import RAT
+from tl2b.linalg import Matrix, commutator, exact_det, product_difference
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, THETA,
                           SingularArgumentError, make_param_point)
 from tl2b.spinchain import SpinRep
@@ -87,6 +88,26 @@ def test_symbolic_products_take_the_generic_loop(sym):
     comm = commutator(square, other)
     assert comm.rows == want and comm == square @ other - other @ square
     assert commutator(square, square @ square).is_zero()
+
+    # numeric matrices that hold numerators, on either side of a symbolic
+    # one: an identity already used in a numeric product, and a diagonal
+    # twist of backend rationals as in ``spinchain.twist_symmetry_audit``
+    ident = Matrix.identity(2)
+    ident @ Matrix([[Fraction(1, 2), 0], [3, 1]])
+    alpha = RAT(3)
+    twist = Matrix([[alpha ** -1, 0], [0, alpha]])
+    twist @ twist
+    for num in (ident, twist):
+        assert num._den is not None
+        for left, right in ((num, other), (other, num)):
+            assert (left @ right).rows == schoolbook(left.rows, right.rows)
+        want = [[p - q for p, q in zip(r, t)]
+                for r, t in zip(schoolbook(num.rows, other.rows),
+                                schoolbook(other.rows, num.rows))]
+        assert product_difference(num, other, other, num).rows == want
+        assert commutator(num, other).rows == want
+        assert commutator(other, num).rows == \
+            [[-p for p in row] for row in want]
 
 
 def test_backend_agreement_battery(sym):
