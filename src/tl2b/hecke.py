@@ -286,64 +286,57 @@ def centre_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
 
 
 def _iji_sandwich_identities(spec: ModuleSpec, sign: int):
-    """Expected right-hand sides of I J_j^(sign) I, as (id, I, j, rhs).
+    """Rows (id, I, j, x, y) with I J_j^(sign) I = x I + y S, where S is the
+    sandwich of I (I1 I2 I1 for I1, I2 I1 I2 for I2).
 
     ``sign`` +1 gives the Murphy identities, -1 the inverse-Murphy ones:
-    the two differ exactly by q -> 1/q in every explicit power.
+    the two differ exactly by q -> 1/q in every explicit power.  The
+    coefficients are written in the point's loop weights delta = [2],
+    s1 = [w1]/[w1+1] and s2 = [w2]/[w2+1].
     """
     point = spec.point
     n = spec.n_sites
     qn = point.qnum
-    qe = lambda x: point.q_power(x.scale(sign))
-    two = qn(HalfExponent.integer(2))
+    delta, s1, s2 = point.delta, point.s1, point.s2
     dq = point.q_power(ONE) - point.q_power(-ONE)  # q - 1/q
-    dqs = sign * dq
-    w1p1, w2p1 = qn(OMEGA1 + ONE), qn(OMEGA2 + ONE)
-    w1_, w2_ = qn(OMEGA1), qn(OMEGA2)
+    dq2, dqs = dq * dq, sign * dq
+    w1, w1p1, w2p1 = qn(OMEGA1), qn(OMEGA1 + ONE), qn(OMEGA2 + ONE)
+
+    def qe(x: HalfExponent):
+        return point.q_power(x.scale(sign))
+
+    # the overall factors: a power of q times a power of delta
+    k = delta ** ((n - 1) // 2)
+    cw, clast = qe(-OMEGA1) * k, qe(-(OMEGA2 + ONE.scale(n - 1))) * k
+    c2 = qe(ONE.scale(-2)) * (k if n % 2 == 0 else k / delta)
+    c3 = qe(ONE.scale(-3)) * k / delta
     if n % 2 == 0:
-        idents = [
-            ("iji.j0.11", "I1", 0,
-             lambda i1, i121: (i1.scale(qn((OMEGA1 + OMEGA2 + ONE).scale(2)) / qn(OMEGA1 + OMEGA2 + ONE))
-                               - i121.scale(dq * dq * w1p1 * w2p1)
-                               ).scale(qe(ONE.scale(-2)) * two ** ((n - 2) // 2))),
-            ("iji.j0.22", "I2", 0,
-             lambda i2, i212: (i2.scale(qe(-OMEGA2) * w1_ * w2_ / (w1p1 * w2p1))
-                               + i212.scale(dqs * qn(OMEGA2 - ONE))
-                               ).scale(qe(-OMEGA1) * two ** ((n - 2) // 2))),
+        w = OMEGA1 + OMEGA2
+        rows = [
+            ("iji.j0.11", "I1", 0, c2 * qn((w + ONE).scale(2)) / qn(w + ONE),
+             -c2 * dq2 * w1p1 * w2p1),
+            ("iji.j0.22", "I2", 0, cw * qe(-OMEGA2) * s1 * s2,
+             cw * dqs * qn(OMEGA2 - ONE)),
             ("iji.jlast.22", "I2", n - 1,
-             lambda i2, i212: (i2.scale(qe(-(ONE + OMEGA1)) * w1_ * w2_ / (w1p1 * w2p1))
-                               + i212.scale(dqs * w1_)
-                               ).scale(qe(-(OMEGA2 + ONE.scale(n - 1))) * two ** ((n - 2) // 2))),
+             clast * qe(-(ONE + OMEGA1)) * s1 * s2, clast * dqs * w1),
         ]
         if n >= 4:
             # J_1 sits next to the right boundary when N = 2, where the
             # jlast evaluation applies instead
-            idents.append(
-                ("iji.j1.22", "I2", 1,
-                 lambda i2, i212: (i2.scale(w1_ * w2_ * qn((OMEGA1 + OMEGA2).scale(2))
-                                            / (w1p1 * w2p1 * qn(OMEGA1 + OMEGA2)))
-                                   - i212.scale(dq * dq * w1_ * qn(OMEGA2 - ONE))
-                                   ).scale(qe(ONE.scale(-3)) * two ** ((n - 4) // 2))))
-        return idents
+            rows.append(("iji.j1.22", "I2", 1,
+                         c3 * s1 * s2 * qn(w.scale(2)) / qn(w),
+                         -c3 * dq2 * w1 * qn(OMEGA2 - ONE)))
+        return rows
+    w = OMEGA1 - OMEGA2
     return [
-        ("iji.j0.11", "I1", 0,
-         lambda i1, i121: (i1.scale(w2_ * qn((ONE + OMEGA1 - OMEGA2).scale(2))
-                                    / (w2p1 * qn(ONE + OMEGA1 - OMEGA2)))
-                           - i121.scale(dq * dq * w1p1 * qn(ONE - OMEGA2))
-                           ).scale(qe(ONE.scale(-2)) * two ** ((n - 3) // 2))),
-        ("iji.jlast.11", "I1", n - 1,
-         lambda i1, i121: (i1.scale(qe(OMEGA1) * w2_ / w2p1)
-                           - i121.scale(dqs * w1p1)
-                           ).scale(qe(-(OMEGA2 + ONE.scale(n - 1))) * two ** ((n - 1) // 2))),
-        ("iji.j0.22", "I2", 0,
-         lambda i2, i212: (i2.scale(qe(OMEGA2) * w1_ / w1p1)
-                           - i212.scale(dqs * qn(ONE + OMEGA2))
-                           ).scale(qe(-OMEGA1) * two ** ((n - 1) // 2))),
-        ("iji.j1.22", "I2", 1,
-         lambda i2, i212: (i2.scale(w1_ * qn((OMEGA1 - OMEGA2).scale(2))
-                                    / (w1p1 * qn(OMEGA1 - OMEGA2)))
-                           + i212.scale(dq * dq * w1_ * w2p1)
-                           ).scale(qe(ONE.scale(-3)) * two ** ((n - 3) // 2))),
+        ("iji.j0.11", "I1", 0, c2 * s2 * qn((ONE + w).scale(2)) / qn(ONE + w),
+         -c2 * dq2 * w1p1 * qn(ONE - OMEGA2)),
+        ("iji.jlast.11", "I1", n - 1, clast * qe(OMEGA1) * s2,
+         -clast * dqs * w1p1),
+        ("iji.j0.22", "I2", 0, cw * qe(OMEGA2) * s1,
+         -cw * dqs * qn(ONE + OMEGA2)),
+        ("iji.j1.22", "I2", 1, c3 * s1 * qn(w.scale(2)) / qn(w),
+         c3 * dq2 * w1 * w2p1),
     ]
 
 
@@ -352,9 +345,13 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
 
     Covers (a) the two-step recursions of I J_i I in i, (b) the explicit
     I J_0 I / I J_1 I / I J_{N-1} I evaluations and their inverse-Murphy
-    mirror images, (c) the normalisations of I1^2 and I2^2, and (d) the
-    assembled quotient identities I1 I2 I1 = b I1, I2 I1 I2 = b I2, all
-    with the affine family ``fam`` on the 2^N module ``spec``.
+    mirror images, each row of ``_iji_sandwich_identities`` checked as
+    I J_j I - x I - y S, (c) the normalisations I^2 = delta^k s1^a s2^b I
+    (I1^2 = delta^(N/2) I1 and I2^2 = delta^(N/2-1) s1 s2 I2 for even N,
+    I1^2 = delta^((N-1)/2) s2 I1 and I2^2 = delta^((N-1)/2) s1 I2 for odd
+    N), and (d) the assembled quotient identities I1 I2 I1 = b I1,
+    I2 I1 I2 = b I2, all with the affine family ``fam`` on the 2^N module
+    ``spec``.
     """
     if spec.kind != "big":
         raise ValueError("the audit runs on the 2^N module")
@@ -381,40 +378,31 @@ def iji_audit(spec: ModuleSpec, fam: MurphyFamily) -> list[dict]:
         stop2 = n - 2 if parity == n % 2 else n - 4
         for sign, tag in ((1, "j"), (-1, "jinv")):
             step = qsq if sign == 1 else 1 / qsq
-            for lo in range(parity, n - 1, 2):
-                hi = lo + 1
-                out.append(audit(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
-                                 iji(name, sign, hi)
-                                 - iji(name, sign, lo).scale(step)))
-            for lo in range(parity, stop2, 2):
-                hi = lo + 2
-                out.append(audit(f"iji.recur.{name}.{tag}.{hi}vs{lo}",
-                                 iji(name, sign, hi)
-                                 - iji(name, sign, lo).scale(1 / step)))
+            for gap, stop, ratio in ((1, n - 1, step), (2, stop2, 1 / step)):
+                for lo in range(parity, stop, 2):
+                    out.append(audit(
+                        f"iji.recur.{name}.{tag}.{lo + gap}vs{lo}",
+                        iji(name, sign, lo + gap)
+                        - iji(name, sign, lo).scale(ratio)))
     # (b) explicit evaluations, Murphy and inverse-Murphy
     sandwiches = {"I1": i1 @ i2 @ i1, "I2": i2 @ i1 @ i2}
     for sign, tag in ((1, ""), (-1, ".inv")):
-        for ident, name, jidx, rhs in _iji_sandwich_identities(spec, sign):
-            if jidx >= n:
-                continue
-            out.append(audit(ident + tag, iji(name, sign, jidx)
-                             - rhs(mats[name], sandwiches[name])))
+        for ident, name, j, x, y in _iji_sandwich_identities(spec, sign):
+            if j < n:
+                out.append(audit(ident + tag, iji(name, sign, j)
+                                 - mats[name].scale(x)
+                                 - sandwiches[name].scale(y)))
     # (c) idempotent normalisations
-    qn = point.qnum
-    two = qn(HalfExponent.integer(2))
-    if n % 2 == 0:
-        norm1 = two ** (n // 2)
-        norm2 = (two ** ((n - 2) // 2) * qn(OMEGA1) * qn(OMEGA2)
-                 / (qn(OMEGA1 + ONE) * qn(OMEGA2 + ONE)))
-    else:
-        norm1 = two ** ((n - 1) // 2) * qn(OMEGA2) / qn(OMEGA2 + ONE)
-        norm2 = two ** ((n - 1) // 2) * qn(OMEGA1) / qn(OMEGA1 + ONE)
-    out.append(audit("iji.sq.I1", i1 @ i1 - i1.scale(norm1)))
-    out.append(audit("iji.sq.I2", i2 @ i2 - i2.scale(norm2)))
+    k = point.delta ** ((n - 1) // 2)
+    norms = ({"I1": k * point.delta, "I2": k * point.s1 * point.s2}
+             if n % 2 == 0 else {"I1": k * point.s2, "I2": k * point.s1})
+    for name, imat in mats.items():
+        out.append(audit(f"iji.sq.{name}",
+                         imat @ imat - imat.scale(norms[name])))
     # (d) the assembled quotient
-    b = spec.b
-    out.append(audit("iji.assembled.121", sandwiches["I1"] - i1.scale(b)))
-    out.append(audit("iji.assembled.212", sandwiches["I2"] - i2.scale(b)))
+    for name, tag in (("I1", "121"), ("I2", "212")):
+        out.append(audit(f"iji.assembled.{tag}",
+                         sandwiches[name] - mats[name].scale(spec.b)))
     return out
 
 

@@ -301,11 +301,11 @@ def path_order(n_sites: int) -> list[Path]:
 
 @dataclass
 class BasisB1:
-    """The tile-built basis on a 2^N-dimensional representation."""
+    """The tile-built basis on a 2^N-dimensional representation: column k
+    of ``change_of_basis`` is b_p for p = ``paths[k]``, stored only there."""
 
     rep: ModuleRep
     paths: list[Path]
-    vectors: dict[Path, list]
     change_of_basis: Matrix
     _inverse: Matrix | None = field(default=None, repr=False)
     _tile_action: tuple | None = field(default=None, repr=False)
@@ -396,7 +396,7 @@ def build_b1(rep: ModuleRep) -> BasisB1:
         else:
             raise AssertionError(f"no built predecessor for path {path}")
     cob = Matrix.from_columns([vectors[p] for p in paths])
-    return BasisB1(rep, paths, vectors, cob)
+    return BasisB1(rep, paths, cob)
 
 
 def tile_order_independence(basis: BasisB1) -> bool:
@@ -467,13 +467,13 @@ def murphy_audit_b1(basis: BasisB1) -> list[dict]:
     out = []
     spectra = []
     for k, path in enumerate(basis.paths):
-        vec = basis.vectors[path]
         eigs = []
         for m in range(n):
             lam = murphy_eigenvalue(point, m, path)
             eigs.append(lam)
             ok = fam is not None and _is_eigencolumn(fam.j[m], k, lam)
             if not ok:
+                vec = basis.change_of_basis.column(k)
                 ok = rep.apply_murphy_b(m, vec) == [lam * x for x in vec]
             out.append(audit(f"b1.murphy.{m}.{_pname(path)}", ok))
         spectra.append(eigs)

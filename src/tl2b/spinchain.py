@@ -1,8 +1,9 @@
 """Tensor-space representation on 2^N spin states, and its identification.
 
 States are indexed by integers whose bit (N - i) gives the spin at site i
-(1 = up).  Generators act through site-local kernels, so applying one to a
-vector costs O(2^N); ``e_matrix`` builds the Matrix from them.  The
+(1 = up).  Each generator acts through one table from the spins at the
+sites it touches to the terms of the image, so applying it to a vector
+costs O(2^N); ``e_matrix`` builds the Matrix from the tables.  The
 equivalence with the 2^N half-diagram module is established constructively:
 the same tile operators grow a parallel path basis B_s from the product
 vector ebar, and every spin generator E_s intertwines it with the
@@ -27,7 +28,10 @@ from .wordrep import ModuleSpec, check_relations
 
 
 class SpinRep(ModuleRep):
-    """The spin chain as a module: site-local e_i kernels on 2^N states."""
+    """The spin chain as a module.  ``_tables[i]`` is e_i's ``(mask, local)``:
+    ``local`` sends the spins under ``mask`` to the terms ``(flip, amp)`` of
+    the image, diagonal first, each adding amp * c at state s ^ flip.  The
+    tables are the left wall, the two-site projectors, then the right wall."""
 
     def __init__(self, n_sites: int, point):
         self.n_sites = n_sites
@@ -38,44 +42,25 @@ class SpinRep(ModuleRep):
         d2 = qp(ONE + OMEGA2) - qp(-(ONE + OMEGA2))
         if not d1 or not d2:
             raise ZeroDivisionError("boundary denominators vanish")
-        # site-local kernels: amplitude contributions per local spin state
-        self._left_up = (-qp(-OMEGA1) / d1, -1 / d1)     # on up: (up, down)
-        self._left_down = (qp(OMEGA1) / d1, 1 / d1)      # on down: (down, up)
-        self._right_up = (qp(OMEGA2) / d2, qp(-THETA) / d2)
-        self._right_down = (-qp(-OMEGA2) / d2, -qp(THETA) / d2)
-        self._q = qp(ONE)
-        self._qinv = qp(-ONE)
+        wall = 1 << (n_sites - 1)  # site 1: the terms on up, then on down
+        tables = [(wall, {wall: ((0, -qp(-OMEGA1) / d1), (wall, -1 / d1)),
+                          0: ((0, qp(OMEGA1) / d1), (wall, 1 / d1))})]
+        # (up, down) -> q^-1 (u,d) - (d,u), (down, up) -> q (d,u) - (u,d)
+        for i in range(1, n_sites):
+            hi, lo = 1 << (n_sites - i), 1 << (n_sites - i - 1)
+            tables.append((hi | lo, {hi: ((0, qp(-ONE)), (hi | lo, -1)),
+                                     lo: ((0, qp(ONE)), (hi | lo, -1))}))
+        tables.append((1, {1: ((0, qp(OMEGA2) / d2), (1, qp(-THETA) / d2)),
+                           0: ((0, -qp(-OMEGA2) / d2), (1, -qp(THETA) / d2))}))
+        self._tables = tables
 
     def apply_e(self, i: int, vec: list) -> list:
-        n = self.n_sites
+        mask, local = self._tables[i]
         out = [0] * self.dim
-        if i in (0, n):
-            if i == 0:
-                mask, up, down = 1 << (n - 1), self._left_up, self._left_down
-            else:
-                mask, up, down = 1, self._right_up, self._right_down
-            for s, c in enumerate(vec):
-                if not c:
-                    continue
-                diag, flip = up if s & mask else down
-                out[s] = out[s] + diag * c
-                out[s ^ mask] = out[s ^ mask] + flip * c
-            return out
-        # standard two-site projector: on (up,down) -> q^-1 (u,d) - (d,u),
-        # on (down,up) -> q (d,u) - (u,d); kills aligned pairs
-        hi = 1 << (n - i)
-        lo = 1 << (n - i - 1)
-        both = hi | lo
         for s, c in enumerate(vec):
-            if not c:
-                continue
-            bits = s & both
-            if bits == hi:        # up, down
-                out[s] = out[s] + self._qinv * c
-                out[s ^ both] = out[s ^ both] - c
-            elif bits == lo:      # down, up
-                out[s] = out[s] + self._q * c
-                out[s ^ both] = out[s ^ both] - c
+            if c:
+                for flip, amp in local.get(s & mask, ()):
+                    out[s ^ flip] = out[s ^ flip] + amp * c
         return out
 
     @cached_property

@@ -144,7 +144,7 @@ def test_explicit_n2_example():
     assert pair.sub[1].rows == [[0]]
     assert pair.sub[2].rows == [[point.s2]]
     [top_path] = pair.sub_paths
-    vec = basis.vectors[top_path]
+    vec = basis.change_of_basis.column(basis.paths.index(top_path))
     labels = [h.pattern for h in enumerate_basis(spec)]
     coeff = {lab: x for lab, x in zip(labels, vec)}
     scale = coeff[")("]

@@ -106,14 +106,24 @@ def test_order_independence(basis3):
     assert tile_order_independence(basis3)
 
 
+def _vector(basis, path):
+    """b_p, the column of the change of basis at ``path``."""
+    return basis.change_of_basis.column(basis.paths.index(path))
+
+
+def _with_columns(basis, cols):
+    """``basis`` with its change of basis replaced by ``cols``."""
+    return BasisB1(basis.rep, basis.paths, Matrix.from_columns(cols))
+
+
 def _regrown_order_independence(basis):
     """Every removable tile of every path yields the same vector, decided
     by growing each vector again from its predecessor."""
     for path in basis.paths:
         for tile in removable_tiles(path):
-            prev = basis.vectors[unapply_tile(path, tile)]
+            prev = _vector(basis, unapply_tile(path, tile))
             vec = _add_tile(basis.rep, tile, prev)
-            if vec != basis.vectors[path]:
+            if vec != _vector(basis, path):
                 return False
     return True
 
@@ -128,13 +138,10 @@ def _add_tile(rep, tile, vec):
 
 
 def _altered(basis, k):
-    """``basis`` with column k doubled in both its vectors and its
-    change of basis."""
-    vectors = dict(basis.vectors)
-    path = basis.paths[k]
-    vectors[path] = [2 * x for x in vectors[path]]
-    return BasisB1(basis.rep, basis.paths, vectors,
-                   Matrix.from_columns([vectors[p] for p in basis.paths]))
+    """``basis`` with column k of its change of basis doubled."""
+    cols = [_vector(basis, p) for p in basis.paths]
+    cols[k] = [2 * x for x in cols[k]]
+    return _with_columns(basis, cols)
 
 
 #: (n, kind, argument) of the bases both order-independence checks decide:
@@ -177,12 +184,12 @@ def test_sample_path_tile_word(point):
     # a length-six sample path equals its tile word applied to the start
     rep = ModuleRep(ModuleSpec.big(6, point))
     basis = build_b1(rep)
-    fund = basis.vectors[fundamental_path(6)]
+    fund = _vector(basis, fundamental_path(6))
     vec = rep.apply_k(-(OMEGA1 + ONE), fund)
     vec = rep.apply_r(4, -(OMEGA1 + ONE), vec)
     vec = rep.apply_r(5, -(OMEGA1 + HalfExponent.integer(2)), vec)
     vec = rep.apply_r(1, OMEGA1, vec)
-    assert vec == basis.vectors[(0, 1, 0, -1, -2, -3, -2)]
+    assert vec == _vector(basis, (0, 1, 0, -1, -2, -3, -2))
 
 
 def test_action_audit(basis3):
@@ -229,7 +236,7 @@ def _murphy_reference(basis) -> dict:
     """The same records, each decided by J_m b_p in canonical coordinates."""
     out = {}
     for path in basis.paths:
-        vec = basis.vectors[path]
+        vec = _vector(basis, path)
         for m in range(basis.n_sites):
             lam = pathbasis.murphy_eigenvalue(basis.point, m, path)
             ok = basis.rep.apply_murphy_b(m, vec) == [lam * x for x in vec]
@@ -250,11 +257,9 @@ def test_murphy_audit_decides_in_path_coordinates(point, monkeypatch):
 
 def test_murphy_verdicts_match_the_canonical_check_on_a_corrupt_basis(point):
     basis = build_b1(ModuleRep(ModuleSpec.big(4, point)))
-    vectors = dict(basis.vectors)
-    p, q = basis.paths[5], basis.paths[6]
-    vectors[p] = [x + y for x, y in zip(vectors[p], vectors[q])]
-    corrupt = BasisB1(basis.rep, basis.paths, vectors,
-                      Matrix.from_columns([vectors[t] for t in basis.paths]))
+    cols = [_vector(basis, p) for p in basis.paths]
+    cols[5] = [x + y for x, y in zip(cols[5], cols[6])]
+    corrupt = _with_columns(basis, cols)
     assert any(r["status"] == "fail" for r in action_audit_b1(corrupt))
     statuses = _murphy_statuses(murphy_audit_b1(corrupt))
     assert "fail" in statuses.values()
@@ -305,7 +310,7 @@ def test_uni_triangular_against_word_filtration(point):
     for n in (2, 3, 4):
         rep = ModuleRep(ModuleSpec.big(n, point))
         basis = build_b1(rep)
-        fund = basis.vectors[fundamental_path(n)]
+        fund = _vector(basis, fundamental_path(n))
         span = _Span(rep.dim)
         span.add(list(fund))
         max_weight = max(path_weight(p) for p in basis.paths)
@@ -333,7 +338,7 @@ def test_uni_triangular_against_word_filtration(point):
             word_vec = list(fund)
             for tile in reversed(seq):
                 word_vec = rep.apply_e(tile.position, word_vec)
-            diff = [x - y for x, y in zip(basis.vectors[path], word_vec)]
+            diff = [x - y for x, y in zip(_vector(basis, path), word_vec)]
             assert not spans[w - 1].add(list(diff)), \
                 f"difference for {path} leaves the shorter-word span"
 

@@ -28,6 +28,16 @@ def _unit(dim, j):
     return out
 
 
+def _assert_local_action(rep, i, mask, local):
+    """e_i sends every unit state s to the terms ``local[s & mask]``:
+    (amplitude at s, amplitude at s ^ mask), or to zero when absent."""
+    for s in range(rep.dim):
+        expected = [0] * rep.dim
+        if s & mask in local:
+            expected[s], expected[s ^ mask] = local[s & mask]
+        assert rep.apply_e(i, _unit(rep.dim, s)) == expected, (i, s)
+
+
 def test_bulk_local_action(point):
     # two-site blocks: the projector form, with aligned pairs annihilated
     rep = SpinRep(2, point)
@@ -40,6 +50,13 @@ def test_bulk_local_action(point):
     assert image[down_up] == q and image[up_down] == -1
     assert not any(rep.apply_e(1, _unit(4, 0b11)))
     assert not any(rep.apply_e(1, _unit(4, 0b00)))
+    # every bulk site i acts on sites i and i + 1, bits N - i and N - i - 1
+    for n in range(2, 6):
+        rep = SpinRep(n, point)
+        for i in range(1, n):
+            hi, lo = 1 << (n - i), 1 << (n - i - 1)
+            _assert_local_action(rep, i, hi | lo,
+                                 {hi: (1 / q, -1), lo: (q, -1)})
 
 
 def test_boundary_local_action(point):
@@ -52,6 +69,18 @@ def test_boundary_local_action(point):
     up, down = 1, 0
     d2 = point.q_power(ONE + OMEGA2) - point.q_power(-(ONE + OMEGA2))
     assert e1.rows[down][up] == point.q_power(-THETA) / d2
+    # e_0 acts on site 1 (the top bit), e_N on site N (the bottom bit):
+    # from N = 2 on the walls touch different sites
+    qp = point.q_power
+    d1 = qp(ONE + OMEGA1) - qp(-(ONE + OMEGA1))
+    for n in range(1, 6):
+        rep = SpinRep(n, point)
+        top = 1 << (n - 1)
+        _assert_local_action(rep, 0, top, {
+            top: (-qp(-OMEGA1) / d1, -1 / d1), 0: (qp(OMEGA1) / d1, 1 / d1)})
+        _assert_local_action(rep, n, 1, {
+            1: (qp(OMEGA2) / d2, qp(-THETA) / d2),
+            0: (-qp(-OMEGA2) / d2, -qp(THETA) / d2)})
 
 
 def test_relations(points):
