@@ -76,6 +76,11 @@ _MAX_N = {
                  "modules": 4},
 }
 
+#: largest n that ``irreps --theta generic`` serves: it checks every
+#: identification case, about 30 s at n = 6, and its case of dimension 64 at
+#: n = 7 did not finish in 600 s.  Critical twists are served to ``_MAX_N``.
+_MAX_GENERIC_IRREPS_N = 6
+
 
 def _check_request(args) -> None:
     """Refuse a request that is not served, before any work, and set
@@ -98,6 +103,10 @@ def _check_request(args) -> None:
     if args.command == "irreps" and mode == "explicit":
         raise ValueError("irreps takes --theta generic or a critical twist, "
                          "not an explicit value")
+    if (args.command == "irreps" and mode == "generic"
+            and args.n > _MAX_GENERIC_IRREPS_N):
+        raise ValueError(f"irreps --theta generic is supported for n <= "
+                         f"{_MAX_GENERIC_IRREPS_N}, not n = {args.n}")
     if mode == "exceptional":
         detail = irreps.ExceptionalSpec(args.n, *detail)
     args.twist = (mode, detail)

@@ -7,7 +7,8 @@ beyond a threshold span an invariant coordinate block.  The block and its
 complement give two smaller representations whose dimensions, central
 characters and single-boundary Murphy spectra are checked here, together with
 an exact trace-comparison engine that gathers evidence (never proof) that
-the sub-representation matches the corresponding through-line module.
+the sub-representation matches the corresponding through-line module; its
+word span runs on linalg's sparse elimination (``_extend_span``).
 
 A generator family holds the matrices of e_0 .. e_N at indices 0 .. N: a
 tuple, or a dict keyed 0 .. N.
@@ -19,13 +20,14 @@ import random
 from dataclasses import dataclass
 
 from .hecke import centre_offset, lift_family, murphy
+from ._ratback import RAT
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
-from .linalg import Matrix, invert, rank  # noqa: F401
+from .linalg import Matrix, _extend_span, invert, rank  # noqa: F401
 from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
                       OMEGA2, ParamPoint, draw_rationals)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, critical_labels,
                         exceptional_points, murphy_eigenvalue)
-from .wordrep import ModuleSpec, check_relations, irrep_dim
+from .wordrep import ModuleSpec, check_relations, irrep_dim, word_product
 
 
 @dataclass(frozen=True)
@@ -187,34 +189,8 @@ def murphy_spectrum_match(family: tuple[Matrix, ...], point, paths) -> bool:
 # trace comparison
 
 
-def _flatten_pair(a: Matrix, b: Matrix) -> list:
-    return [x for row in a.rows for x in row] + [x for row in b.rows for x in row]
-
-
-class _Span:
-    """Incremental exact row space with reduction, for pair matrices."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: list) -> list:
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if vec[piv]:
-                f = vec[piv] / row[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return vec
-
-    def add(self, vec: list) -> bool:
-        vec = self.reduce(vec)
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        self.rows.append(vec)
-        self.pivots.append(piv)
-        return True
+def _trace(m: Matrix):
+    return sum(m[k, k] for k in range(m.nrows))
 
 
 def traces_agree_all_words(fam_a: tuple[Matrix, ...],
@@ -223,44 +199,38 @@ def traces_agree_all_words(fam_a: tuple[Matrix, ...],
 
     Breadth-first closure of the joint word span: once the span of pairs
     (word in A, word in B) is multiplicatively closed, trace equality on its
-    basis decides trace equality for words of every length.  Returns
-    (agree, number of words explicitly expanded)."""
+    basis decides trace equality for words of every length.  A pair enters
+    the span as the sparse vector of its stored entries, keyed (side, i, j).
+    Returns (agree, number of words explicitly expanded)."""
     n = len(fam_a) - 1
     da, db = fam_a[0].nrows, fam_b[0].nrows
-    span = _Span(da * da + db * db)
-    start = (Matrix.identity(da), Matrix.identity(db))
-    queue = [start]
-    span.add(_flatten_pair(*start))
-    words = 1
+    span: dict = {}
+    _extend_span(span, {(side, k, k): RAT(1)
+                        for side, d in enumerate((da, db)) for k in range(d)})
+    queue = [(Matrix.identity(da), Matrix.identity(db))]
     agree = True
     while queue:
         a, b = queue.pop()
         for i in range(n + 1):
             na, nb = a @ fam_a[i], b @ fam_b[i]
-            if span.add(_flatten_pair(na, nb)):
-                words += 1
-                tra = sum(na[k, k] for k in range(da))
-                trb = sum(nb[k, k] for k in range(db))
-                if tra != trb:
-                    agree = False
+            vec = {(side, r, c): x for side, m in enumerate((na, nb))
+                   for r, row in enumerate(m._values())
+                   for c, x in row.items()}
+            if _extend_span(span, vec):
+                agree = agree and _trace(na) == _trace(nb)
                 queue.append((na, nb))
-    return agree, words
+    return agree, len(span)
 
 
 def random_word_traces_agree(fam_a, fam_b, count: int, max_len: int,
                              seed: int) -> bool:
     rng = random.Random(seed)
     n = len(fam_a) - 1
-    da, db = fam_a[0].nrows, fam_b[0].nrows
     for _ in range(count):
         length = rng.randrange(1, max_len + 1)
         word = [rng.randrange(0, n + 1) for _ in range(length)]
-        a, b = Matrix.identity(da), Matrix.identity(db)
-        for i in word:
-            a, b = a @ fam_a[i], b @ fam_b[i]
-        tra = sum(a[k, k] for k in range(da))
-        trb = sum(b[k, k] for k in range(db))
-        if tra != trb:
+        if _trace(word_product(fam_a, word)) != _trace(
+                word_product(fam_b, word)):
             return False
     return True
 

@@ -23,15 +23,15 @@ int entries are made backend rationals on entry to ``exact_det``,
 ``invert`` and ``rank``, so that every division is exact.
 Determinants use dense Gaussian elimination over the entries' field, since
 their inputs are dense (the Gram matrix at N = 6 has no zero entry).
-Inverses and ranks use Gauss-Jordan elimination over the stored nonzeros,
-since the path basis they invert is sparse (1111 of 4096 entries nonzero at
-N = 6): each row is a ``{column: value}`` dict, only stored entries are
-updated, and an entry that cancels is deleted.  A nonzero residue of the
-determinant modulo one of three fixed primes (``nonsingular_certificate``)
-proves a rational matrix nonsingular without computing its determinant;
-the entries must be p-integral, that is p divides none of their
-denominators.  Pivoting is first-nonzero: with exact arithmetic, pivot
-choice affects speed only.
+Inverses, ranks, ``scalars.multiplicative_kernel`` and the word span of
+``irreps`` eliminate over the stored nonzeros, since their rows are sparse
+(the path basis has 1111 of 4096 entries nonzero at N = 6): one row update
+(``_subtract``) visits only stored entries and deletes any that cancels.
+A nonzero residue of the determinant modulo one of three fixed primes
+(``nonsingular_certificate``) proves a rational matrix nonsingular without
+computing its determinant; the entries must be p-integral, that is p
+divides none of their denominators.  Pivoting is first-nonzero: with
+exact arithmetic, pivot choice affects speed only.
 """
 
 from __future__ import annotations
@@ -444,18 +444,36 @@ def _row_reduce(rows: list[dict], ncols: int) -> list[int]:
         # a quotient of nonzero field elements is nonzero: no zeros to drop
         prow = rows[r] = {j: x / piv for j, x in rows[r].items()}
         for i, row in enumerate(rows):
-            if i == r or c not in row:
-                continue
-            f = row[c]
-            for j, b in prow.items():
-                if j not in row:
-                    row[j] = -(f * b)
-                elif s := row[j] - f * b:
-                    row[j] = s
-                else:
-                    del row[j]
+            if i != r and c in row:
+                _subtract(row, row[c], prow)
         pivots.append(c)
     return pivots
+
+
+def _subtract(row: dict, f, prow: dict) -> None:
+    """row -= f * prow over prow's stored entries, deleting any that cancel."""
+    for j, b in prow.items():
+        if j not in row:
+            row[j] = -(f * b)
+        elif s := row[j] - f * b:
+            row[j] = s
+        else:
+            del row[j]
+
+
+def _extend_span(span: dict, vec: dict) -> bool:
+    """Reduce the sparse ``vec`` of field entries in place by the rows of
+    ``span`` ({pivot key: row, 1 at its pivot}) in the order they were added;
+    keep a nonzero remainder under its least key and say whether one was."""
+    for piv, row in span.items():
+        if piv in vec:
+            _subtract(vec, vec[piv], row)
+    if not vec:
+        return False
+    piv = min(vec)
+    f = vec[piv]
+    span[piv] = {j: x / f for j, x in vec.items()}
+    return True
 
 
 def invert(matrix: Matrix) -> Matrix:

@@ -249,8 +249,10 @@ def test_gram_diagonal_in_path_basis_slow(n):
     gram = wordrep.gram_matrix(spec)
     transported = basis.change_of_basis.transpose() @ gram @ basis.change_of_basis
     diag = pathbasis.gram_diag_b1(basis)
-    kappa = transported.rows[0][0]
+    # one dense read: each read of ``rows`` builds a new dense copy
+    rows = transported.rows
+    kappa = rows[0][0]
     for i, p in enumerate(basis.paths):
         for j, q in enumerate(basis.paths):
             expected = kappa * diag[p] if i == j else 0
-            assert transported.rows[i][j] == expected
+            assert rows[i][j] == expected

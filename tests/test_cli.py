@@ -159,7 +159,8 @@ def test_oversized_chain_is_refused_before_any_work(no_work, command, n):
         f"ValueError: {command} is supported for n <= 8, not n = {n}")
 
 
-#: the largest n served, by backend and command
+#: the largest n served, by backend and command; ``irreps`` at its limit
+#: through a critical twist, since ``--theta generic`` stops earlier
 LIMITS = [("numeric", command, 8) for command in (
     "relations", "gram", "basis", "spinchain", "irreps", "modules")] + [
     ("symbolic", "relations", 4), ("symbolic", "gram", 2),
@@ -171,12 +172,21 @@ LIMITS = [("numeric", command, 8) for command in (
 def test_each_limit_is_served_and_the_next_n_refused(no_work, backend,
                                                      command, limit):
     argv = [command, "--backend", backend, "--n"]
+    twist = ["--theta=+,1,+,+"] if command == "irreps" else []
     with pytest.raises(WorkStarted):
-        run(argv + [str(limit)])
+        run(argv + [str(limit)] + twist)
     prefix = "symbolic " if backend == "symbolic" else ""
     assert refusal(argv + [str(limit + 1)]) == (
         f"ValueError: {prefix}{command} is supported for n <= {limit}, "
         f"not n = {limit + 1}")
+
+
+def test_generic_irreps_is_served_to_six_and_refused_at_seven(no_work):
+    with pytest.raises(WorkStarted):
+        run(["irreps", "--n", "6"])
+    assert refusal(["irreps", "--n", "7", "--theta", "generic"]) == (
+        "ValueError: irreps --theta generic is supported for n <= 6, "
+        "not n = 7")
 
 
 def test_symbolic_irreps_is_refused(no_work):

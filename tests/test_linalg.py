@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 import tl2b
 from tl2b._ratback import RAT
-from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p, commutator,
-                         exact_det, invert, nonsingular_certificate,
-                         product_difference, rank)
+from tl2b.irreps import traces_agree_all_words
+from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p,
+                         _extend_span, commutator, exact_det, invert,
+                         nonsingular_certificate, product_difference, rank)
 from tl2b.scalars import OMEGA1, ONE, THETA, HalfExponent
 from tl2b.symbolic import SymbolicPoint
+from tl2b.wordrep import ModuleSpec, generator_matrix
 
 RAT_TYPE = type(RAT(1))
 
@@ -468,6 +470,91 @@ def test_inverse_and_rank_match_the_dense_reduction(data, n, k, kind):
     # read through ``rows``: once multiplied, ``_rows`` holds numerators
     assert all(type(x) is RAT_TYPE for row in inv.rows for x in row if x)
     assert_stored_form(inv)
+
+
+# ---------------------------------------------------------------------------
+# the word span against a dense reference
+
+
+def _flatten_pair(a: Matrix, b: Matrix) -> list:
+    return [x for m in (a, b) for row in m.rows for x in row]
+
+
+class DenseSpan:
+    """Incremental exact row space with reduction, for pair matrices."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, vec: list) -> list:
+        vec = list(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            if vec[piv]:
+                f = vec[piv] / row[piv]
+                vec = [x - f * y for x, y in zip(vec, row)]
+        return vec
+
+    def add(self, vec: list) -> bool:
+        vec = self.reduce(vec)
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return False
+        self.rows.append(vec)
+        self.pivots.append(piv)
+        return True
+
+
+def dense_trace_closure(fam_a, fam_b) -> tuple[bool, int]:
+    """The breadth-first word closure of ``traces_agree_all_words``, run on
+    ``DenseSpan`` over the flattened dense pairs."""
+    n = len(fam_a) - 1
+    da, db = fam_a[0].nrows, fam_b[0].nrows
+    span = DenseSpan(da * da + db * db)
+    start = (Matrix.identity(da), Matrix.identity(db))
+    queue = [start]
+    span.add(_flatten_pair(*start))
+    words = 1
+    agree = True
+    while queue:
+        a, b = queue.pop()
+        for i in range(n + 1):
+            na, nb = a @ fam_a[i], b @ fam_b[i]
+            if span.add(_flatten_pair(na, nb)):
+                words += 1
+                tra = sum(na[k, k] for k in range(da))
+                trb = sum(nb[k, k] for k in range(db))
+                if tra != trb:
+                    agree = False
+                queue.append((na, nb))
+    return agree, words
+
+
+@given(data=st.data(), n=st.integers(1, 10), k=st.integers(1, 8),
+       kind=st.sampled_from(sorted(MOSTLY_ZERO)))
+@settings(max_examples=300, deadline=None)
+def test_extend_span_keeps_the_rows_the_dense_span_keeps(data, n, k, kind):
+    dense = DenseSpan(k)
+    span: dict = {}
+    for row in draw_mostly_zero(data, n, k, kind):
+        row = [RAT(x) for x in row]
+        assert _extend_span(span, {j: x for j, x in enumerate(row) if x}) \
+            == dense.add(row)
+    assert list(span) == dense.pivots
+    for kept, piv in zip(dense.rows, dense.pivots):
+        assert span[piv] == {j: x / kept[piv] for j, x in enumerate(kept)
+                             if x}
+
+
+def test_word_span_closure_matches_the_dense_span(point):
+    fam_a = {i: generator_matrix(ModuleSpec.big(2, point), i)
+             for i in range(3)}
+    fam_b = dict(fam_a)
+    fam_b[2] = fam_b[2].scale(RAT(2))
+    for other in (fam_a, fam_b):
+        assert traces_agree_all_words(fam_a, other) == dense_trace_closure(
+            fam_a, other)
 
 
 def test_symbolic_inverse():
