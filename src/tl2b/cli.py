@@ -66,9 +66,10 @@ def _unlimited_int_strings():
 
 #: largest n served, by backend and command; a command missing from a
 #: backend's table is not served on it.  Numeric commands build modules of
-#: dimension up to 2^n, and 8 is the largest n any test uses.  Symbolic
-#: ``relations`` takes 18 s and ``spinchain`` 6 minutes at n = 4, and the
-#: symbolic Gram determinant does not finish at n = 3.
+#: dimension up to 2^n, and 8 is the largest n any test uses.  At n = 4,
+#: symbolic ``relations`` takes 15-17 s and ``spinchain`` 5.5 minutes
+#: (Python 3.11, shared 2-core Xeon), and the symbolic Gram determinant
+#: does not finish at n = 3.
 _MAX_N = {
     "numeric": {"relations": 8, "gram": 8, "basis": 8, "spinchain": 8,
                 "irreps": 8, "modules": 8},

@@ -21,12 +21,11 @@ backend rational only when it is read: ``m[i, j]``, ``rows``, ``column``,
 so a matrix that has entered arithmetic never reads an int.  Rational and
 int entries are made backend rationals on entry to ``exact_det``,
 ``invert`` and ``rank``, so that every division is exact.
-Determinants use dense Gaussian elimination over the entries' field, since
-their inputs are dense (the Gram matrix at N = 6 has no zero entry).
-Inverses, ranks, ``scalars.multiplicative_kernel`` and the word span of
-``irreps`` eliminate over the stored nonzeros, since their rows are sparse
-(the path basis has 1111 of 4096 entries nonzero at N = 6): one row update
-(``_subtract``) visits only stored entries and deletes any that cancels.
+Determinants, inverses, ranks and ``scalars.multiplicative_kernel`` run
+one Gauss-Jordan elimination (``_row_reduce``), which yields its pivots one
+at a time, so a determinant stops at the first column without one; it and
+the word span of ``irreps`` share one row update (``_subtract``), which
+visits only stored entries and deletes any that cancels.
 A nonzero residue of the determinant modulo one of three fixed primes
 (``nonsingular_certificate``) proves a rational matrix nonsingular without
 computing its determinant; the entries must be p-integral, that is p
@@ -48,8 +47,9 @@ class Matrix:
     scaling, comparison and application cost time in the nonzero entries.
     ``_den`` is None while the values are stored as given (a matrix that
     has only been read, or one with a symbolic entry), and the common
-    denominator D once a numeric matrix holds integer numerators over it.  ``rows`` is a dense copy of the values, with ``0`` wherever
-    nothing is stored.
+    denominator D once a numeric matrix holds integer numerators over it.
+    ``rows`` is a dense copy of the values, with ``0`` wherever nothing is
+    stored.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_den")
@@ -324,31 +324,6 @@ def _product_sum(terms, nrows: int, ncols: int) -> Matrix:
 # elimination
 
 
-def _det_field(m: list[list]) -> object:
-    """Determinant of the nonempty square ``m`` by Gaussian elimination in
-    place; only the columns right of each pivot are updated, since those
-    left of it are never read again."""
-    n = len(m)
-    det = 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if m[i][k]), None)
-        if pr is None:
-            return m[0][0] - m[0][0]
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-            det = -det
-        piv = m[k][k]
-        det = det * piv
-        tail = m[k][k + 1:]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            if f:
-                f = f / piv
-                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], tail)]
-    return det
-
-
 def _det_mod_p(rows: list[list[int]], p: int) -> int:
     """det(rows) mod p, by elimination over GF(p) on plain lists."""
     m = [[x % p for x in row] for row in rows]
@@ -386,19 +361,23 @@ def _field_rows(rows: list[dict]) -> list[dict]:
 
 
 def exact_det(matrix: Matrix):
-    """Exact determinant by Gaussian elimination over the entries' field.
+    """Exact determinant over the entries' field: the product of the pivots
+    of ``_row_reduce``, or zero at the first column without a pivot, where
+    the elimination stops.
 
     Rational and int entries are made backend rationals first; symbolic
     entries are eliminated as they are.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    if matrix.nrows == 0:
-        return RAT(1)
-    rows = matrix.rows
-    if all(is_rational(x) for row in rows for x in row):
-        rows = [[RAT(x) for x in row] for row in rows]
-    return _det_field(rows)
+    pivots = _row_reduce(_field_rows(matrix._values()), matrix.ncols)
+    det = RAT(1)
+    for k in range(matrix.nrows):
+        c, piv = next(pivots, (None, None))
+        if c != k:
+            return det - det
+        det = det * piv
+    return det
 
 
 def nonsingular_certificate(matrix: Matrix) -> int | None:
@@ -426,28 +405,31 @@ def nonsingular_certificate(matrix: Matrix) -> int | None:
     return None
 
 
-def _row_reduce(rows: list[dict], ncols: int) -> list[int]:
+def _row_reduce(rows: list[dict], ncols: int):
     """Gauss-Jordan elimination of the sparse ``{column: value}`` rows in
-    place, over their first ``ncols`` columns, to reduced row echelon form;
-    returns the pivot column of each leading row.  Only stored entries are
-    visited, and an entry that cancels is deleted, so no row stores a zero."""
-    pivots: list[int] = []
+    place, over their first ``ncols`` columns, to reduced row echelon form.
+    Yields (column, pivot) at each pivot before clearing its column, the
+    pivot negated when rows were swapped, so that the pivots of square rows
+    of full rank multiply to their determinant; a caller that stops early
+    skips the rest, and the rows are reduced once it is exhausted.  Only
+    stored entries are visited, and an entry that cancels is deleted, so no
+    row stores a zero."""
+    r = 0
     for c in range(ncols):
-        r = len(pivots)
         if r == len(rows):
-            break
+            return
         pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
+        yield c, (piv if pr == r else -piv)
         # a quotient of nonzero field elements is nonzero: no zeros to drop
         prow = rows[r] = {j: x / piv for j, x in rows[r].items()}
         for i, row in enumerate(rows):
             if i != r and c in row:
                 _subtract(row, row[c], prow)
-        pivots.append(c)
-    return pivots
+        r += 1
 
 
 def _subtract(row: dict, f, prow: dict) -> None:
@@ -484,7 +466,7 @@ def invert(matrix: Matrix) -> Matrix:
         raise ValueError("inverse of a non-square matrix")
     m = _field_rows([{**row, n + i: 1}
                      for i, row in enumerate(matrix._values())])
-    if len(_row_reduce(m, n)) < n:
+    if sum(1 for _ in _row_reduce(m, n)) < n:
         raise ZeroDivisionError("matrix is singular")
     # row i of the reduced [I | matrix^-1] stores its pivot 1 at column i
     return Matrix._sparse(n, n, [{j - n: x for j, x in row.items() if j >= n}
@@ -492,7 +474,8 @@ def invert(matrix: Matrix) -> Matrix:
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_row_reduce(_field_rows(matrix._values()), matrix.ncols))
+    return sum(1 for _ in _row_reduce(_field_rows(matrix._values()),
+                                      matrix.ncols))
 
 
 def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:

@@ -136,7 +136,7 @@ def _valuation_matrix(values) -> list[list[int]]:
 def _integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the rational kernel of the matrix."""
     mat = [{j: Fraction(e) for j, e in enumerate(row) if e} for row in rows]
-    pivots = _row_reduce(mat, ncols)
+    pivots = [c for c, _ in _row_reduce(mat, ncols)]
     free_cols = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for fc in free_cols:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tl2b
+from tl2b import linalg
 from tl2b._ratback import RAT
 from tl2b.irreps import traces_agree_all_words
 from tl2b.linalg import (_CERTIFICATE_PRIMES, Matrix, _det_mod_p,
@@ -470,6 +471,80 @@ def test_inverse_and_rank_match_the_dense_reduction(data, n, k, kind):
     # read through ``rows``: once multiplied, ``_rows`` holds numerators
     assert all(type(x) is RAT_TYPE for row in inv.rows for x in row if x)
     assert_stored_form(inv)
+
+
+# ---------------------------------------------------------------------------
+# the determinant against the dense elimination it replaced
+
+def dense_det(m: list[list]) -> object:
+    """Determinant of the nonempty square ``m`` by Gaussian elimination in
+    place; only the columns right of each pivot are updated, since those
+    left of it are never read again."""
+    n = len(m)
+    det = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if m[i][k]), None)
+        if pr is None:
+            return m[0][0] - m[0][0]
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            det = -det
+        piv = m[k][k]
+        det = det * piv
+        tail = m[k][k + 1:]
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            if f:
+                f = f / piv
+                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], tail)]
+    return det
+
+
+@given(data=st.data(), n=st.integers(0, 8),
+       kind=st.sampled_from(sorted(MOSTLY_ZERO)))
+@settings(max_examples=300, deadline=None)
+def test_determinant_matches_the_dense_elimination(data, n, kind):
+    # mostly zero entries: row swaps and singular draws are common
+    rows = draw_mostly_zero(data, n, n, kind)
+    expected = dense_det([[RAT(x) for x in row] for row in rows]) if n else 1
+    m = Matrix(rows)
+    det = exact_det(m)
+    assert type(det) is RAT_TYPE and det == expected
+    assert m == Matrix(rows) and m._den is None, "exact_det changed its input"
+    if n > 1:  # swapping two rows negates the determinant
+        assert exact_det(Matrix([rows[1], rows[0], *rows[2:]])) == -expected
+
+
+def test_symbolic_determinant_matches_the_dense_elimination():
+    sym = SymbolicPoint()
+    x, y = sym.qnum(OMEGA1 + ONE), sym.qnum(THETA)
+    z = sym.q_power(HalfExponent(1, -1, 0, 2))
+    # a zero leading entry forces a row swap; ints and Fractions mix in
+    rows = [[0, x, Fraction(1, 3)], [y, z, 0], [1, 0, x * y]]
+    m = Matrix(rows)
+    det = exact_det(m)
+    assert det and det == dense_det([list(row) for row in rows])
+    assert m == Matrix(rows) and m._den is None
+    assert not exact_det(Matrix([[x, y], [x * z, y * z]]))
+    assert not exact_det(Matrix([[0, x, y], [0, z, 1], [0, 1, x * z]]))
+
+
+def test_determinant_stops_at_the_first_column_without_a_pivot(monkeypatch):
+    rng = random.Random(23)
+    m = Matrix([[0] + [RAT(rng.randrange(-9, 10), rng.randrange(1, 7))
+                       for _ in range(19)] for _ in range(20)])
+    real = linalg._subtract
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        real(*args)
+
+    monkeypatch.setattr(linalg, "_subtract", counted)
+    assert rank(m) == 19 and len(calls) > 300  # the full reduction
+    calls.clear()
+    assert exact_det(m) == 0 and len(calls) <= 19
 
 
 # ---------------------------------------------------------------------------
