@@ -297,8 +297,8 @@ def cmd_modules(args) -> tuple[list, dict]:
     edges = []
     n = args.n
     for nn, e1, e2 in pathbasis.critical_labels(n):
-        n_through = nn + (e1 + e2) // 2
-        if n_through < 1:
+        n_through = wordrep.through_line_count(nn, e1, e2)
+        if not n_through:
             continue
         spec = wordrep.ModuleSpec.through_lines(n, nn, e1, e2, point)
         name = f"W({n},{nn})[{'+' if e1 == 1 else '-'}{'+' if e2 == 1 else '-'}]"

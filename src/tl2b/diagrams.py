@@ -28,7 +28,7 @@ then the upper side's in ascending site order); the right wall mirrors this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class InvalidDiagramError(ValueError):
@@ -109,6 +109,11 @@ class HalfDiagram:
         """A horizontal line rides with the half that has odd right count;
         only the through-line-free sector carries one."""
         return self.n_through == 0 and self.n_right % 2 == 1
+
+    @cached_property
+    def doubled(self) -> FullDiagram:
+        """x on both halves, its horizontal line (if any) on each side."""
+        return FullDiagram(self.pattern, self.pattern, 2 * self.hline)
 
     @property
     def eps1(self) -> int:
@@ -278,16 +283,16 @@ def word_to_element(letters, n_sites: int) -> FullDiagram:
 
 
 def act_on_half(d: FullDiagram, x: HalfDiagram):
-    """Left action of the diagram ``d`` on a module basis vector, by
-    ``compose`` with the diagram that has x as both halves.
+    """Left action of the diagram ``d`` on a module basis vector: the
+    product ``compose(d, x.doubled)``.
 
     Returns None on annihilation (for through-line modules, the cellular
     quotient by diagrams with fewer through lines: a through line of x that
     does not survive changes the top half), else ``(weight, pairs, image)``.
-    A half-diagram without through lines carries its horizontal line on
-    each half; the lines beyond the image's own make ``pairs``, each b.
+    The horizontal lines beyond x's and the image's own make ``pairs``,
+    each b.  With ``d = y.doubled`` this is the Gram form <y, x>.
     """
-    out = compose(d, FullDiagram(x.pattern, x.pattern, 2 * x.hline))
+    out = compose(d, x.doubled)
     if out.top != x.pattern:
         return None
     result = HalfDiagram(out.bottom)

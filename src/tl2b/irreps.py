@@ -27,7 +27,8 @@ from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
                       OMEGA2, ParamPoint, draw_rationals)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, critical_labels,
                         exceptional_points, murphy_eigenvalue)
-from .wordrep import ModuleSpec, check_relations, irrep_dim, word_product
+from .wordrep import (ModuleSpec, check_relations, irrep_dim,
+                      through_line_count, word_product)
 
 
 @dataclass(frozen=True)
@@ -279,10 +280,9 @@ def conjecture_check(n_sites: int, n: int, eps1: int, eps2: int,
 
 def conjecture_cases(n_sites: int) -> list[tuple[int, int, int]]:
     """(n, eps1, eps2) triples covered by the identification conjecture, n = 0
-    last; only critical labels that leave at least one through line name a
-    module."""
+    last: the critical labels that name a through-line module."""
     cases = [(n, e1, e2) for n, e1, e2 in critical_labels(n_sites)
-             if n + (e1 + e2) // 2 >= 1]
+             if through_line_count(n, e1, e2)]
     return sorted(cases, key=lambda case: case[0] == 0)
 
 

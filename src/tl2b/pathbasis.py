@@ -536,7 +536,7 @@ def critical_labels(n_sites: int) -> list[tuple[int, int, int]]:
     m runs over 1 - N % 2, 3 - N % 2, .. N - 1, and m = 0 (odd N only)
     takes eps1 = +1 alone.  Each label gives two critical twists
     th = sign*(-m + eps1*w1 + eps2*w2), two factors of the closed Gram
-    determinant and, when m + (eps1 + eps2)/2 >= 1, a through-line module.
+    determinant and, unless ``wordrep.through_line_count`` is 0, a module.
     """
     return [(m, e1, e2) for m in range(1 - n_sites % 2, n_sites, 2)
             for e1 in ((1,) if m == 0 else (1, -1)) for e2 in (1, -1)]
@@ -619,9 +619,10 @@ def fixed_height_gram(n_sites: int, h_n: int, point):
 # spectral-equation audit
 
 
-#: the generic spectral pairs (u, v) of ``ybe_audit``
-_YBE_BATTERY = ((OMEGA1, ONE), (OMEGA2 + ONE.scale(2), THETA - ONE),
-                (OMEGA1 + OMEGA2, THETA + ONE.scale(2)))
+#: the spectral pairs (u, v) of ``ybe_audit``: u, v, u +- v, 2u and 2v are
+#: nonzero in 1, w1, w2 alone, so no [.] of them vanishes at a critical twist
+_YBE_BATTERY = ((OMEGA1, ONE), (OMEGA2 + ONE.scale(2), OMEGA1 - ONE),
+                (OMEGA1 + OMEGA2, OMEGA2 + ONE.scale(2)))
 
 
 def ybe_audit(rep: ModuleRep) -> list[dict]:

@@ -8,6 +8,9 @@ Two kinds of module over the quotiented diagram algebra:
 * the 2^N-dimensional module of all through-line-free half-diagrams, where
   pairs of horizontal lines are traded for the scalar b.
 
+Both act by ``diagrams.act_on_half``; the Gram form <x, y> is the action of
+x's doubled diagram on y.
+
 Matrices follow the left-action column convention: column i of e_k holds the
 expansion of e_k applied to the i-th basis vector.
 """
@@ -20,7 +23,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .audit import audit
-from .diagrams import (FullDiagram, HalfDiagram, InvalidDiagramError,
+# ``compose`` is unused here but stays bound: perfbench/tracer.py rebinds it
+from .diagrams import (HalfDiagram, InvalidDiagramError,  # noqa: F401
                        act_on_half, compose, generator_diagram)
 from .linalg import Matrix
 
@@ -40,6 +44,12 @@ def irrep_dim(m: int, n: int) -> int:
                for i in range(1, (m + 1 - abs(n)) // 2 + 1))
 
 
+def through_line_count(n: int, eps1: int, eps2: int) -> int:
+    """Through lines of the module labelled (n, eps1, eps2), n + (eps1 +
+    eps2)/2, or 0 where that is below 1 and the label names no module."""
+    return max(n + (eps1 + eps2) // 2, 0)
+
+
 @dataclass(frozen=True)
 class ModuleSpec:
     """A concrete module: chain length, kind, and its parameter point."""
@@ -57,7 +67,7 @@ class ModuleSpec:
                       point) -> ModuleSpec:
         if eps1 not in (1, -1) or eps2 not in (1, -1):
             raise ValueError("parities must be +1 or -1")
-        n_through = n + (eps1 + eps2) // 2
+        n_through = through_line_count(n, eps1, eps2)
         if not 1 <= n_through <= n_sites:
             raise ValueError(f"invalid through-line count {n_through}")
         if (n_sites - 1 - n) % 2:
@@ -119,8 +129,8 @@ def _basis_patterns(n_sites: int, n_through: int,
 def _patterns(spec: ModuleSpec) -> tuple[str, ...]:
     if spec.kind == "big":
         return _basis_patterns(spec.n_sites, 0, None)
-    return _basis_patterns(spec.n_sites, spec.n + (spec.eps1 + spec.eps2) // 2,
-                           (spec.eps1, spec.eps2))
+    eps = (spec.eps1, spec.eps2)
+    return _basis_patterns(spec.n_sites, through_line_count(spec.n, *eps), eps)
 
 
 def enumerate_basis(spec: ModuleSpec) -> list[HalfDiagram]:
@@ -157,40 +167,21 @@ def generator_matrix(spec: ModuleSpec, i: int) -> Matrix:
 # bilinear form
 
 
-def _pairing(x: HalfDiagram, y: HalfDiagram, big: bool):
-    """``(weight, b exponent)`` of the pairing of x and y, or None for zero.
-
-    Zero whenever the closure is not proportional to the required shape
-    (through-line loss).  In the 2^N module each half-diagram brings its
-    own horizontal line; the pair as a whole trades max(fx, fy) plus half
-    the freshly closed horizontal lines for powers of b, which stays
-    division-free even where b vanishes.
-    """
-    fx, fy = int(x.hline), int(y.hline)
-    out = compose(FullDiagram(x.pattern, x.pattern, 2 * fx),
-                  FullDiagram(y.pattern, y.pattern, 2 * fy))
-    if not big:
-        if out.shape != (x.pattern, y.pattern, 0):
-            return None
-        return out.weight, 0
-    born = out.hlines - 2 * fx - 2 * fy
-    return out.weight, max(fx, fy) + born // 2
-
-
 def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
-    """Pairing of two half-diagrams by closing the top of x onto y."""
-    key = _pairing(x, y, spec.kind == "big")
-    return spec.point.zero if key is None else spec.weigh(*key)
+    """<x, y>: the action of x's doubled diagram on y, weighed (or zero)."""
+    hit = act_on_half(x.doubled, y)
+    return spec.point.zero if hit is None else spec.weigh(*hit[:2])
 
 
 def gram_matrix(spec: ModuleSpec) -> Matrix:
-    """The matrix of ``bilinear`` on the basis; each distinct pairing is
-    weighed once."""
-    basis, big = spec.basis, spec.kind == "big"
+    """The matrix of ``bilinear`` on the basis; each distinct
+    ``(weight, pairs)`` is weighed once."""
+    basis = spec.basis
     values = {None: spec.point.zero}
     rows = []
     for x in basis:
-        keys = [_pairing(x, y, big) for y in basis]
+        hits = (act_on_half(x.doubled, y) for y in basis)
+        keys = [hit and hit[:2] for hit in hits]
         values.update((k, spec.weigh(*k)) for k in set(keys) - values.keys())
         rows.append([values[k] for k in keys])
     return Matrix(rows)
@@ -271,5 +262,5 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
 __all__ = [
     "ModuleSpec", "action_table", "ballot", "bilinear", "check_relations",
     "enumerate_basis", "generator_matrix", "gram_matrix", "idempotent_words",
-    "irrep_dim", "relation_audit", "word_product",
+    "irrep_dim", "relation_audit", "through_line_count", "word_product",
 ]

@@ -95,6 +95,17 @@ def test_module_nodes_are_the_conjecture_cases(n):
     assert sorted(nodes, key=lambda node: node[0] == 0) == conjecture_cases(n)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_relations_is_served_at_every_critical_twist(n):
+    from tl2b.pathbasis import exceptional_points
+
+    sign = {1: "+", -1: "-"}
+    for s, m, e1, e2 in exceptional_points(n):
+        twist = f"--theta={sign[s]},{m},{sign[e1]},{sign[e2]}"
+        code, out = run(["relations", "--n", str(n), twist])
+        assert code == 0, (twist, json.loads(out).get("error"))
+
+
 def test_exceptional_report():
     code, out = run(["irreps", "--n", "4", "--theta=-,3,+,-"])
     doc = json.loads(out)

@@ -140,6 +140,15 @@ def test_act_on_half_examples():
     # e_1 on the capped ')(*' closes a wall-to-wall line: b times '()'
     assert act_on_half(generator_diagram(1, 2), HalfDiagram(")(")) == (
         (0, 0, 0), 1, HalfDiagram("()"))
+    # the doubled diagram is built once per half-diagram, and the action
+    # reads only the pattern
+    for p in ("))|", "|||", ")(", "()(", ")|("):
+        h = HalfDiagram(p)
+        assert h.doubled is h.doubled
+        assert h.doubled.shape == (p, p, 2 * h.hline)
+        for i in range(len(p) + 1):
+            d = generator_diagram(i, len(p))
+            assert act_on_half(d, h) == act_on_half(d, HalfDiagram(p))
 
 
 words = st.lists(st.integers(0, 4), min_size=1, max_size=5)

@@ -5,9 +5,10 @@ from itertools import product
 import pytest
 
 from conftest import assert_all_pass, diagram_matrix
-from tl2b.diagrams import HalfDiagram, word_to_element
+from tl2b.diagrams import FullDiagram, HalfDiagram, compose, word_to_element
 from tl2b.irreps import conjecture_cases
 from tl2b.linalg import exact_det
+from tl2b.symbolic import SymbolicPoint
 from tl2b.wordrep import (ModuleSpec, ballot, bilinear, enumerate_basis,
                           generator_matrix, gram_matrix, idempotent_words,
                           irrep_dim, relation_audit, word_product)
@@ -99,6 +100,56 @@ def test_explicit_gram_matrix_n2(point):
             assert g.rows[ei][ej] == expected[i][j]
     det = exact_det(g)
     assert det == b * (b - s1) * (b - s2) * (b - s1 - s2 + d * s1 * s2)
+
+
+def _pairing(x: HalfDiagram, y: HalfDiagram, big: bool):
+    """``(weight, b exponent)`` of the pairing of x and y, or None for zero.
+
+    Zero whenever the closure is not proportional to the required shape
+    (through-line loss).  In the 2^N module each half-diagram brings its
+    own horizontal line; the pair as a whole trades max(fx, fy) plus half
+    the freshly closed horizontal lines for powers of b, which stays
+    division-free even where b vanishes.
+    """
+    fx, fy = int(x.hline), int(y.hline)
+    out = compose(FullDiagram(x.pattern, x.pattern, 2 * fx),
+                  FullDiagram(y.pattern, y.pattern, 2 * fy))
+    if not big:
+        if out.shape != (x.pattern, y.pattern, 0):
+            return None
+        return out.weight, 0
+    born = out.hlines - 2 * fx - 2 * fy
+    return out.weight, max(fx, fy) + born // 2
+
+
+def _assert_form_matches_pairing(spec):
+    """Every entry of ``gram_matrix`` and every ``bilinear`` value, zeros
+    included, against the closed-pairing rule ``_pairing``."""
+    g = gram_matrix(spec).rows
+    for i, x in enumerate(spec.basis):
+        for j, y in enumerate(spec.basis):
+            key = _pairing(x, y, spec.kind == "big")
+            expect = spec.point.zero if key is None else spec.weigh(*key)
+            assert g[i][j] == expect, (spec.n_sites, x, y)
+            assert bilinear(x, y, spec) == expect, (spec.n_sites, x, y)
+
+
+def _modules(n_sites, point):
+    """The 2^N module and every through-line module of the critical labels."""
+    return [ModuleSpec.big(n_sites, point)] + [
+        ModuleSpec.through_lines(n_sites, n, e1, e2, point)
+        for n, e1, e2 in conjecture_cases(n_sites)]
+
+
+@pytest.mark.parametrize("n_sites", (2, 3, 4, 5))
+def test_gram_form_is_the_closed_pairing(any_point, n_sites):
+    for spec in _modules(n_sites, any_point):
+        _assert_form_matches_pairing(spec)
+
+
+def test_symbolic_gram_form_is_the_closed_pairing():
+    for spec in _modules(2, SymbolicPoint()):
+        _assert_form_matches_pairing(spec)
 
 
 def test_gram_symmetric_and_intertwining(point):
