@@ -37,15 +37,20 @@ def _sign(text: str) -> int:
 
 
 def _parse_theta(text: str):
-    """generic | 'sign,m,eps1,eps2' | explicit rational 'p/q'."""
+    """generic | 'sign,m,eps1,eps2' | explicit rational 'p/q'; any text with
+    a comma is a critical twist."""
     text = text.strip()
     if text == "generic":
         return ("generic", None)
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 4:
-        return ("exceptional", (_sign(parts[0]), int(parts[1]),
-                                _sign(parts[2]), _sign(parts[3])))
-    return ("explicit", rat_from_str(text))
+    if "," not in text:
+        return ("explicit", rat_from_str(text))
+    try:
+        sign, m, eps1, eps2 = (p.strip() for p in text.split(","))
+        m = int(m)
+    except ValueError:
+        raise ValueError(f"--theta {text!r} is not a critical twist "
+                         "sign,m,eps1,eps2 with an integer m") from None
+    return ("exceptional", (_sign(sign), m, _sign(eps1), _sign(eps2)))
 
 
 @contextlib.contextmanager

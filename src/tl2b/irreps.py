@@ -23,8 +23,8 @@ from .hecke import centre_offset, lift_family, murphy
 from ._ratback import RAT
 # ``invert`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .linalg import Matrix, _extend_span, invert, rank  # noqa: F401
-from .scalars import (MAX_DRAWS, GenericityError, HalfExponent, OMEGA1,
-                      OMEGA2, ParamPoint, draw_rationals)
+from .scalars import (HalfExponent, OMEGA1, OMEGA2, ParamPoint, _draw_point,
+                      draw_rationals)
 from .pathbasis import (BasisB1, ModuleRep, build_b1, critical_labels,
                         exceptional_points, murphy_eigenvalue)
 from .wordrep import (ModuleSpec, check_relations, irrep_dim,
@@ -72,18 +72,15 @@ def make_exceptional_point(seed: int, espec: ExceptionalSpec,
     standing distinctness assumption): each entry has t = (s^-m a^e1
     v^e2)^sign, distinct entries have distinct exponent vectors
     sign * (-m, e1, e2), since m >= 0 and e1 = +1 when m = 0, so two equal
-    values of t^2 would be a relation among |s|, |a| and |v|."""
-    rng = random.Random(seed)
-    for _ in range(MAX_DRAWS):
+    values of t^2 would be a relation among |s|, |a| and |v|.  Each
+    attempt of ``scalars._draw_point`` draws s, a and v."""
+    def draw(rng):
         s, a, v = draw_rationals(rng, 3)
-        try:
-            return ParamPoint(s, a, v, espec.tau(s, a, v),
-                              genericity_bound=genericity_bound,
-                              theta_mode="exceptional")
-        except GenericityError:
-            continue
-    raise GenericityError(
-        f"no admissible exceptional point found after {MAX_DRAWS} draws")
+        return ParamPoint(s, a, v, espec.tau(s, a, v),
+                          genericity_bound=genericity_bound,
+                          theta_mode="exceptional")
+
+    return _draw_point(seed, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,8 @@ class Matrix:
 
     @staticmethod
     def from_columns(cols) -> Matrix:
-        rows = [{} for _ in range(len(cols[0]))]
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                if x:
-                    rows[i][j] = x
-        return Matrix._sparse(len(rows), len(cols), rows)
+        """From dense columns of equal length: the transpose of ``Matrix``."""
+        return Matrix(cols).transpose()
 
     def _values(self) -> list[dict]:
         """The stored rows with each entry as it reads: the rows themselves

@@ -502,19 +502,10 @@ def _is_eigencolumn(mat: Matrix, k: int, lam) -> bool:
 
 
 def _tile_factor(point, boundary: bool, shoulder: int):
-    """c(w1-h) c(-w1+h) for a tile on shoulder h, with c = r or k."""
+    """The Gram factor of a tile on shoulder h: f(h) = r(w1-h) r(-w1+h) in
+    the bulk, g(h) = k(w1-h) k(-w1+h) at the boundary."""
     lo, hi = _tile_coeffs(point, boundary, shoulder)
     return lo * hi
-
-
-def f_factor(h: int, point):
-    """f(h) = r(w1-h) r(-w1+h)."""
-    return _tile_factor(point, False, h)
-
-
-def g_factor(h: int, point):
-    """g(h) = k(w1-h) k(-w1+h)."""
-    return _tile_factor(point, True, h)
 
 
 def gram_diag_b1(basis: BasisB1) -> dict[Path, object]:
@@ -718,8 +709,8 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
 __all__ = [
     "BasisB1", "ModuleRep", "Path", "TileEvent", "action_audit_b1",
     "addable_tiles", "all_paths", "apply_idempotent", "apply_tile",
-    "build_b1", "critical_labels", "exceptional_points", "f_factor",
-    "fixed_height_gram", "fundamental_path", "g_factor", "gram_closed_form",
+    "build_b1", "critical_labels", "exceptional_points",
+    "fixed_height_gram", "fundamental_path", "gram_closed_form",
     "gram_closed_form_halfdiagram", "gram_closed_form_report", "gram_diag_b1",
     "gram_normalization_exponent", "idempotent_identities",
     "idempotent_image", "idempotent_matrix",

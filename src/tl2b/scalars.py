@@ -328,20 +328,28 @@ def draw_rationals(rng: random.Random, count: int) -> list:
     return draws
 
 
+def _draw_point(seed: int, draw) -> ParamPoint:
+    """The first point that ``draw(rng)`` builds without a
+    ``GenericityError``, from ``random.Random(seed)``, in at most
+    ``MAX_DRAWS`` attempts."""
+    rng = random.Random(seed)
+    for _ in range(MAX_DRAWS):
+        try:
+            return draw(rng)
+        except GenericityError:
+            continue
+    raise GenericityError(f"no admissible point found after {MAX_DRAWS} draws")
+
+
 def make_param_point(seed: int, genericity_bound: int = 40) -> ParamPoint:
-    """Deterministic pseudo-random generic point with small rational heights.
+    """Deterministic pseudo-random generic point with small rational heights,
+    drawn four rationals at a time (``_draw_point``).
 
     Numerators and denominators are coprime and at most 97, which keeps
     big-integer growth manageable inside exact determinants up to N = 10.
     """
-    rng = random.Random(seed)
-    for _ in range(MAX_DRAWS):
-        try:
-            return ParamPoint(*draw_rationals(rng, 4),
-                              genericity_bound=genericity_bound)
-        except GenericityError:
-            continue
-    raise GenericityError(f"no generic point found after {MAX_DRAWS} draws")
+    return _draw_point(seed, lambda rng: ParamPoint(
+        *draw_rationals(rng, 4), genericity_bound=genericity_bound))
 
 
 __all__ = [

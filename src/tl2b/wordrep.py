@@ -8,8 +8,8 @@ Two kinds of module over the quotiented diagram algebra:
 * the 2^N-dimensional module of all through-line-free half-diagrams, where
   pairs of horizontal lines are traded for the scalar b.
 
-Both act by ``diagrams.act_on_half``; the Gram form <x, y> is the action of
-x's doubled diagram on y.
+Both act by ``diagrams.act_on_half``.  The Gram form <x, y>, the action of
+x's doubled diagram on y, is read only as a whole matrix, ``gram_matrix``.
 
 Matrices follow the left-action column convention: column i of e_k holds the
 expansion of e_k applied to the i-th basis vector.
@@ -164,18 +164,13 @@ def generator_matrix(spec: ModuleSpec, i: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# bilinear form
-
-
-def bilinear(x: HalfDiagram, y: HalfDiagram, spec: ModuleSpec):
-    """<x, y>: the action of x's doubled diagram on y, weighed (or zero)."""
-    hit = act_on_half(x.doubled, y)
-    return spec.point.zero if hit is None else spec.weigh(*hit[:2])
+# Gram form
 
 
 def gram_matrix(spec: ModuleSpec) -> Matrix:
-    """The matrix of ``bilinear`` on the basis; each distinct
-    ``(weight, pairs)`` is weighed once."""
+    """The Gram form <x, y> on the basis: the action of x's doubled diagram
+    on y, ``act_on_half(x.doubled, y)``, weighed, or zero where it is None.
+    Each distinct ``(weight, pairs)`` is weighed once."""
     basis = spec.basis
     values = {None: spec.point.zero}
     rows = []
@@ -260,7 +255,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
 
 
 __all__ = [
-    "ModuleSpec", "action_table", "ballot", "bilinear", "check_relations",
+    "ModuleSpec", "action_table", "ballot", "check_relations",
     "enumerate_basis", "generator_matrix", "gram_matrix", "idempotent_words",
     "irrep_dim", "relation_audit", "through_line_count", "word_product",
 ]

@@ -95,15 +95,37 @@ def test_module_nodes_are_the_conjecture_cases(n):
     assert sorted(nodes, key=lambda node: node[0] == 0) == conjecture_cases(n)
 
 
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_relations_is_served_at_every_critical_twist(n):
+def critical_twists(n):
+    """(sign, ``--theta`` argument) of every critical twist at length n."""
     from tl2b.pathbasis import exceptional_points
 
     sign = {1: "+", -1: "-"}
-    for s, m, e1, e2 in exceptional_points(n):
-        twist = f"--theta={sign[s]},{m},{sign[e1]},{sign[e2]}"
+    return [(s, f"--theta={sign[s]},{m},{sign[e1]},{sign[e2]}")
+            for s, m, e1, e2 in exceptional_points(n)]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_relations_is_served_at_every_critical_twist(n):
+    for _, twist in critical_twists(n):
         code, out = run(["relations", "--n", str(n), twist])
         assert code == 0, (twist, json.loads(out).get("error"))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("command",
+                         ["gram", "basis", "spinchain", "irreps", "modules"])
+def test_every_command_is_served_at_every_critical_twist(command, n):
+    for sign, twist in critical_twists(n):
+        code, out = run([command, "--n", str(n), twist])
+        doc = json.loads(out)
+        assert doc["schema"] == "tl2b/1", twist
+        if command == "spinchain" and sign == -1:
+            # the spin path basis B_s is singular at every sign -1 twist;
+            # ROADMAP item 4 certifies it in the report instead
+            assert code == 2, twist
+            assert doc["error"] == "ZeroDivisionError: matrix is singular"
+        else:
+            assert code == 0, (twist, doc.get("error"))
 
 
 def test_exceptional_report():
@@ -302,6 +324,19 @@ def test_bad_theta_gives_error_record(command, theta):
     assert code == 2
     assert doc["schema"] == "tl2b/1" and doc["status"] == "error"
     assert doc["error"].startswith("ValueError: --theta sign")
+
+
+@pytest.mark.parametrize("theta", ["+,1,+", "+,1,+,+,+", "+,x,+,+"])
+def test_malformed_critical_twist_names_its_form(theta):
+    assert refusal(["gram", "--n", "4", f"--theta={theta}"]) == (
+        f"ValueError: --theta {theta!r} is not a critical twist "
+        "sign,m,eps1,eps2 with an integer m")
+
+
+@pytest.mark.parametrize("theta", ["7/5", "-3"])
+def test_rational_twists_without_a_comma_stay_explicit(theta):
+    code, out = run(["gram", "--n", "2", f"--theta={theta}"])
+    assert code == 0 and json.loads(out)["point"]["t"] == theta
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

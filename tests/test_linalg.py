@@ -396,6 +396,42 @@ def test_dense_rows_of_unequal_length_are_rejected(rows):
         Matrix(rows)
 
 
+def old_from_columns(cols) -> Matrix:
+    """``Matrix.from_columns`` before it was built on ``Matrix``."""
+    rows = [{} for _ in range(len(cols[0]))]
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            if x:
+                rows[i][j] = x
+    return Matrix._sparse(len(rows), len(cols), rows)
+
+
+def assert_same_columns(cols):
+    got, want = Matrix.from_columns(cols), old_from_columns(cols)
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert got._rows == want._rows and got.rows == want.rows
+    assert got._den is None and want._den is None
+
+
+@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 5), kind=KINDS)
+@settings(max_examples=100, deadline=None)
+def test_from_columns_matches_the_old_loop(data, n, k, kind):
+    # k columns of length n, some of them zero
+    assert_same_columns(draw_rows(data, k, n, kind))
+
+
+def test_symbolic_from_columns_matches_the_old_loop():
+    sym = SymbolicPoint()
+    x, y = sym.qnum(OMEGA1 + ONE), sym.qnum(THETA)
+    assert_same_columns([[x, 0, Fraction(1, 3)], [0, 0, 0], [y, x * y, 1]])
+
+
+@pytest.mark.parametrize("cols", [[[1, 2], [3]], [[1], [2, 3]]])
+def test_columns_of_unequal_length_are_rejected(cols):
+    with pytest.raises(ValueError, match="unequal length"):
+        Matrix.from_columns(cols)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Jordan over stored entries against a dense reference
 

@@ -11,8 +11,8 @@ from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, ParamPoint,
 from tl2b.pathbasis import (BasisB1, ModuleRep, action_audit_b1,
                             addable_tiles,
                             all_paths, apply_tile, build_b1,
-                            exceptional_points, f_factor, fixed_height_gram,
-                            fundamental_path, g_factor, gram_closed_form,
+                            exceptional_points, fixed_height_gram,
+                            fundamental_path, gram_closed_form,
                             gram_closed_form_halfdiagram,
                             gram_closed_form_report, gram_diag_b1,
                             gram_normalization_exponent,
@@ -496,8 +496,10 @@ def test_determinant_swap_symmetries(point):
 
 def test_f_g_factors(point):
     u = OMEGA1 + HalfExponent.integer(-2)
-    assert f_factor(2, point) == r_coeff(u, point) * r_coeff(-u, point)
-    assert g_factor(2, point) == k_coeff(u, point) * k_coeff(-u, point)
+    assert (pathbasis._tile_factor(point, False, 2)
+            == r_coeff(u, point) * r_coeff(-u, point))
+    assert (pathbasis._tile_factor(point, True, 2)
+            == k_coeff(u, point) * k_coeff(-u, point))
     kbar_coeff(OMEGA2, point)  # defined and finite at a generic point
 
 

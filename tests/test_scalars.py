@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tl2b import scalars
 from tl2b._ratback import RAT
-from tl2b.scalars import (GenericityError, HalfExponent, ONE, OMEGA1, OMEGA2,
-                          ParamPoint, THETA, coprime_basis,
-                          make_param_point, multiplicative_kernel)
+from tl2b.irreps import ExceptionalSpec, make_exceptional_point
+from tl2b.pathbasis import exceptional_points
+from tl2b.scalars import (MAX_DRAWS, GenericityError, HalfExponent, ONE,
+                          OMEGA1, OMEGA2, ParamPoint, THETA, coprime_basis,
+                          draw_rationals, make_param_point,
+                          multiplicative_kernel)
 
 exponents = st.builds(HalfExponent,
                       st.integers(-12, 12), st.integers(-12, 12),
@@ -135,3 +141,62 @@ def test_half_exponent_halving():
     assert HalfExponent(1, 1, 0, 0).halved() is None
     assert (ONE + OMEGA1 + OMEGA2 + THETA).halved() == HalfExponent(1, 1, 1, 1)
     assert HalfExponent.integer(3).scale(2).halved() == HalfExponent.integer(3)
+
+
+# ---------------------------------------------------------------------------
+# the point draws against the two loops that ``_draw_point`` replaced
+
+def old_make_param_point(seed: int, genericity_bound: int = 40) -> ParamPoint:
+    rng = random.Random(seed)
+    for _ in range(MAX_DRAWS):
+        try:
+            return ParamPoint(*draw_rationals(rng, 4),
+                              genericity_bound=genericity_bound)
+        except GenericityError:
+            continue
+    raise GenericityError(f"no generic point found after {MAX_DRAWS} draws")
+
+
+def old_make_exceptional_point(seed: int, espec: ExceptionalSpec,
+                               genericity_bound: int = 40) -> ParamPoint:
+    rng = random.Random(seed)
+    for _ in range(MAX_DRAWS):
+        s, a, v = draw_rationals(rng, 3)
+        try:
+            return ParamPoint(s, a, v, espec.tau(s, a, v),
+                              genericity_bound=genericity_bound,
+                              theta_mode="exceptional")
+        except GenericityError:
+            continue
+    raise GenericityError(
+        f"no admissible exceptional point found after {MAX_DRAWS} draws")
+
+
+def critical_specs():
+    return [ExceptionalSpec(n, *twist) for n in (2, 3, 4)
+            for twist in exceptional_points(n)]
+
+
+#: seeds whose first draw fails its certificate, so the second is kept
+RETRY_SEEDS = (569, 1044)
+
+
+def test_generic_draws_match_the_old_loop():
+    for seed in (*range(1, 21), *RETRY_SEEDS):
+        assert make_param_point(seed) == old_make_param_point(seed), seed
+    assert make_param_point(3, 7) == old_make_param_point(3, 7)
+
+
+def test_critical_draws_match_the_old_loop():
+    for espec in critical_specs():
+        for seed in (1, 2, 3, *RETRY_SEEDS):
+            assert (make_exceptional_point(seed, espec)
+                    == old_make_exceptional_point(seed, espec)), (espec, seed)
+
+
+def test_both_draws_give_up_after_max_draws(monkeypatch):
+    monkeypatch.setattr(scalars, "MAX_DRAWS", 0)
+    with pytest.raises(GenericityError):
+        make_param_point(1)
+    with pytest.raises(GenericityError):
+        make_exceptional_point(1, critical_specs()[0])

@@ -9,7 +9,7 @@ from tl2b.diagrams import FullDiagram, HalfDiagram, compose, word_to_element
 from tl2b.irreps import conjecture_cases
 from tl2b.linalg import exact_det
 from tl2b.symbolic import SymbolicPoint
-from tl2b.wordrep import (ModuleSpec, ballot, bilinear, enumerate_basis,
+from tl2b.wordrep import (ModuleSpec, ballot, enumerate_basis,
                           generator_matrix, gram_matrix, idempotent_words,
                           irrep_dim, relation_audit, word_product)
 
@@ -78,10 +78,15 @@ def test_explicit_small_bases(point):
 
 def test_inner_product_examples(point):
     spec = ModuleSpec.through_lines(4, 1, 1, 1, point)
-    h = HalfDiagram
-    assert bilinear(h("|()|"), h("()||"), spec) == 1
-    assert bilinear(h("()||"), h("()||"), spec) == point.delta
-    assert bilinear(h("||()"), h("()||"), spec) == 0
+    index = {h.pattern: k for k, h in enumerate(spec.basis)}
+    g = gram_matrix(spec)
+
+    def form(x, y):
+        return g[index[x], index[y]]
+
+    assert form("|()|", "()||") == 1
+    assert form("()||", "()||") == point.delta
+    assert form("||()", "()||") == 0
 
 
 def test_explicit_gram_matrix_n2(point):
@@ -123,15 +128,14 @@ def _pairing(x: HalfDiagram, y: HalfDiagram, big: bool):
 
 
 def _assert_form_matches_pairing(spec):
-    """Every entry of ``gram_matrix`` and every ``bilinear`` value, zeros
-    included, against the closed-pairing rule ``_pairing``."""
+    """Every entry of ``gram_matrix``, zeros included, against the
+    closed-pairing rule ``_pairing``."""
     g = gram_matrix(spec).rows
     for i, x in enumerate(spec.basis):
         for j, y in enumerate(spec.basis):
             key = _pairing(x, y, spec.kind == "big")
             expect = spec.point.zero if key is None else spec.weigh(*key)
             assert g[i][j] == expect, (spec.n_sites, x, y)
-            assert bilinear(x, y, spec) == expect, (spec.n_sites, x, y)
 
 
 def _modules(n_sites, point):
