@@ -15,9 +15,10 @@ horizontal-line evaluations are verified as exact matrix identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .audit import audit
-from .linalg import Matrix, commutator
+from .linalg import Matrix, commutator, product_difference
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 # ``generator_matrix`` is unused here but stays bound: perfbench/tracer.py
 # rebinds it
@@ -45,6 +46,17 @@ class HeckeGenSet:
     def word(self, letters) -> Matrix:
         """Product of g letters; negative index -i-1 means g_i^-1."""
         return word_product(self.g + self.ginv[::-1], letters)
+
+    @cached_property
+    def g_comm(self) -> tuple[Matrix, ...]:
+        """For each i, e_i when g_i = lead + coeff e_i with coeff != 0, else
+        g_i.  [g_i, X] = coeff [e_i, X], so a commutator with ``g_comm[i]``
+        vanishes at the same entries as [g_i, X]: a record, which names only
+        the first of them, is the same either way, and e_i is the sparser
+        factor."""
+        n = self.n_sites
+        return tuple(e if g_coefficients(self.point, n, i, 1)[1] else g
+                     for i, (e, g) in enumerate(zip(self.e, self.g)))
 
 
 def g_coefficients(point, n_sites: int, i: int, sign: int):
@@ -160,9 +172,11 @@ def hecke_relation_audit(gens: HeckeGenSet) -> list[dict]:
         out.append(audit(f"hecke.braid.{i}",
                          gens.word((i, i + 1, i)) - gens.word((i + 1, i, i + 1))))
         out.append(audit(f"hecke.kernel.bulk.{i}", kernel(i, i + 1, -q(-1))))
+    # [g_i, g_j] = coeff_i coeff_j [e_i, e_j]: see ``HeckeGenSet.g_comm``
+    gc = gens.g_comm
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out.append(audit(f"hecke.comm.{i}.{j}", commutator(g[i], g[j])))
+            out.append(audit(f"hecke.comm.{i}.{j}", commutator(gc[i], gc[j])))
     # (side, wall generator, its bulk neighbour, wall parameter)
     for side, w, a, omega in (("left", 0, 1, OMEGA1),
                               ("right", n, n - 1, OMEGA2)):
@@ -175,44 +189,76 @@ def hecke_relation_audit(gens: HeckeGenSet) -> list[dict]:
     return out
 
 
+def _passed(record: dict) -> bool:
+    return record["status"] == "pass"
+
+
 def murphy_commutation_audit(fam: MurphyFamily) -> list[dict]:
-    """Pairwise commutation and the mixed g/J commutation statements."""
+    """Pairwise commutation and the mixed g/J commutation statements.
+
+    ``fam`` is built by ``murphy``, so J_y = g J_{y-1} g with g = g_{y+off}
+    (off = 1 for family A, whose J_0 is absent, else 0).  Every commutator
+    with a g is taken with ``HeckeGenSet.g_comm``.  Two kinds of record are
+    derived from others instead of formed:
+
+    - ``murphy.comm.K.x.y`` for y >= x + 2: J_x commutes with J_y when it
+      commutes with g_{y+off} (``murphy.gj.K.(y+off).(x+off)``) and with
+      J_{y-1} (``murphy.comm.K.x.(y-1)``, formed or derived in turn);
+    - ``murphy.gprod.K.i``: with J_hi = g_i J_lo g_i, [g_i, J_lo J_hi] =
+      [J_hi, J_lo] g_i, which vanishes when the adjacent
+      ``murphy.comm.K.lo.hi`` passes (and, g_i being invertible, only then).
+
+    A derived record passes.  When a premise fails the commutator is formed,
+    so that the record names its first nonzero entry, as a formed one does.
+    """
     gens = fam.gens
     n = gens.n_sites
+    kind = fam.kind
     js = fam.j
-    out = []
-    idx = list(range(len(js)))
-    for x in idx:
-        for y in idx:
-            if x < y:
-                out.append(audit(f"murphy.comm.{fam.kind}.{x}.{y}",
-                                 commutator(js[x], js[y])))
-    offset = 1 if fam.kind == "A" else 0
+    gc = gens.g_comm
+    idx = range(len(js))
+    offset = 1 if kind == "A" else 0
+    gj = {}
     for gi in range(1, n):
         for jj in idx:
             label = jj + offset
             if label in (gi - 1, gi):
                 continue
-            out.append(audit(f"murphy.gj.{fam.kind}.{gi}.{label}",
-                             commutator(gens.g[gi], js[jj])))
+            gj[gi, label] = audit(f"murphy.gj.{kind}.{gi}.{label}",
+                                  commutator(gc[gi], js[jj]))
+    comm = {}
+    for x in idx:
+        for y in idx[x + 1:]:
+            derived = (y >= x + 2 and _passed(comm[x, y - 1])
+                       and _passed(gj[y + offset, x + offset]))
+            comm[x, y] = audit(f"murphy.comm.{kind}.{x}.{y}", True if derived
+                               else commutator(js[x], js[y]))
+    out = list(comm.values()) + list(gj.values())
     for gi in range(1, n):
         lo, hi = gi - 1 - offset, gi - offset
         if 0 <= lo and hi < len(js):
-            out.append(audit(f"murphy.gprod.{fam.kind}.{gi}",
-                             commutator(gens.g[gi], js[lo] @ js[hi])))
-            out.append(audit(f"murphy.gsum.{fam.kind}.{gi}",
-                             commutator(gens.g[gi], js[lo] + js[hi])))
-    if fam.kind == "C":
+            out.append(audit(f"murphy.gprod.{kind}.{gi}",
+                             True if _passed(comm[lo, hi])
+                             else commutator(gc[gi], js[lo] @ js[hi])))
+            out.append(audit(f"murphy.gsum.{kind}.{gi}",
+                             commutator(gc[gi], js[lo] + js[hi])))
+    if kind == "C":
         for jj in idx[1:]:
-            out.append(audit(f"murphy.g0j.C.{jj}", commutator(gens.g[0], js[jj])))
-    if fam.kind in ("B", "C"):
-        out.append(audit(f"murphy.g0j0pair.{fam.kind}",
-                         commutator(gens.g[0], js[0] + fam.jinv[0])))
+            out.append(audit(f"murphy.g0j.C.{jj}", commutator(gc[0], js[jj])))
+    if kind in ("B", "C"):
+        out.append(audit(f"murphy.g0j0pair.{kind}",
+                         commutator(gc[0], js[0] + fam.jinv[0])))
     return out
 
 
 def equivalent_presentation_audit(fam: MurphyFamily) -> list[dict]:
-    """The alternative affine presentation through J_0, and the rebuild of g_N."""
+    """The alternative affine presentation through J_0, and the rebuild of g_N.
+
+    ``fam`` is the affine family of ``murphy``, so J_1 = g_1 J_0 g_1 and
+    ``equiv.g0g1j0g1``, g_0 g_1 J_0 g_1 - g_1 J_0 g_1 g_0, is [g_0, J_1];
+    ``equiv.j0g1j0g1`` is x x - y y with x = J_0 g_1 and y = g_1 J_0.
+    Commutators with a g are taken with ``HeckeGenSet.g_comm``.
+    """
     if fam.kind != "C":
         raise ValueError("the equivalent presentation concerns the affine family")
     gens = fam.gens
@@ -220,13 +266,13 @@ def equivalent_presentation_audit(fam: MurphyFamily) -> list[dict]:
     n = gens.n_sites
     j0 = fam.j[0]
     g = gens.g
+    gc = gens.g_comm
     out = []
     for i in range(2, n):
-        out.append(audit(f"equiv.comm.{i}", commutator(g[i], j0)))
-    out.append(audit("equiv.j0g1j0g1",
-                     j0 @ g[1] @ j0 @ g[1] - g[1] @ j0 @ g[1] @ j0))
-    out.append(audit("equiv.g0g1j0g1",
-                     g[0] @ g[1] @ j0 @ g[1] - g[1] @ j0 @ g[1] @ g[0]))
+        out.append(audit(f"equiv.comm.{i}", commutator(gc[i], j0)))
+    x, y = j0 @ g[1], g[1] @ j0
+    out.append(audit("equiv.j0g1j0g1", product_difference(x, x, y, y)))
+    out.append(audit("equiv.g0g1j0g1", commutator(gc[0], fam.j[1])))
     ident = Matrix.identity(gens.dim)
     x = j0 @ gens.ginv[0]
     quad = ((x - ident.scale(point.q_power(OMEGA2)))

@@ -15,7 +15,9 @@ numerators it runs one sparse accumulation loop on integers over the
 denominator D_a D_b, followed by a single gcd over the result, and over
 values the same loop on the values.  ``product_difference`` sums
 a @ b - c @ d row by row without forming either product (a commutator
-compares x y with y x over their shared denominator).  An entry becomes a
+compares x y with y x over their shared denominator), and
+``intertwiner_differences`` forms e @ b - b @ m column by column over the
+denominators of the columns it reads, so b is only read.  An entry becomes a
 backend rational only when it is read: ``m[i, j]``, ``rows``, ``column``,
 ``apply``, comparison with a matrix that is not converted, and elimination;
 so a matrix that has entered arithmetic never reads an int.  Rational and
@@ -490,7 +492,71 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
     return product_difference(x, y, y, x)
 
 
+def _column_form(m: Matrix):
+    """Column j of ``m`` as (d_j, {i: n_ij}) with m_ij = n_ij / d_j and d_j
+    the lcm of the column's denominators, read without converting ``m``;
+    None when an entry is not rational."""
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m._values()):
+        for j, x in row.items():
+            if type(x) not in _RATIONAL_TYPES:
+                return None
+            cols[j][i] = x
+    out = []
+    for col in cols:
+        den = 1
+        for x in col.values():
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+        out.append((den, {i: x.numerator * (den // x.denominator)
+                          for i, x in col.items()}))
+    return out
+
+
+def intertwiner_differences(b: Matrix, pairs):
+    """Yield e @ b - b @ m for each (e, m) of ``pairs`` in turn, the same
+    difference Matrix as ``product_difference(e, b, b, m)``, without
+    converting ``b``.
+
+    Column p is e b_p - sum_q m_qp b_q.  With rational entries it is formed
+    in integers over the denominators of the columns it reads: each column
+    of b (built once per call) and of m is held as integer numerators over
+    the lcm of its own denominators, and e over its one denominator D_e.  So
+    a b whose columns have short denominators but no short common one, such
+    as a path basis, is multiplied at the size of its columns.  Every other
+    input falls back to ``product_difference``."""
+    bcols = _column_form(b)
+    for e, m in pairs:
+        if (e.ncols != b.nrows or b.ncols != m.nrows
+                or (e.nrows, b.ncols) != (b.nrows, m.ncols)):
+            raise ValueError("shape mismatch in intertwiner difference")
+        mcols = None if bcols is None else _column_form(m)
+        if mcols is None or not _numeric(e):
+            yield product_difference(e, b, b, m)
+            continue
+        ecols, de = e.transpose()._rows, e._den
+        rows = [{} for _ in range(e.nrows)]
+        for p, (dm, mcol) in enumerate(mcols):
+            dp, bp = bcols[p]
+            den = lcm(de * dp, *(dm * bcols[q][0] for q in mcol))
+            acc = {}
+            f = den // (de * dp)
+            for k, y in bp.items():
+                y = f * y
+                for i, x in ecols[k].items():
+                    acc[i] = acc[i] + x * y if i in acc else x * y
+            for q, x in mcol.items():
+                dq, bq = bcols[q]
+                x = x * (den // (dm * dq))
+                for i, y in bq.items():
+                    acc[i] = acc[i] - x * y if i in acc else -(x * y)
+            for i, x in acc.items():
+                if x:
+                    rows[i][p] = RAT(x, den)
+        yield Matrix._sparse(e.nrows, m.ncols, rows)
+
+
 __all__ = [
-    "Matrix", "commutator", "exact_det", "invert", "nonsingular_certificate",
-    "product_difference", "rank",
+    "Matrix", "commutator", "exact_det", "intertwiner_differences", "invert",
+    "nonsingular_certificate", "product_difference", "rank",
 ]

@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 from .audit import audit
 from .hecke import g_coefficients, lift_family, murphy, murphy_word
-from .linalg import Matrix, invert, product_difference
+from .linalg import (Matrix, intertwiner_differences, invert,
+                     product_difference)
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 from .wordrep import ModuleSpec, idempotent_words, irrep_dim, word_product
 
@@ -158,14 +159,18 @@ def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
 
 
 def apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
-    """E_level vec by the nesting rule: 2^level - 1 generator applications
-    and no matrix."""
+    """E_level vec by the nesting rule: 2^level - 1 generator applications,
+    each a product of e_i with ``vec`` as a one-column Matrix, so that the
+    vector stays integer numerators over one denominator."""
+    return _idempotent_column(rep, level, Matrix.from_columns([vec])).column(0)
+
+
+def _idempotent_column(rep: ModuleRep, level: int, col: Matrix) -> Matrix:
     if level == 0:
-        return vec
-    inner = apply_idempotent(rep, level - 1, vec)
-    out = apply_idempotent(rep, level - 1, rep.apply_e(level - 1, inner))
-    c = _nesting_scale(rep.point, level)
-    return [c * x for x in out]
+        return col
+    inner = _idempotent_column(rep, level - 1, col)
+    out = _idempotent_column(rep, level - 1, rep.e_matrix(level - 1) @ inner)
+    return out.scale(_nesting_scale(rep.point, level))
 
 
 def idempotent_image(rep: ModuleRep):
@@ -337,13 +342,15 @@ class BasisB1:
     def tile_action(self) -> tuple[list[Matrix], dict[tuple[int, Path], bool]]:
         """``tile_generators`` of this basis, and for each (i, path) whether
         E_i b_p = sum_q (M_i)_qp b_q holds exactly, that is whether column p
-        of E_i B - B M_i is zero; computed once."""
+        of E_i B - B M_i is zero; computed once, and B is not converted
+        (``linalg.intertwiner_differences``)."""
         if self._tile_action is None:
             gens = tile_generators(self.paths, self.point)
-            cob = self.change_of_basis
+            diffs = intertwiner_differences(
+                self.change_of_basis,
+                ((self.rep.e_matrix(i), gen) for i, gen in enumerate(gens)))
             held = {}
-            for i, gen in enumerate(gens):
-                diff = product_difference(self.rep.e_matrix(i), cob, cob, gen)
+            for i, diff in enumerate(diffs):
                 for k, path in enumerate(self.paths):
                     held[i, path] = not any(diff.column(k))
             self._tile_action = (gens, held)
@@ -618,34 +625,43 @@ _YBE_BATTERY = ((OMEGA1, ONE), (OMEGA2 + ONE.scale(2), OMEGA1 - ONE),
 
 def ybe_audit(rep: ModuleRep) -> list[dict]:
     """Yang-Baxter, both reflection equations, and the unitarity relations,
-    for each pair of ``_YBE_BATTERY``."""
+    for each pair of ``_YBE_BATTERY``.  Each R_i(u), K(u) and Kbar(u) is
+    formed once, and each side of a braid or reflection identity is split
+    into two products, so that the identity is one ``product_difference``."""
     n = rep.n_sites
     ident = Matrix.identity(rep.dim)
     point = rep.point
+    formed = {}
+
+    def once(make, *args) -> Matrix:
+        if (make, *args) not in formed:
+            formed[make, *args] = make(rep, *args)
+        return formed[make, *args]
+
+    def r(i: int, u: HalfExponent) -> Matrix:
+        return once(matrix_r, i, u)
+
     # (side, tag, bulk neighbour of the wall, wall operator, its coefficient)
     walls = (("left", "kbar", 1, matrix_kbar, kbar_coeff),
              ("right", "k", n - 1, matrix_k, k_coeff))
     out = []
     for idx, (u, v) in enumerate(_YBE_BATTERY):
         for i in range(1, n - 1):
-            lhs = (matrix_r(rep, i, u) @ matrix_r(rep, i + 1, u + v)
-                   @ matrix_r(rep, i, v))
-            rhs = (matrix_r(rep, i + 1, v) @ matrix_r(rep, i, u + v)
-                   @ matrix_r(rep, i + 1, u))
-            out.append(audit(f"ybe.bulk.{idx}.{i}", lhs - rhs))
+            out.append(audit(f"ybe.bulk.{idx}.{i}", product_difference(
+                r(i, u) @ r(i + 1, u + v), r(i, v),
+                r(i + 1, v) @ r(i, u + v), r(i + 1, u))))
         for i in range(1, n):
-            prod = matrix_r(rep, i, u) @ matrix_r(rep, i, -u)
+            prod = r(i, u) @ r(i, -u)
             expect = ident.scale(r_coeff(u, point) * r_coeff(-u, point))
             out.append(audit(f"ybe.unitary.r.{idx}.{i}", prod - expect))
         for side, tag, adj, kmat, coeff in walls:
-            k2u, k2v, ku, kmu = (kmat(rep, w)
+            k2u, k2v, ku, kmu = (once(kmat, w)
                                  for w in (u.scale(2), v.scale(2), u, -u))
             if n >= 2:
-                r_sum = matrix_r(rep, adj, u + v)
-                r_diff = matrix_r(rep, adj, u - v)
-                lhs = k2v @ r_sum @ k2u @ r_diff
-                rhs = r_diff @ k2u @ r_sum @ k2v
-                out.append(audit(f"ybe.reflect.{side}.{idx}", lhs - rhs))
+                r_sum, r_diff = r(adj, u + v), r(adj, u - v)
+                diff = product_difference(k2v @ r_sum, k2u @ r_diff,
+                                          r_diff @ k2u, r_sum @ k2v)
+                out.append(audit(f"ybe.reflect.{side}.{idx}", diff))
             expect = ident.scale(coeff(u, point) * coeff(-u, point))
             out.append(audit(f"ybe.unitary.{tag}.{idx}", ku @ kmu - expect))
     return out

@@ -20,8 +20,8 @@ from functools import cached_property
 from .audit import audit
 from ._ratback import RAT
 from .hecke import centre_offset, lift_family, murphy
-from .linalg import (Matrix, commutator, nonsingular_certificate,
-                     product_difference)
+from .linalg import (Matrix, commutator, intertwiner_differences,
+                     nonsingular_certificate)
 from .scalars import ONE, OMEGA1, OMEGA2, THETA
 from .pathbasis import _LEVEL_ARGUMENTS, ModuleRep, apply_idempotent, build_b1
 from .wordrep import ModuleSpec, check_relations
@@ -30,8 +30,9 @@ from .wordrep import ModuleSpec, check_relations
 class SpinRep(ModuleRep):
     """The spin chain as a module.  ``_tables[i]`` is e_i's ``(mask, local)``:
     ``local`` sends the spins under ``mask`` to the terms ``(flip, amp)`` of
-    the image, diagonal first, each adding amp * c at state s ^ flip.  The
-    tables are the left wall, the two-site projectors, then the right wall."""
+    the image, diagonal first, each adding amp * c at state s ^ flip; an amp
+    of None stands for -1 and subtracts c.  The tables are the left wall,
+    the two-site projectors, then the right wall."""
 
     def __init__(self, n_sites: int, point):
         self.n_sites = n_sites
@@ -48,8 +49,8 @@ class SpinRep(ModuleRep):
         # (up, down) -> q^-1 (u,d) - (d,u), (down, up) -> q (d,u) - (u,d)
         for i in range(1, n_sites):
             hi, lo = 1 << (n_sites - i), 1 << (n_sites - i - 1)
-            tables.append((hi | lo, {hi: ((0, qp(-ONE)), (hi | lo, -1)),
-                                     lo: ((0, qp(ONE)), (hi | lo, -1))}))
+            tables.append((hi | lo, {hi: ((0, qp(-ONE)), (hi | lo, None)),
+                                     lo: ((0, qp(ONE)), (hi | lo, None))}))
         tables.append((1, {1: ((0, qp(OMEGA2) / d2), (1, qp(-THETA) / d2)),
                            0: ((0, -qp(-OMEGA2) / d2), (1, -qp(THETA) / d2))}))
         self._tables = tables
@@ -60,7 +61,8 @@ class SpinRep(ModuleRep):
         for s, c in enumerate(vec):
             if c:
                 for flip, amp in local.get(s & mask, ()):
-                    out[s ^ flip] = out[s ^ flip] + amp * c
+                    t = s ^ flip
+                    out[t] = out[t] - c if amp is None else out[t] + amp * c
         return out
 
     @cached_property
@@ -160,7 +162,9 @@ def equivalence_audit(rep: SpinRep) -> list[dict]:
     inverted exactly, which raises ZeroDivisionError when it is singular.
     With B_s invertible the identity is B_s^-1 E_s B_s = M_d: the generator
     matrices agree entry by entry in the two path coordinate systems.  A
-    failing record names an entry of E_s B_s - B_s M_d.
+    failing record names an entry of E_s B_s - B_s M_d, which is formed
+    column by column (``linalg.intertwiner_differences``), so B_s is never
+    converted to one common denominator.
     """
     out = ebar_identities(rep)
     spin_gens = [rep.e_matrix(i) for i in range(rep.n_sites + 1)]
@@ -169,10 +173,11 @@ def equivalence_audit(rep: SpinRep) -> list[dict]:
     cob = basis_s.change_of_basis
     if nonsingular_certificate(cob) is None:
         basis_s.inverse()  # exact; raises ZeroDivisionError when singular
-    for i, e_spin in enumerate(spin_gens):
-        md = basis_d.generator_in_coordinates(i)
-        out.append(audit(f"spin.equiv.e{i}",
-                         product_difference(e_spin, cob, cob, md)))
+    diffs = intertwiner_differences(
+        cob, ((e_spin, basis_d.generator_in_coordinates(i))
+              for i, e_spin in enumerate(spin_gens)))
+    for i, diff in enumerate(diffs):
+        out.append(audit(f"spin.equiv.e{i}", diff))
     # centre: the sum of the affine Murphy elements and their inverses
     out.append(audit("spin.centre.scalar", centre_offset(
         murphy("C", lift_family(spin_gens, rep.point)), THETA)))
