@@ -17,12 +17,12 @@ values the same loop on the values.  ``product_difference`` sums
 a @ b - c @ d row by row without forming either product (a commutator
 compares x y with y x over their shared denominator), and
 ``intertwiner_differences`` forms e @ b - b @ m column by column over the
-denominators of the columns it reads, so b is only read.  An entry becomes a
-backend rational only when it is read: ``m[i, j]``, ``rows``, ``column``,
-``apply``, comparison with a matrix that is not converted, and elimination;
-so a matrix that has entered arithmetic never reads an int.  Rational and
-int entries are made backend rationals on entry to ``exact_det``,
-``invert`` and ``rank``, so that every division is exact.
+denominators of the columns it reads, so b and m are only read.  An entry
+becomes a backend rational only when it is read: ``m[i, j]``, ``rows``,
+``column``, ``apply``, comparison with a matrix that is not converted, and
+elimination; so a matrix that has entered arithmetic never reads an int.
+Rational and int entries are made backend rationals on entry to
+``exact_det``, ``invert`` and ``rank``, so that every division is exact.
 Determinants, inverses, ranks and ``scalars.multiplicative_kernel`` run
 one Gauss-Jordan elimination (``_row_reduce``), which yields its pivots one
 at a time, so a determinant stops at the first column without one; it and
