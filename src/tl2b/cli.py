@@ -20,9 +20,8 @@ import sys
 
 from . import __version__
 from ._ratback import BACKEND, rat_from_str
-from .audit import audit
+from .audit import Records, audit
 from .scalars import GenericityError, ParamPoint, make_param_point
-from .symbolic import SymbolicPoint
 from .linalg import exact_det
 from . import hecke, irreps, pathbasis, spinchain, wordrep
 
@@ -121,6 +120,7 @@ def _check_request(args) -> None:
 def _build_point(args):
     mode, detail = args.twist
     if args.backend == "symbolic":
+        from .symbolic import SymbolicPoint
         return SymbolicPoint()
     if mode == "exceptional":
         return irreps.make_exceptional_point(args.seed, detail, args.bound)
@@ -185,17 +185,20 @@ def _to_csv(doc) -> str:
 def cmd_relations(args) -> tuple[list, dict]:
     point = _build_point(args)
     spec = wordrep.ModuleSpec.big(args.n, point)
-    results = list(wordrep.relation_audit(spec))
+    # every record about spec.generators, by identity id: the audits that
+    # derive records read their premises here
+    store = Records(spec.generators, point)
+    results = store.add(wordrep.relation_audit(spec))
     gens = hecke.lift_to_hecke(spec)
-    results += hecke.hecke_relation_audit(gens)
+    results += store.add(hecke.hecke_relation_audit(gens, store))
     affine = hecke.murphy("C", gens)
     for fam in (hecke.murphy("A", gens), hecke.murphy("B", gens), affine):
-        results += hecke.murphy_commutation_audit(fam)
-    results += hecke.equivalent_presentation_audit(affine)
+        results += store.add(hecke.murphy_commutation_audit(fam, store))
+    results += hecke.equivalent_presentation_audit(affine, store)
     results += hecke.centre_audit(spec, affine)
     results += hecke.iji_audit(spec, affine)
     rep = pathbasis.ModuleRep(spec)
-    results += pathbasis.ybe_audit(rep)
+    results += pathbasis.ybe_audit(rep, store)
     results.sort(key=lambda r: r["identity_id"])
     return results, {"point": point.to_json()}
 

@@ -381,8 +381,10 @@ def exact_det(matrix: Matrix):
 def nonsingular_certificate(matrix: Matrix) -> int | None:
     """A prime p with det(matrix) != 0 mod p, proving det(matrix) != 0.
 
-    Each entry num/den is reduced to num * den^-1 mod p, which needs p to
-    divide no denominator; a prime that divides one is passed over.  The
+    Column j is read as integer numerators n_ij over the lcm d_j of its
+    denominators (``_column_form``), and each entry n_ij / d_j is reduced
+    to n_ij * d_j^-1 mod p, which needs p to divide no denominator; a prime
+    that divides one is passed over.  The
     reduction is then a ring map from the p-integral rationals to GF(p), so
     a nonzero residue of the determinant proves it nonzero.  Returns None
     when none of ``_CERTIFICATE_PRIMES`` certifies, or when the entries are
@@ -390,14 +392,19 @@ def nonsingular_certificate(matrix: Matrix) -> int | None:
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows = matrix.rows
-    if not all(is_rational(x) for row in rows for x in row):
+    cols = _column_form(matrix)
+    if cols is None:
         return None
     for p in _CERTIFICATE_PRIMES:
-        if any(int(x.denominator) % p == 0 for row in rows for x in row):
+        # p divides the lcm d_j of a column's denominators exactly when it
+        # divides one of them
+        if any(int(den) % p == 0 for den, _ in cols):
             continue
-        residues = [[int(x.numerator) * pow(int(x.denominator), -1, p)
-                     for x in row] for row in rows]
+        residues = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+        for j, (den, col) in enumerate(cols):
+            inv = pow(int(den), -1, p)
+            for i, x in col.items():
+                residues[i][j] = int(x) * inv
         if _det_mod_p(residues, p):
             return p
     return None

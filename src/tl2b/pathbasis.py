@@ -35,15 +35,18 @@ verdict is the canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .audit import audit
+from ._ratback import RAT, is_rational
+from .audit import Records, audit, premises
 from .hecke import g_coefficients, lift_family, murphy, murphy_word
 from .linalg import (Matrix, intertwiner_differences, invert,
                      product_difference)
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
-from .wordrep import ModuleSpec, idempotent_words, irrep_dim, word_product
+from .wordrep import (ModuleSpec, PairWords, idempotent_words, irrep_dim,
+                      word_product)
 
 Path = tuple[int, ...]
 
@@ -101,8 +104,13 @@ class ModuleRep:
         return self.spec.generators[i]
 
     def fundamental_vector(self) -> list:
-        vec, _ = idempotent_image(self)
-        return vec
+        return self.idempotent[0]
+
+    @cached_property
+    def idempotent(self) -> tuple[list, Matrix]:
+        """``idempotent_image`` of this module, formed once: the basis growth
+        and ``idempotent_identities`` both read it."""
+        return idempotent_image(self)
 
     # operators -------------------------------------------------------------
 
@@ -158,11 +166,20 @@ def idempotent_matrix(rep: ModuleRep, level: int | None = None) -> Matrix:
     return out
 
 
-def apply_idempotent(rep: ModuleRep, level: int, vec: list) -> list:
+def apply_idempotent(rep: ModuleRep, level: int, vec: list,
+                     fixed_below: bool = False) -> list:
     """E_level vec by the nesting rule: 2^level - 1 generator applications,
     each a product of e_i with ``vec`` as a one-column Matrix, so that the
-    vector stays integer numerators over one denominator."""
-    return _idempotent_column(rep, level, Matrix.from_columns([vec])).column(0)
+    vector stays integer numerators over one denominator.
+
+    With ``fixed_below``, the caller knows E_{level-1} vec = vec, so E_level
+    vec = s1^((-1)^level) E_{level-1} e_{level-1} vec: 2^(level-1)
+    applications."""
+    col = Matrix.from_columns([vec])
+    if not fixed_below or level == 0:
+        return _idempotent_column(rep, level, col).column(0)
+    out = _idempotent_column(rep, level - 1, rep.e_matrix(level - 1) @ col)
+    return out.scale(_nesting_scale(rep.point, level)).column(0)
 
 
 def _idempotent_column(rep: ModuleRep, level: int, col: Matrix) -> Matrix:
@@ -384,12 +401,21 @@ def tile_generators(paths: list[Path], point) -> list[Matrix]:
 
 
 def build_b1(rep: ModuleRep) -> BasisB1:
-    """Grow all 2^N vectors from the fundamental one by tile addition."""
+    """Grow all 2^N vectors from the fundamental one by tile addition.
+
+    At a rational point each b_p is held as integer numerators over its own
+    denominator (``_grow``); a symbolic point grows the values as they
+    are.  Either way each step applies e_i by ``rep.apply_e``."""
     n = rep.n_sites
     if rep.dim != 1 << n:
         raise ValueError("the path basis lives on a 2^N-dimensional module")
     paths = path_order(n)
-    vectors: dict[Path, list] = {fundamental_path(n): rep.fundamental_vector()}
+    fund = rep.fundamental_vector()
+    integer = is_rational(rep.point.one) and all(map(is_rational, fund))
+    if integer:
+        den = lcm(*(x.denominator for x in fund))
+        fund = (den, [x.numerator * (den // x.denominator) for x in fund])
+    vectors: dict[Path, object] = {fundamental_path(n): fund}
     for path in paths:
         if path in vectors:
             continue
@@ -398,12 +424,35 @@ def build_b1(rep: ModuleRep) -> BasisB1:
             if prev not in vectors:
                 continue
             c_lo, _ = _tile_coeffs(rep.point, tile.boundary, tile.shoulder)
-            vectors[path] = _shift(rep, tile.position, c_lo, vectors[prev])
+            vectors[path] = (_grow(rep, tile.position, c_lo, vectors[prev])
+                             if integer else
+                             _shift(rep, tile.position, c_lo, vectors[prev]))
             break
         else:
             raise AssertionError(f"no built predecessor for path {path}")
+    if integer:
+        vectors = {p: [RAT(x, den) if x else 0 for x in nums]
+                   for p, (den, nums) in vectors.items()}
     cob = Matrix.from_columns([vectors[p] for p in paths])
     return BasisB1(rep, paths, cob)
+
+
+def _grow(rep: ModuleRep, j: int, c, col: tuple[int, list[int]]):
+    """(e_j - c) b for b = nums / den, as (den', nums') in lowest terms:
+    e_j is applied to the numerators by ``rep.apply_e``, and the difference
+    is taken in integers over the lcm of the denominators of the image and
+    of c, then divided by one gcd."""
+    den, nums = col
+    image = rep.apply_e(j, nums)
+    d = c.denominator
+    for y in image:
+        if y and y.denominator != 1:
+            d = lcm(d, y.denominator)
+    cn = c.numerator * (d // c.denominator)
+    out = [y.numerator * (d // y.denominator) - cn * x
+           for x, y in zip(nums, image)]
+    g = gcd(den * d, *out)
+    return den * d // g, [x // g for x in out]
 
 
 def tile_order_independence(basis: BasisB1) -> bool:
@@ -623,14 +672,25 @@ _YBE_BATTERY = ((OMEGA1, ONE), (OMEGA2 + ONE.scale(2), OMEGA1 - ONE),
                 (OMEGA1 + OMEGA2, OMEGA2 + ONE.scale(2)))
 
 
-def ybe_audit(rep: ModuleRep) -> list[dict]:
+def ybe_audit(rep: ModuleRep, store: Records | None = None) -> list[dict]:
     """Yang-Baxter, both reflection equations, and the unitarity relations,
-    for each pair of ``_YBE_BATTERY``.  Each R_i(u), K(u) and Kbar(u) is
-    formed once, and each side of a braid or reflection identity is split
-    into two products, so that the identity is one ``product_difference``."""
+    for each pair of ``_YBE_BATTERY``.
+
+    Each record is a polynomial in one generator or two adjacent ones, with
+    R_i(u) = e_i - r(u), K(u) = e_N - k(u) and Kbar(u) = e_0 - kbar(u).
+    With ``store``, the records of ``wordrep.relation_audit`` on the same
+    e_i, a record passes without a product when the TL records of its
+    generators passed and it reduces to zero by them
+    (``wordrep.PairWords``): the rewriting replaces factors by equal ones
+    wherever those relations hold, so the matrix identity holds.  Every
+    other record is formed: each R_i(u), K(u) and Kbar(u) once, and each
+    side of a braid or reflection identity split into two products, so that
+    the identity is one ``product_difference``."""
     n = rep.n_sites
     ident = Matrix.identity(rep.dim)
     point = rep.point
+    known = premises(store, (rep.e_matrix(i) for i in range(n + 1)),
+                     point)
     formed = {}
 
     def once(make, *args) -> Matrix:
@@ -641,29 +701,60 @@ def ybe_audit(rep: ModuleRep) -> list[dict]:
     def r(i: int, u: HalfExponent) -> Matrix:
         return once(matrix_r, i, u)
 
-    # (side, tag, bulk neighbour of the wall, wall operator, its coefficient)
-    walls = (("left", "kbar", 1, matrix_kbar, kbar_coeff),
-             ("right", "k", n - 1, matrix_k, k_coeff))
+    def derived(name, letters, terms, form):
+        words = PairWords.audited(point, n, letters, known)
+        return audit(name, True if words is not None
+                     and words.vanishes(*terms) else form())
+
+    values = {}
+
+    def shift(i, coeff, u):
+        """e_i - c(u) as a ``PairWords`` element, c = ``coeff``; each c(u)
+        is evaluated once."""
+        if (coeff, u) not in values:
+            values[coeff, u] = coeff(u, point)
+        return {(i,): 1, (): -values[coeff, u]}
+
+    # (side, tag, bulk neighbour of the wall, the wall, wall operator, its
+    # coefficient)
+    walls = (("left", "kbar", 1, 0, matrix_kbar, kbar_coeff),
+             ("right", "k", n - 1, n, matrix_k, k_coeff))
     out = []
     for idx, (u, v) in enumerate(_YBE_BATTERY):
         for i in range(1, n - 1):
-            out.append(audit(f"ybe.bulk.{idx}.{i}", product_difference(
-                r(i, u) @ r(i + 1, u + v), r(i, v),
-                r(i + 1, v) @ r(i, u + v), r(i + 1, u))))
+            j = i + 1
+            out.append(derived(
+                f"ybe.bulk.{idx}.{i}", (i, j),
+                ((1, *(shift(a, r_coeff, x)
+                       for a, x in ((i, u), (j, u + v), (i, v)))),
+                 (-1, *(shift(a, r_coeff, x)
+                        for a, x in ((j, v), (i, u + v), (j, u))))),
+                lambda: product_difference(r(i, u) @ r(j, u + v), r(i, v),
+                                           r(j, v) @ r(i, u + v), r(j, u))))
         for i in range(1, n):
-            prod = r(i, u) @ r(i, -u)
-            expect = ident.scale(r_coeff(u, point) * r_coeff(-u, point))
-            out.append(audit(f"ybe.unitary.r.{idx}.{i}", prod - expect))
-        for side, tag, adj, kmat, coeff in walls:
-            k2u, k2v, ku, kmu = (once(kmat, w)
-                                 for w in (u.scale(2), v.scale(2), u, -u))
+            lo, hi = shift(i, r_coeff, u), shift(i, r_coeff, -u)
+            lam = lo[()] * hi[()]
+            out.append(derived(
+                f"ybe.unitary.r.{idx}.{i}", (i,), ((1, lo, hi), (-lam,)),
+                lambda: r(i, u) @ r(i, -u) - ident.scale(lam)))
+        for side, tag, adj, w, kmat, coeff in walls:
             if n >= 2:
-                r_sum, r_diff = r(adj, u + v), r(adj, u - v)
-                diff = product_difference(k2v @ r_sum, k2u @ r_diff,
-                                          r_diff @ k2u, r_sum @ k2v)
-                out.append(audit(f"ybe.reflect.{side}.{idx}", diff))
-            expect = ident.scale(coeff(u, point) * coeff(-u, point))
-            out.append(audit(f"ybe.unitary.{tag}.{idx}", ku @ kmu - expect))
+                rs, rd = (shift(adj, r_coeff, x) for x in (u + v, u - v))
+                k2u, k2v = (shift(w, coeff, x)
+                            for x in (u.scale(2), v.scale(2)))
+                out.append(derived(
+                    f"ybe.reflect.{side}.{idx}", (adj, w),
+                    ((1, k2v, rs, k2u, rd), (-1, rd, k2u, rs, k2v)),
+                    lambda: product_difference(
+                        once(kmat, v.scale(2)) @ r(adj, u + v),
+                        once(kmat, u.scale(2)) @ r(adj, u - v),
+                        r(adj, u - v) @ once(kmat, u.scale(2)),
+                        r(adj, u + v) @ once(kmat, v.scale(2)))))
+            lo, hi = shift(w, coeff, u), shift(w, coeff, -u)
+            lam = lo[()] * hi[()]
+            out.append(derived(
+                f"ybe.unitary.{tag}.{idx}", (w,), ((1, lo, hi), (-lam,)),
+                lambda: once(kmat, u) @ once(kmat, -u) - ident.scale(lam)))
     return out
 
 
@@ -683,7 +774,7 @@ def idempotent_identities(rep: ModuleRep) -> list[dict]:
     need the horizontal-line quotient), and the idempotent chain
     evaluations, all against the full E_N matrix."""
     n = rep.n_sites
-    _, e_full = idempotent_image(rep)
+    _, e_full = rep.idempotent
     out = []
     for m in range(1, n):
         u, label = _LEVEL_ARGUMENTS[m % 2]

@@ -219,7 +219,8 @@ class ParamPoint(LoopWeights):
     * ``explicit``     -- (s, a, v) independent, t supplied by the caller;
       any relations it satisfies are recorded in ``kernel``.
 
-    ``kernel`` is set by the constructor alone, from the values.
+    ``kernel`` is set by the constructor alone, from the values, and
+    ``_powers`` keeps each q^x that ``q_power`` forms.
     """
 
     s: object
@@ -229,6 +230,8 @@ class ParamPoint(LoopWeights):
     genericity_bound: int = 40
     theta_mode: str = "generic"
     kernel: tuple[tuple[int, ...], ...] = field(default=(), init=False)
+    _powers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         for name in ("s", "a", "v", "t"):
@@ -251,8 +254,13 @@ class ParamPoint(LoopWeights):
     # -- q-powers ----------------------------------------------------------
 
     def q_power(self, x: HalfExponent):
-        """q^x as a rational: s^m * a^c1 * v^c2 * t^c3."""
-        return self.s ** x.m * self.a ** x.c1 * self.v ** x.c2 * self.t ** x.c3
+        """q^x as a rational: s^m * a^c1 * v^c2 * t^c3, formed once per
+        point and exponent."""
+        power = self._powers.get(x)
+        if power is None:
+            power = self._powers[x] = (self.s ** x.m * self.a ** x.c1
+                                       * self.v ** x.c2 * self.t ** x.c3)
+        return power
 
     def qnum(self, x: HalfExponent):
         """The q-number [x] = (q^x - q^-x) / (q - q^-1)."""

@@ -129,13 +129,18 @@ def twist_symmetry_audit(rep: SpinRep) -> list[dict]:
 
 def ebar_identities(rep: SpinRep) -> list[dict]:
     """E_i ebar = ebar, the left eigenvalue, and the boundary identities,
-    each evaluated on the vector ebar."""
+    each evaluated on the vector ebar.
+
+    E_l = s1^((-1)^l) E_{l-1} e_{l-1} E_{l-1}, so when ``spin.ebar.fix.E{l-1}``
+    passed, E_l ebar = s1^((-1)^l) E_{l-1} (e_{l-1} ebar); after a failed
+    level, the next is formed from scratch."""
     n_sites = rep.n_sites
     vec = rep.fundamental_vector()
     out = []
+    fixed = False
     for level in range(n_sites + 1):
-        out.append(audit(f"spin.ebar.fix.E{level}",
-                         apply_idempotent(rep, level, vec) == vec))
+        fixed = apply_idempotent(rep, level, vec, fixed) == vec
+        out.append(audit(f"spin.ebar.fix.E{level}", fixed))
     image = rep.apply_e(0, vec)
     out.append(audit("spin.ebar.e0",
                      all(x == rep.point.s1 * y for x, y in zip(image, vec))))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .audit import audit
+from .audit import audit, passed
 # ``compose`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .diagrams import (HalfDiagram, InvalidDiagramError,  # noqa: F401
                        act_on_half, compose, generator_diagram)
@@ -139,14 +139,22 @@ def enumerate_basis(spec: ModuleSpec) -> list[HalfDiagram]:
 
 
 def action_table(spec: ModuleSpec, i: int) -> list:
-    """Sparse column map: entry j is (row, scalar) or None."""
+    """Sparse column map: entry j is (row, scalar) or None.  Each distinct
+    ``(weight, pairs)`` is weighed once."""
     basis = spec.basis
     index = {h.pattern: r for r, h in enumerate(basis)}
     gen = generator_diagram(i, spec.n_sites)
+    values = {}
     table = []
     for h in basis:
         hit = act_on_half(gen, h)
-        scalar = hit and spec.weigh(hit[0], hit[1])
+        if hit is None:
+            table.append(None)
+            continue
+        key = hit[:2]
+        if key not in values:
+            values[key] = spec.weigh(*key)
+        scalar = values[key]
         table.append((index[hit[2].pattern], scalar) if scalar else None)
     return table
 
@@ -218,11 +226,81 @@ def idempotent_words(n_sites: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def word_product(family, word) -> Matrix:
-    """Product of ``family[i]`` over the letters of the word, left to right."""
-    out = Matrix.identity(family[0].nrows)
-    for i in word:
+    """Product of ``family[i]`` over the letters of the word, left to right;
+    the identity for the empty word."""
+    if not word:
+        return Matrix.identity(family[0].nrows)
+    out = family[word[0]]
+    for i in word[1:]:
         out = out @ family[i]
     return out
+
+
+class PairWords:
+    """Words in one generator or two adjacent ones, rewritten by the TL
+    relations of ``_defining_relations`` among them: x x -> alpha x, with
+    alpha = delta, s1 or s2 (``bulk.sq.i``, ``left.sq``, ``right.sq``),
+    and x y x -> x for each Jones relation of the pair (both orders in the
+    bulk, and at a wall only the bulk neighbour's, so that e_N e_{N-1} e_N
+    is a reduced word; at N = 1 the two walls give both orders).
+
+    An element is a dict {word: coefficient}.  Each rewrite replaces a
+    factor by an equal one wherever the relations hold, so an element that
+    reduces to zero is zero in every representation where they hold; one
+    that does not proves nothing."""
+
+    def __init__(self, rules: dict):
+        #: left word -> (coefficient, right word), each right word one letter
+        self.rules = rules
+
+    @staticmethod
+    def audited(point, n_sites: int, letters, records: dict):
+        """The rewriting by the relations among ``letters``, or None unless
+        each of them has a passing record in ``records``."""
+        rules = {}
+        for ident, lhs, (cname, rhs) in _defining_relations(n_sites):
+            if len(rhs) == 1 and set(lhs) <= set(letters):
+                if not passed(records, ident):
+                    return None
+                rules[lhs] = (getattr(point, cname), rhs)
+        return PairWords(rules)
+
+    def _reduce(self, word):
+        """(c, w) with ``word`` = c w by the rules, w reduced."""
+        coeff, out = 1, []
+        for letter in word:
+            out.append(letter)
+            while True:
+                hit = next((k for k in (2, 3) if tuple(out[-k:]) in self.rules
+                            and len(out) >= k), None)
+                if hit is None:
+                    break
+                c, rhs = self.rules[tuple(out[-hit:])]
+                coeff = coeff * c
+                out[-hit:] = rhs
+        return coeff, tuple(out)
+
+    def product(self, factors) -> dict:
+        """The reduced product of the elements ``factors``, left to right."""
+        out = {(): 1}
+        for factor in factors:
+            acc = {}
+            for w1, c1 in out.items():
+                for w2, c2 in factor.items():
+                    c, w = self._reduce(w1 + w2)
+                    x = c1 * c2 if c == 1 else c * c1 * c2
+                    acc[w] = acc[w] + x if w in acc else x
+            out = acc
+        return out
+
+    def vanishes(self, *terms) -> bool:
+        """Whether the sum of c f_1 .. f_k over the terms (c, f_1, .., f_k)
+        reduces to zero; a term without factors is c times the unit."""
+        total = {}
+        for c, *factors in terms:
+            for w, x in self.product(factors).items():
+                total[w] = total[w] + c * x if w in total else c * x
+        return not any(total.values())
 
 
 def check_relations(family, point, prefix: str = "") -> list[dict]:
@@ -255,7 +333,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
 
 
 __all__ = [
-    "ModuleSpec", "action_table", "ballot", "check_relations",
+    "ModuleSpec", "PairWords", "action_table", "ballot", "check_relations",
     "enumerate_basis", "generator_matrix", "gram_matrix", "idempotent_words",
     "irrep_dim", "relation_audit", "through_line_count", "word_product",
 ]
