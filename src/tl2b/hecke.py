@@ -173,12 +173,6 @@ def murphy(kind: str, gens: HeckeGenSet) -> MurphyFamily:
 # audits
 
 
-def _element(point, n_sites: int, i: int, sign: int = 1) -> dict:
-    """g_i^sign = lead + coeff e_i as a ``PairWords`` element."""
-    lead, coeff = g_coefficients(point, n_sites, i, sign)
-    return {(): lead, (i,): coeff}
-
-
 def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
                          ) -> list[dict]:
     """Quadratic, braid and commutation relations plus the kernel relations
@@ -208,12 +202,11 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
     known = premises(store, gens.e, point)
     ident = Matrix.identity(gens.dim)
     q = lambda k: point.q_power(ONE.scale(k))
-    elements = {}
 
     def el(i, sign=1):
-        if (i, sign) not in elements:
-            elements[i, sign] = _element(point, n, i, sign)
-        return elements[i, sign]
+        """g_i^sign = lead + coeff e_i as a ``PairWords`` element."""
+        lead, coeff = g_coefficients(point, n, i, sign)
+        return {(): lead, (i,): coeff}
 
     def derived(name, letters, terms, form):
         words = PairWords.audited(point, n, letters, known)

@@ -271,8 +271,8 @@ class PairWords:
         for letter in word:
             out.append(letter)
             while True:
-                hit = next((k for k in (2, 3) if tuple(out[-k:]) in self.rules
-                            and len(out) >= k), None)
+                hit = next((k for k in (2, 3) if len(out) >= k
+                            and tuple(out[-k:]) in self.rules), None)
                 if hit is None:
                     break
                 c, rhs = self.rules[tuple(out[-hit:])]
