@@ -227,28 +227,33 @@ def test_a_perturbed_generator_fails_at_the_same_entries(n, bad, where):
 
 
 def test_a_failed_premise_forms_the_matrix(monkeypatch, point):
-    # e_2 perturbed at N = 4: bulk.sq.2 fails, so every identity in e_2 is
+    # e_2 perturbed at N = 4: bulk.sq.2 fails, so every identity in g_2 is
     # formed, and each one that fails names the entry the formed one does
     e = list(ModuleSpec.big(4, point).generators)
     e[2] = _bump(e[2], 1, 2)
     store = Records(e, point)
     store.add(check_relations(e, point))
     assert not passed(store, "bulk.sq.2")
-    formed = []
-    original = hecke.commutator
-
-    def counted(x, y):
-        formed.append((x, y))
-        return original(x, y)
-
-    monkeypatch.setattr(hecke, "commutator", counted)
+    assert passed(store, "left.sq", "bulk.sq.1", "left.jones")
     gens = lift_family(e, point)
+    products = []
+    original = Matrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
     records = {r["identity_id"]: r
                for r in hecke.hecke_relation_audit(gens, store)}
+    monkeypatch.setattr(Matrix, "__matmul__", original)
     old = {r["identity_id"]: r for r in old_hecke_relation_audit(gens)}
     assert records == old
     assert records["hecke.braid.2"]["status"] == "fail"
     assert records["hecke.quadratic.bulk.2"]["status"] == "fail"
+    # g_2 g_2^-1 is formed; g_0 g_0^-1, whose premise passed, is not
+    assert any(a is gens.g[2] and b is gens.ginv[2] for a, b in products)
+    assert not any(a is gens.g[0] and b is gens.ginv[0] for a, b in products)
 
 
 def test_clean_premises_form_no_two_generator_product(monkeypatch, point):
