@@ -71,9 +71,9 @@ def _unlimited_int_strings():
 #: largest n served, by backend and command; a command missing from a
 #: backend's table is not served on it.  Numeric commands build modules of
 #: dimension up to 2^n, and 8 is the largest n any test uses.  At n = 4,
-#: symbolic ``relations`` takes 15-17 s and ``spinchain`` 5.5 minutes
-#: (Python 3.11, shared 2-core Xeon), and the symbolic Gram determinant
-#: does not finish at n = 3.
+#: symbolic ``relations`` takes 2.8 s (one run) and ``spinchain`` 5.5
+#: minutes (Python 3.11, shared 2-core Xeon), and the symbolic Gram
+#: determinant does not finish at n = 3.
 _MAX_N = {
     "numeric": {"relations": 8, "gram": 8, "basis": 8, "spinchain": 8,
                 "irreps": 8, "modules": 8},
@@ -185,15 +185,15 @@ def _to_csv(doc) -> str:
 def cmd_relations(args) -> tuple[list, dict]:
     point = _build_point(args)
     spec = wordrep.ModuleSpec.big(args.n, point)
-    # every record about spec.generators, by identity id: the audits that
-    # derive records read their premises here
+    # every record about spec.generators, by identity id: the audits keep
+    # their records here and derive records from the ones they find
     store = Records(spec.generators, point)
-    results = store.add(wordrep.relation_audit(spec))
+    results = wordrep.relation_audit(spec, store)
     gens = hecke.lift_to_hecke(spec)
-    results += store.add(hecke.hecke_relation_audit(gens, store))
+    results += hecke.hecke_relation_audit(gens, store)
     affine = hecke.murphy("C", gens)
     for fam in (hecke.murphy("A", gens), hecke.murphy("B", gens), affine):
-        results += store.add(hecke.murphy_commutation_audit(fam, store))
+        results += hecke.murphy_commutation_audit(fam, store)
     results += hecke.equivalent_presentation_audit(affine, store)
     results += hecke.centre_audit(spec, affine)
     results += hecke.iji_audit(spec, affine)

@@ -11,8 +11,9 @@ and all commutation statements, the equivalent presentation of the affine
 family, the central element Z_N = sum(J_i + J_i^-1), and the two-sided
 horizontal-line evaluations are verified as exact matrix identities.  A
 record that follows from other passing records about the same generators
-(``audit.Records``) is derived from them instead; each audit's docstring
-gives the proofs.
+is derived from them instead (``Records.derive``), and one whose matrix is
+another record's up to a nonzero factor is read from it
+(``Records.read``); each proof stands beside the premises it names.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .audit import Records, audit, passed, premises, same_matrix
+from .audit import Records, audit
 from .linalg import Matrix, commutator
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 # ``generator_matrix`` is unused here but stays bound: perfbench/tracer.py
@@ -178,28 +179,15 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
     """Quadratic, braid and commutation relations plus the kernel relations
     of the surjection onto the diagram algebra.
 
-    With ``store``, the records of ``wordrep.relation_audit`` on the same
-    e_i, a record is derived instead of formed where they prove it:
-
-    - ``hecke.inverse``, ``hecke.quadratic``, ``hecke.braid`` and
-      ``hecke.kernel`` are polynomials in one generator or two adjacent
-      ones, with g = lead + coeff e (``g_coefficients``).  Each passes when
-      the TL records of its generators passed (``PairWords.audited``) and
-      it reduces to zero by them: the rewriting replaces factors by equal
-      ones wherever those relations hold, so the matrix identity holds.
-    - ``hecke.comm.i.j`` is [g_i, g_j] = coeff_i coeff_j [e_i, e_j]: the
-      matrix of ``comm.i.j`` times a nonzero factor when both coeffs are
-      nonzero, read from that record, failing or not; zero otherwise, since
-      g_i or g_j is then a scalar.
-
-    Every other record, and every record whose premises fail or whose
-    polynomial does not reduce to zero, is formed, so that a failure names
+    Each record is kept in ``store`` (``audit.Records``) and derived there
+    from the records of ``wordrep.relation_audit`` on the same e_i where
+    they prove it; every other record is formed, so that a failure names
     the first nonzero entry of its matrix.
     """
     point = gens.point
     n = gens.n_sites
     g = gens.g
-    known = premises(store, gens.e, point)
+    store = Records.about(store, gens.e, point)
     ident = Matrix.identity(gens.dim)
     q = lambda k: point.q_power(ONE.scale(k))
 
@@ -208,36 +196,38 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
         lead, coeff = g_coefficients(point, n, i, sign)
         return {(): lead, (i,): coeff}
 
-    def derived(name, letters, terms, form):
-        words = PairWords.audited(point, n, letters, known)
-        return audit(name, True if words is not None
-                     and words.vanishes(*terms) else form())
-
+    # hecke.inverse, .quadratic, .braid and .kernel are polynomials in one
+    # generator or two adjacent ones, with g = lead + coeff e
+    # (``g_coefficients``): each passes when it reduces to zero by the TL
+    # relations of its generators and their records passed, since the
+    # rewriting replaces factors by equal ones wherever those relations hold
     def quadratic(name, i, root, other):
-        return derived(name, (i,), ((1, el(i), el(i)),
-                                    (-(root + other), el(i)), (root * other,)),
-                       lambda: (g[i] - ident.scale(root))
-                       @ (g[i] - ident.scale(other)))
+        return store.derive(name, PairWords.premises(
+            point, n, (i,), (1, el(i), el(i)), (-(root + other), el(i)),
+            (root * other,)), lambda: (g[i] - ident.scale(root))
+            @ (g[i] - ident.scale(other)))
 
     def kernel(name, a, w, c):
         """The cubic reduction of g_a g_w g_a: c is q^w + q^-w at a wall
         with parameter w, and -1/q in the bulk."""
-        return derived(name, (a, w), (
-            (1, el(a), el(w), el(a)), (q(-1), el(w), el(a)),
-            (q(-1), el(a), el(w)), (-q(-1) * c, el(a)), (q(-2), el(w)),
-            (-q(-2) * c,)), lambda: (
+        return store.derive(name, PairWords.premises(
+            point, n, (a, w), (1, el(a), el(w), el(a)),
+            (q(-1), el(w), el(a)), (q(-1), el(a), el(w)),
+            (-q(-1) * c, el(a)), (q(-2), el(w)), (-q(-2) * c,)), lambda: (
                 gens.word((a, w, a))
                 + (gens.word((w, a)) + gens.word((a, w))).scale(q(-1))
                 - g[a].scale(q(-1) * c) + g[w].scale(q(-2))
                 - ident.scale(q(-2) * c)))
 
     def braid(name, word, other):
-        return derived(name, set(word), (
-            (1, *(el(i) for i in word)), (-1, *(el(i) for i in other))),
+        return store.derive(name, PairWords.premises(
+            point, n, set(word), (1, *(el(i) for i in word)),
+            (-1, *(el(i) for i in other))),
             lambda: gens.word(word) - gens.word(other))
 
-    out = [derived(f"hecke.inverse.{i}", (i,), ((1, el(i), el(i, -1)), (-1,)),
-                   lambda i=i: g[i] @ gens.ginv[i] - ident)
+    out = [store.derive(f"hecke.inverse.{i}", PairWords.premises(
+               point, n, (i,), (1, el(i), el(i, -1)), (-1,)),
+               lambda: g[i] @ gens.ginv[i] - ident)
            for i in range(n + 1)]
     for i in range(1, n):
         out.append(quadratic(f"hecke.quadratic.bulk.{i}", i, q(1), -q(-1)))
@@ -250,9 +240,13 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
             name = f"hecke.comm.{i}.{j}"
-            read = (same_matrix(known, name, f"comm.{i}.{j}")
-                    if coeffs[i] and coeffs[j] else audit(name, True))
-            out.append(read or audit(name, commutator(gc[i], gc[j])))
+            form = lambda: commutator(gc[i], gc[j])
+            # [g_i, g_j] = coeff_i coeff_j [e_i, e_j]: the matrix of
+            # comm.i.j times a nonzero factor when both coeffs are nonzero,
+            # and zero otherwise, since g_i or g_j is then a scalar
+            out.append(store.read(name, f"comm.{i}.{j}", form)
+                       if coeffs[i] and coeffs[j]
+                       else store.derive(name, (), form))
     # (side, wall generator, its bulk neighbour, wall parameter)
     for side, w, a, omega in (("left", 0, 1, OMEGA1),
                               ("right", n, n - 1, OMEGA2)):
@@ -265,138 +259,110 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
     return out
 
 
-def _passed(record: dict) -> bool:
-    return record["status"] == "pass"
-
-
 def murphy_commutation_audit(fam: MurphyFamily,
                              store: Records | None = None) -> list[dict]:
     """Pairwise commutation and the mixed g/J commutation statements.
 
     ``fam`` is built by ``murphy``, so J_y = g J_{y-1} g with g = g_{y+off}
     (off = 1 for family A, whose J_0 is absent, else 0).  Every commutator
-    with a g is taken with ``HeckeGenSet.g_comm``.  Records are derived
-    from others instead of formed, from the records of this audit and, with
-    ``store``, from those of ``hecke_relation_audit`` (and, for family C,
-    ``equivalent_presentation_audit``) on the same e_i; the elements J are
-    built only for a record that is formed:
-
-    - ``murphy.gj.K.i.y`` for y <= i - 2: J_y = g_y J_{y-1} g_y, and the
-      first element is g_1 g_1 for A and g_0 for B, so g_i commutes with
-      J_y when it commutes with g_y (``hecke.comm.y.i``) and with J_{y-1}
-      (``murphy.gj.K.i.(y-1)``; nothing for the first element).  C's J_0
-      is a word in every generator, so ``murphy.gj.C.i.0`` is formed;
-    - ``murphy.gj.K.i.(i+1)``: with a = g_i, b = g_{i+1} and K = J_{i-1}
-      (K = 1 for A at i = 1), J_{i+1} = baKab, and a baKab = (aba)Kab =
-      (bab)Kab = ba(bK)ab = baK(bab) = baK(aba) = baKab a by aba = bab
-      (``hecke.braid.i``) and Kb = bK (``murphy.gj.K.(i+1).(i-1)``);
-    - ``murphy.gj.K.i.y`` for y >= i + 2: g_i commutes with J_y = g_y
-      J_{y-1} g_y when it commutes with g_y (``hecke.comm.i.y``) and with
-      J_{y-1} (``murphy.gj.K.i.(y-1)``);
-    - ``murphy.comm.K.x.y`` for y >= x + 2: J_x commutes with J_y when it
-      commutes with g_{y+off} (``murphy.gj.K.(y+off).(x+off)``) and with
-      J_{y-1} (``murphy.comm.K.x.(y-1)``, formed or derived in turn);
-    - ``murphy.comm.K.x.(x+1)`` for x >= 1, by induction: with K =
-      J_{x-1}, a = g_{x+off} and b = g_{x+1+off}, J_x = aKa and J_{x+1} =
-      bJ_xb, and the chain aK(aba)Kab = aKbabKab = abKaKbab = abKaKaba =
-      abaKaKba = babKaKba = baKbaKba = baKbabKa = baKabaKa turns
-      J_x J_{x+1} into J_{x+1} J_x using only aba = bab
-      (``hecke.braid.(x+off)``), Kb = bK
-      (``murphy.gj.K.(x+1+off).(x-1+off)``) and K aKa = aKa K
-      (``murphy.comm.K.(x-1).x``);
-    - the base x = 0: for A the same chain with K = 1, from
-      ``hecke.braid.1``; for B, [g_0, g_1 g_0 g_1] is the matrix of
-      ``hecke.braid.left``, and for C, [J_0, g_1 J_0 g_1] that of
-      ``equiv.j0g1j0g1``, each read from that record, failing or not;
-    - ``murphy.gprod.K.i``: with J_hi = g_i J_lo g_i, [g_i, J_lo J_hi] =
-      [J_hi, J_lo] g_i, which vanishes when the adjacent
-      ``murphy.comm.K.lo.hi`` passes (and, g_i being invertible, only then);
-    - ``murphy.gsum.K.i``: g_i^2 = (q - 1/q) g_i + 1
-      (``hecke.quadratic.bulk.i``) makes g (J + gJg) = gJ + (q - 1/q) gJg
-      + Jg equal (J + gJg) g;
-    - ``murphy.g0j.C.y`` for y >= 2: g_0 commutes with J_y = g_y J_{y-1}
-      g_y when it commutes with g_y (``hecke.comm.0.y``) and with J_{y-1}
-      (``murphy.g0j.C.(y-1)``);
-    - ``murphy.g0j0pair.B``: J_0 = g_0 and J_0^-1 = g_0^-1 are both
-      polynomials in e_0, so they commute with it; no premise is needed.
-
-    A derived record passes.  When a premise fails the commutator is formed,
-    so that the record names its first nonzero entry, as a formed one does.
+    with a g is taken with ``HeckeGenSet.g_comm``.  Each record is kept in
+    ``store`` and derived there, where its premises passed, from the
+    records of this audit and of ``hecke_relation_audit`` on the same e_i;
+    the proof of each derivation stands beside its premises.  A record
+    whose premise fails is formed, so that it names its first nonzero
+    entry, as a formed one does; the elements J are built only for a record
+    that is formed.
     """
     gens = fam.gens
     n = gens.n_sites
     kind = fam.kind
     gc = gens.g_comm
     idx = range(fam.size)
-    offset = 1 if kind == "A" else 0
-    known = premises(store, gens.e, gens.point)
+    off = 1 if kind == "A" else 0
+    store = Records.about(store, gens.e, gens.point)
+    gj = lambda i, y: f"murphy.gj.{kind}.{i}.{y}"
+    comm = lambda x, y: f"murphy.comm.{kind}.{x}.{y}"
 
-    def premised(gi, label):
-        """Whether ``murphy.gj.K.gi.label`` follows from passing records."""
-        if label < gi:  # J_label lies below g_gi
-            return ((label > offset or kind != "C")
-                    and passed(known, f"hecke.comm.{label}.{gi}")
-                    and (label == offset or _passed(gj[gi, label - 1])))
-        if label == gi + 1:
-            return (passed(known, f"hecke.braid.{gi}")
-                    and (gi - 1 < offset or _passed(gj[gi + 1, gi - 1])))
-        return (passed(known, f"hecke.comm.{gi}.{label}")
-                and _passed(gj[gi, label - 1]))
+    def gj_premises(i, y):
+        """The premises of ``murphy.gj.K.i.y``, [g_i, J_y] = 0."""
+        if y == i + 1:
+            # with a = g_i, b = g_{i+1} and K = J_{i-1} (K = 1 for A at
+            # i = 1), J_{i+1} = baKab, and a baKab = (aba)Kab = (bab)Kab =
+            # ba(bK)ab = baK(bab) = baK(aba) = baKab a by aba = bab and
+            # Kb = bK
+            return (f"hecke.braid.{i}",) + ((gj(i + 1, i - 1),)
+                                            if i > off else ())
+        # J_y = g_y J_{y-1} g_y, and the first element is g_1 g_1 for A and
+        # g_0 for B, so g_i commutes with J_y when it commutes with g_y and
+        # with J_{y-1} (nothing for the first element).  C's J_0 is a word
+        # in every generator, so gj.C.i.0 is formed
+        if y == off:
+            return None if kind == "C" else (f"hecke.comm.{y}.{i}",)
+        return f"hecke.comm.{min(i, y)}.{max(i, y)}", gj(i, y - 1)
 
-    gj = {}
+    def comm_premises(x, y):
+        """The premises of ``murphy.comm.K.x.y``, [J_x, J_y] = 0, y > x."""
+        if y >= x + 2:
+            # J_x commutes with J_y = g J_{y-1} g, g = g_{y+off}, when it
+            # commutes with g and with J_{y-1}
+            return comm(x, y - 1), gj(y + off, x + off)
+        if x:
+            # with K = J_{x-1}, a = g_{x+off} and b = g_{x+1+off}, J_x = aKa
+            # and J_{x+1} = bJ_xb, and the chain aK(aba)Kab = aKbabKab =
+            # abKaKbab = abKaKaba = abaKaKba = babKaKba = baKbaKba =
+            # baKbabKa = baKabaKa turns J_x J_{x+1} into J_{x+1} J_x using
+            # only aba = bab, Kb = bK and K aKa = aKa K
+            return (f"hecke.braid.{x + off}", comm(x - 1, x),
+                    gj(x + 1 + off, x - 1 + off))
+        # the base x = 0: for A the same chain with K = 1; C's J_0 is a
+        # word in every generator, so comm.C.0.1 is formed
+        return (f"hecke.braid.{x + off}",) if kind == "A" else None
+
+    pairs = [(i, y + off) for i in range(1, n) for y in idx
+             if y + off not in (i - 1, i)]
     # those below the diagonal first: gj.K.i.(i+1) reads gj.K.(i+1).(i-1)
-    for above in (False, True):
-        for gi in range(1, n):
-            for jj in idx:
-                label = jj + offset
-                if label in (gi - 1, gi) or (label > gi) != above:
-                    continue
-                gj[gi, label] = audit(f"murphy.gj.{kind}.{gi}.{label}",
-                                      True if premised(gi, label)
-                                      else commutator(gc[gi], fam.j[jj]))
-    base = {"B": "hecke.braid.left", "C": "equiv.j0g1j0g1"}.get(kind)
-    comm = {}
+    for i, y in sorted(pairs, key=lambda p: p[1] > p[0]):
+        store.derive(gj(i, y), gj_premises(i, y),
+                     lambda: commutator(gc[i], fam.j[y - off]))
+    out = []
     for x in idx:
         for y in idx[x + 1:]:
-            name = f"murphy.comm.{kind}.{x}.{y}"
-            if y >= x + 2:
-                derived = (_passed(comm[x, y - 1])
-                           and _passed(gj[y + offset, x + offset]))
-            elif x or kind == "A":
-                derived = (passed(known, f"hecke.braid.{x + offset}")
-                           and (x == 0 or _passed(comm[x - 1, x])
-                                and _passed(gj[x + 1 + offset,
-                                               x - 1 + offset])))
-            else:
-                derived = False
-                read = same_matrix(known, name, base)
-                if read is not None:
-                    comm[x, y] = read
-                    continue
-            comm[x, y] = audit(name, True if derived
-                               else commutator(fam.j[x], fam.j[y]))
-    out = list(comm.values()) + [gj[key] for key in sorted(gj)]
+            form = lambda: commutator(fam.j[x], fam.j[y])
+            # for B, [J_0, J_1] = [g_0, g_1 g_0 g_1] is the matrix of
+            # hecke.braid.left
+            out.append(store.read(comm(x, y), "hecke.braid.left", form)
+                       if (kind, y) == ("B", 1)
+                       else store.derive(comm(x, y), comm_premises(x, y),
+                                         form))
+    out += (store[gj(i, y)] for i, y in pairs)
     for gi in range(1, n):
-        lo, hi = gi - 1 - offset, gi - offset
+        lo, hi = gi - 1 - off, gi - off
         if 0 <= lo and hi < fam.size:
-            out.append(audit(f"murphy.gprod.{kind}.{gi}",
-                             True if _passed(comm[lo, hi])
-                             else commutator(gc[gi], fam.j[lo] @ fam.j[hi])))
-            out.append(audit(f"murphy.gsum.{kind}.{gi}",
-                             True if passed(known, f"hecke.quadratic.bulk.{gi}")
-                             else commutator(gc[gi], fam.j[lo] + fam.j[hi])))
+            # with J_hi = g_i J_lo g_i, [g_i, J_lo J_hi] = [J_hi, J_lo] g_i,
+            # which vanishes when the adjacent commutator does (and, g_i
+            # being invertible, only then)
+            out.append(store.derive(
+                f"murphy.gprod.{kind}.{gi}", (comm(lo, hi),),
+                lambda: commutator(gc[gi], fam.j[lo] @ fam.j[hi])))
+            # g_i^2 = (q - 1/q) g_i + 1 makes g (J + gJg) = gJ +
+            # (q - 1/q) gJg + Jg equal (J + gJg) g
+            out.append(store.derive(
+                f"murphy.gsum.{kind}.{gi}", (f"hecke.quadratic.bulk.{gi}",),
+                lambda: commutator(gc[gi], fam.j[lo] + fam.j[hi])))
     if kind == "C":
-        g0j = {}
-        for jj in idx[1:]:
-            derived = (jj >= 2 and _passed(g0j[jj - 1])
-                       and passed(known, f"hecke.comm.0.{jj}"))
-            g0j[jj] = audit(f"murphy.g0j.C.{jj}", True if derived
-                            else commutator(gc[0], fam.j[jj]))
-        out += g0j.values()
-        out.append(audit("murphy.g0j0pair.C", commutator(
+        for y in idx[1:]:
+            # g_0 commutes with J_y = g_y J_{y-1} g_y, y >= 2, when it
+            # commutes with g_y and with J_{y-1}
+            out.append(store.derive(
+                f"murphy.g0j.C.{y}", (f"murphy.g0j.C.{y - 1}",
+                                      f"hecke.comm.0.{y}") if y >= 2 else None,
+                lambda: commutator(gc[0], fam.j[y])))
+        out.append(store.derive("murphy.g0j0pair.C", None, lambda: commutator(
             gc[0], fam.j[0] + fam.first_inverse)))
     if kind == "B":
-        out.append(audit("murphy.g0j0pair.B", True))
+        # J_0 = g_0 and J_0^-1 = g_0^-1 are both polynomials in e_0, so they
+        # commute with it; no premise is needed
+        out.append(store.derive("murphy.g0j0pair.B", (), None))
     return out
 
 
@@ -408,23 +374,10 @@ def equivalent_presentation_audit(fam: MurphyFamily,
     ``equiv.g0g1j0g1``, g_0 g_1 J_0 g_1 - g_1 J_0 g_1 g_0, is [g_0, J_1],
     and ``equiv.j0g1j0g1``, J_0 g_1 J_0 g_1 - g_1 J_0 g_1 J_0, is
     [J_0, J_1].  Commutators with a g are taken with
-    ``HeckeGenSet.g_comm``.
-
-    With ``store``, the records of the other audits on the same e_i, no
-    product is formed where they prove the record:
-
-    - ``equiv.comm.i``, ``equiv.j0g1j0g1`` and ``equiv.g0g1j0g1`` are the
-      matrices of ``murphy.gj.C.i.0``, ``murphy.comm.C.0.1`` and
-      ``murphy.g0j.C.1``, each read from that record, failing or not;
-    - J_0 = W g_N V g_0 with W = g_1^-1 .. g_{N-1}^-1 and V = g_{N-1} ..
-      g_1, so when each g_i g_i^-1 = 1 (``hecke.inverse.i``, i < N; for
-      square matrices then g_i^-1 g_i = 1 and V W = W V = 1),
-      J_0 g_0^-1 = W g_N W^-1: ``equiv.gn_rebuild``, V J_0 g_0^-1 W = g_N,
-      holds, and so does ``equiv.quadratic``, (J_0 g_0^-1 - q^w2)
-      (J_0 g_0^-1 - q^-w2) = W (g_N - q^w2)(g_N - q^-w2) W^-1, when
-      ``hecke.quadratic.right`` passed as well.
-
-    A record whose premise is missing or failed is formed.
+    ``HeckeGenSet.g_comm``.  Each record is kept in ``store`` and read or
+    derived there from the records of the other audits on the same e_i
+    where they prove it; a record whose premise is missing or failed is
+    formed.
     """
     if fam.kind != "C":
         raise ValueError("the equivalent presentation concerns the affine family")
@@ -433,35 +386,42 @@ def equivalent_presentation_audit(fam: MurphyFamily,
     n = gens.n_sites
     g = gens.g
     gc = gens.g_comm
-    known = premises(store, gens.e, point)
-    out = []
-    for i in range(2, n):
-        name = f"equiv.comm.{i}"
-        out.append(same_matrix(known, name, f"murphy.gj.C.{i}.0")
-                   or audit(name, commutator(gc[i], fam.j[0])))
-    out.append(same_matrix(known, "equiv.j0g1j0g1", "murphy.comm.C.0.1")
-               or audit("equiv.j0g1j0g1", commutator(fam.j[0], fam.j[1])))
-    out.append(same_matrix(known, "equiv.g0g1j0g1", "murphy.g0j.C.1")
-               or audit("equiv.g0g1j0g1", commutator(gc[0], fam.j[1])))
-    inverses = passed(known, *(f"hecke.inverse.{i}" for i in range(n)))
+    store = Records.about(store, gens.e, point)
+    # equiv.comm.i, equiv.j0g1j0g1 and equiv.g0g1j0g1 are the matrices of
+    # murphy.gj.C.i.0, murphy.comm.C.0.1 and murphy.g0j.C.1
+    out = [store.read(f"equiv.comm.{i}", f"murphy.gj.C.{i}.0",
+                      lambda: commutator(gc[i], fam.j[0]))
+           for i in range(2, n)]
+    out.append(store.read("equiv.j0g1j0g1", "murphy.comm.C.0.1",
+                          lambda: commutator(fam.j[0], fam.j[1])))
+    out.append(store.read("equiv.g0g1j0g1", "murphy.g0j.C.1",
+                          lambda: commutator(gc[0], fam.j[1])))
+    # J_0 = W g_N V g_0 with W = g_1^-1 .. g_{N-1}^-1 and V = g_{N-1} ..
+    # g_1, so when each g_i g_i^-1 = 1 (i < N; for square matrices then
+    # g_i^-1 g_i = 1 and V W = W V = 1), J_0 g_0^-1 = W g_N W^-1:
+    # equiv.gn_rebuild, V J_0 g_0^-1 W = g_N, holds, and so does
+    # equiv.quadratic, (J_0 g_0^-1 - q^w2)(J_0 g_0^-1 - q^-w2) =
+    # W (g_N - q^w2)(g_N - q^-w2) W^-1, when hecke.quadratic.right passed
+    inverses = tuple(f"hecke.inverse.{i}" for i in range(n))
     ident = Matrix.identity(gens.dim)
-    if inverses and passed(known, "hecke.quadratic.right"):
-        out.append(audit("equiv.quadratic", True))
-    else:
+
+    def quadratic():
         x = fam.j[0] @ gens.ginv[0]
-        quad = ((x - ident.scale(point.q_power(OMEGA2)))
+        return ((x - ident.scale(point.q_power(OMEGA2)))
                 @ (x - ident.scale(point.q_power(-OMEGA2))))
-        out.append(audit("equiv.quadratic", quad))
-    if inverses:
-        out.append(audit("equiv.gn_rebuild", True))
-        return out
-    rebuild = ident
-    for i in reversed(range(1, n)):
-        rebuild = rebuild @ g[i]
-    rebuild = rebuild @ fam.j[0] @ gens.ginv[0]
-    for i in range(1, n):
-        rebuild = rebuild @ gens.ginv[i]
-    out.append(audit("equiv.gn_rebuild", rebuild - g[n]))
+
+    def rebuild():
+        prod = ident
+        for i in reversed(range(1, n)):
+            prod = prod @ g[i]
+        prod = prod @ fam.j[0] @ gens.ginv[0]
+        for i in range(1, n):
+            prod = prod @ gens.ginv[i]
+        return prod - g[n]
+
+    out.append(store.derive("equiv.quadratic",
+                            inverses + ("hecke.quadratic.right",), quadratic))
+    out.append(store.derive("equiv.gn_rebuild", inverses, rebuild))
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .audit import audit, passed
+from .audit import Records, audit
 # ``compose`` is unused here but stays bound: perfbench/tracer.py rebinds it
 from .diagrams import (HalfDiagram, InvalidDiagramError,  # noqa: F401
                        act_on_half, compose, generator_diagram)
@@ -249,21 +249,23 @@ class PairWords:
     reduces to zero is zero in every representation where they hold; one
     that does not proves nothing."""
 
-    def __init__(self, rules: dict):
+    def __init__(self, point, n_sites: int, letters):
         #: left word -> (coefficient, right word), each right word one letter
-        self.rules = rules
-
-    @staticmethod
-    def audited(point, n_sites: int, letters, records: dict):
-        """The rewriting by the relations among ``letters``, or None unless
-        each of them has a passing record in ``records``."""
-        rules = {}
+        self.rules = {}
+        #: the identity ids of the relations behind ``rules``
+        self.idents = []
         for ident, lhs, (cname, rhs) in _defining_relations(n_sites):
             if len(rhs) == 1 and set(lhs) <= set(letters):
-                if not passed(records, ident):
-                    return None
-                rules[lhs] = (getattr(point, cname), rhs)
-        return PairWords(rules)
+                self.rules[lhs] = (getattr(point, cname), rhs)
+                self.idents.append(ident)
+
+    @classmethod
+    def premises(cls, point, n_sites: int, letters, *terms):
+        """The ids of the relations among ``letters`` when the sum of the
+        ``terms`` (as in ``vanishes``) reduces to zero by them, and None
+        otherwise: the identity then holds wherever those relations do."""
+        words = cls(point, n_sites, letters)
+        return tuple(words.idents) if words.vanishes(*terms) else None
 
     def _reduce(self, word):
         """(c, w) with ``word`` = c w by the rules, w reduced."""
@@ -316,8 +318,10 @@ def check_relations(family, point, prefix: str = "") -> list[dict]:
             in _defining_relations(len(family) - 1)]
 
 
-def relation_audit(spec: ModuleSpec) -> list[dict]:
-    """Exact check of every defining relation, as matrix identities.
+def relation_audit(spec: ModuleSpec, store: Records | None = None
+                   ) -> list[dict]:
+    """Exact check of every defining relation, as matrix identities, each
+    record kept in ``store`` when it is about ``spec.generators``.
 
     On the 2^N module the two horizontal-line relations I1*I2*I1 = b*I1 and
     I2*I1*I2 = b*I2 are audited as well.
@@ -329,7 +333,7 @@ def relation_audit(spec: ModuleSpec) -> list[dict]:
         i1, i2 = word_product(gens, w1), word_product(gens, w2)
         records.append(audit("quotient.121", i1 @ i2 @ i1 - i1.scale(spec.b)))
         records.append(audit("quotient.212", i2 @ i1 @ i2 - i2.scale(spec.b)))
-    return records
+    return Records.about(store, gens, spec.point).add(records)
 
 
 __all__ = [

@@ -137,7 +137,7 @@ def test_exceptional_report():
 def test_failure_exit_code(monkeypatch):
     import tl2b.cli as cli
 
-    def broken_audit(spec):
+    def broken_audit(spec, store=None):
         return [{"identity_id": "forced", "status": "fail",
                  "deviation": "entry(0,0)"}]
 

@@ -14,11 +14,13 @@ equivalent-presentation audits are compared with the copies in
 from __future__ import annotations
 
 import io
+import json
 import os
 import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -26,9 +28,9 @@ import pytest
 import tl2b
 from tl2b import cli, hecke, pathbasis, wordrep
 from tl2b._ratback import RAT
-from tl2b.audit import Records, audit, passed, premises
+from tl2b.audit import Records, audit
 from tl2b.diagrams import act_on_half, generator_diagram
-from tl2b.hecke import lift_family, murphy
+from tl2b.hecke import g_coefficients, lift_family, murphy
 from tl2b.linalg import (Matrix, _det_mod_p, _CERTIFICATE_PRIMES, commutator,
                          nonsingular_certificate)
 from tl2b.pathbasis import (ModuleRep, _shift, _tile_coeffs, build_b1,
@@ -174,6 +176,11 @@ class _Rep(ModuleRep):
         return self.e[i]
 
 
+def passed(records, *idents):
+    """Whether each of ``idents`` has a passing record in ``records``."""
+    return all(records.get(i, {}).get("status") == "pass" for i in idents)
+
+
 def _relations_records(e, point):
     """(new, old): the records of the audits that read premises, in the
     order of ``cli.cmd_relations`` with a store, and as the copies that
@@ -182,11 +189,11 @@ def _relations_records(e, point):
     store = Records(e, point)
     store.add(check_relations(e, point))
     gens = lift_family(e, point)
-    new = store.add(hecke.hecke_relation_audit(gens, store))
+    new = hecke.hecke_relation_audit(gens, store)
     old = old_hecke_relation_audit(gens)
     for kind in ("A", "B", "C"):
         fam = murphy(kind, gens)
-        new += store.add(hecke.murphy_commutation_audit(fam, store))
+        new += hecke.murphy_commutation_audit(fam, store)
         old += old_murphy_commutation_audit(fam)
     if n >= 2:  # J_1 of family C exists from N = 2 on
         fam = murphy("C", gens)
@@ -279,9 +286,9 @@ def test_clean_premises_form_no_two_generator_product(monkeypatch, point):
 def test_families_a_and_b_build_no_murphy_element(monkeypatch, point):
     spec = ModuleSpec.big(5, point)
     store = Records(spec.generators, point)
-    store.add(wordrep.relation_audit(spec))
+    wordrep.relation_audit(spec, store)
     gens = hecke.lift_to_hecke(spec)
-    store.add(hecke.hecke_relation_audit(gens, store))
+    hecke.hecke_relation_audit(gens, store)
     formed = []
     original = hecke.commutator
 
@@ -301,13 +308,110 @@ def test_families_a_and_b_build_no_murphy_element(monkeypatch, point):
 def test_records_about_other_matrices_are_not_premises(point):
     spec = ModuleSpec.big(3, point)
     store = Records(spec.generators, point)
-    store.add(wordrep.relation_audit(spec))
+    wordrep.relation_audit(spec, store)
     copies = [Matrix(m.rows) for m in spec.generators]
-    assert premises(store, spec.generators, point) is store
-    assert premises(store, copies, point) == {}
-    assert premises(store, spec.generators[:-1], point) == {}
-    assert premises(store, spec.generators, make_param_point(2)) == {}
-    assert premises(None, spec.generators, point) == {}
+    assert Records.about(store, spec.generators, point) is store
+    assert Records.about(store, copies, point) == {}
+    assert Records.about(store, spec.generators[:-1], point) == {}
+    assert Records.about(store, spec.generators, make_param_point(2)) == {}
+    assert Records.about(None, spec.generators, point) == {}
+
+
+# ---------------------------------------------------------------------------
+# the routes of the derived records form a proof graph
+
+
+def _proof_store(n, point):
+    """The store of every audit that keeps its records there, run in the
+    order of ``cli.cmd_relations`` (``equivalent_presentation_audit`` from
+    N = 2 on, where family C has J_1)."""
+    spec = ModuleSpec.big(n, point)
+    store = Records(spec.generators, point)
+    wordrep.relation_audit(spec, store)
+    gens = hecke.lift_to_hecke(spec)
+    hecke.hecke_relation_audit(gens, store)
+    for kind in ("A", "B", "C"):
+        hecke.murphy_commutation_audit(murphy(kind, gens), store)
+    if n >= 2:
+        hecke.equivalent_presentation_audit(murphy("C", gens), store)
+    ybe_audit(ModuleRep(spec), store)
+    return store
+
+
+def _premise_free(n, point):
+    """The identities that pass with no premise: J_0 and J_0^-1 of family B
+    are polynomials in e_0, and [g_i, g_j] vanishes when g_i or g_j is a
+    scalar, that is, when its coefficient of e is 0."""
+    scalar = [not g_coefficients(point, n, i, 1)[1] for i in range(n + 1)]
+    return {"murphy.g0j0pair.B"} | {
+        f"hecke.comm.{i}.{j}" for i in range(n + 1)
+        for j in range(i + 2, n + 1) if scalar[i] or scalar[j]}
+
+
+def _assert_proof_graph(store, n, point):
+    """Every premise and read source has a record and every premise passes;
+    the premise and read edges form no cycle; and every leaf is a formed
+    record or a premise-free identity."""
+    edges = {ident: (route,) if isinstance(route, str) else route
+             for ident, route in store.routes.items()}
+    for ident, route in store.routes.items():
+        assert all(p in store for p in edges[ident]), ident
+        if not isinstance(route, str):
+            assert passed(store, *route), ident
+    leaves = {ident for ident, after in edges.items() if not after}
+    assert leaves <= _premise_free(n, point)
+    tuple(TopologicalSorter(edges).static_order())  # raises on a cycle
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_the_derivations_form_a_proof_graph(point, n):
+    store = _proof_store(n, point)
+    _assert_proof_graph(store, n, point)
+    # family C's base [J_0, J_1] is formed, and equiv.j0g1j0g1 reads it
+    assert ("murphy.comm.C.0.1" in store) == (n >= 2)
+    assert "murphy.comm.C.0.1" not in store.routes
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_the_symbolic_derivations_form_a_proof_graph(n):
+    point = SymbolicPoint()
+    _assert_proof_graph(_proof_store(n, point), n, point)
+
+
+def test_a_cycle_or_failed_premise_breaks_the_proof_graph(point):
+    store = _proof_store(3, point)
+    store.routes["murphy.comm.C.0.1"] = "equiv.j0g1j0g1"
+    with pytest.raises(CycleError):
+        _assert_proof_graph(store, 3, point)
+    store = _proof_store(3, point)
+    store["hecke.braid.1"] = {**store["hecke.braid.1"], "status": "fail"}
+    with pytest.raises(AssertionError):
+        _assert_proof_graph(store, 3, point)
+
+
+@pytest.mark.parametrize("n, routes", ((2, (27, 32, 4)), (4, (50, 93, 11)),
+                                       (6, (77, 190, 22))))
+def test_relations_keeps_the_routes_of_its_records(monkeypatch, n, routes):
+    # (formed, derived or trivially true, read from another record) at
+    # seed 1, as before the derivations went through one store
+    stores = []
+
+    class Kept(Records):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(cli, "Records", Kept)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["relations", "--n", str(n), "--seed", "1"]) == 0
+    results = json.loads(buf.getvalue())["results"]
+    store, = stores
+    assert {r["identity_id"] for r in results} >= set(store)
+    read = sum(isinstance(r, str) for r in store.routes.values())
+    assert (len(results) - len(store.routes), len(store.routes) - read,
+            read) == routes
+    _assert_proof_graph(store, n, store.point)
 
 
 def test_relations_builds_only_the_affine_chains(monkeypatch):
@@ -359,15 +463,14 @@ def _reduced(words, word):
 
 def test_squares_rewrite_by_the_loop_weights(point):
     n = 4
-    records = _all_pass(n)
     for i, alpha in ((0, point.s1), (2, point.delta), (n, point.s2)):
-        words = PairWords.audited(point, n, (i,), records)
+        words = PairWords(point, n, (i,))
         assert _reduced(words, (i, i)) == {(i,): alpha}
         assert _reduced(words, (i, i, i)) == {(i,): alpha * alpha}
 
 
 def test_bulk_jones_relations_rewrite_in_both_orders(point):
-    words = PairWords.audited(point, 4, (1, 2), _all_pass(4))
+    words = PairWords(point, 4, (1, 2))
     assert _reduced(words, (1, 2, 1)) == {(1,): 1}
     assert _reduced(words, (2, 1, 2)) == {(2,): 1}
     assert _reduced(words, (1, 2, 1, 2)) == {(1, 2): 1}
@@ -376,12 +479,11 @@ def test_bulk_jones_relations_rewrite_in_both_orders(point):
 
 def test_a_wall_rewrites_only_its_neighbours_jones_relation(point):
     n = 4
-    records = _all_pass(n)
-    left = PairWords.audited(point, n, (0, 1), records)
+    left = PairWords(point, n, (0, 1))
     assert _reduced(left, (1, 0, 1)) == {(1,): 1}
     assert _reduced(left, (0, 1, 0)) == {(0, 1, 0): 1}
     assert _reduced(left, (0, 1, 0, 1, 0)) == {(0, 1, 0): 1}
-    right = PairWords.audited(point, n, (n - 1, n), records)
+    right = PairWords(point, n, (n - 1, n))
     assert _reduced(right, (n - 1, n, n - 1)) == {(n - 1,): 1}
     # e_N e_{N-1} e_N is a reduced word
     assert _reduced(right, (n, n - 1, n)) == {(n, n - 1, n): 1}
@@ -389,29 +491,43 @@ def test_a_wall_rewrites_only_its_neighbours_jones_relation(point):
 
 
 def test_the_two_walls_give_both_orders_at_one_site(point):
-    words = PairWords.audited(point, 1, (0, 1), _all_pass(1))
+    words = PairWords(point, 1, (0, 1))
     assert _reduced(words, (0, 1, 0)) == {(0,): 1}
     assert _reduced(words, (1, 0, 1)) == {(1,): 1}
 
 
 def test_only_the_relations_among_the_letters_are_rules(point):
-    words = PairWords.audited(point, 5, (2, 3), _all_pass(5))
+    words = PairWords(point, 5, (2, 3))
     assert set(words.rules) == {(2, 2), (3, 3), (2, 3, 2), (3, 2, 3)}
-    single = PairWords.audited(point, 5, (0,), _all_pass(5))
+    single = PairWords(point, 5, (0,))
     assert set(single.rules) == {(0, 0)}
 
 
 def test_a_failed_or_missing_relation_gives_no_rewriting(point):
-    records = _all_pass(4)
-    records["bulk.jones.2.1"] = {"status": "fail"}
-    assert PairWords.audited(point, 4, (1, 2), records) is None
-    assert PairWords.audited(point, 4, (1,), records) is not None
-    del records["left.sq"]
-    assert PairWords.audited(point, 4, (0,), records) is None
+    # the relations among the letters are the premises of a reduction, so
+    # a record whose relation failed or is missing is formed
+    store = Records((), point)
+    store.update(_all_pass(4))
+    store["bulk.jones.2.1"] = {"status": "fail"}
+    e0, e1, e2 = ({(i,): 1} for i in range(3))
+    jones = PairWords.premises(point, 4, (1, 2), (1, e1, e2, e1), (-1, e1))
+    assert jones == ("bulk.sq.1", "bulk.sq.2", "bulk.jones.1.2",
+                     "bulk.jones.2.1")
+    square = PairWords.premises(point, 4, (1,), (1, e1, e1),
+                                (-point.delta, e1))
+    assert square == ("bulk.sq.1",)
+    assert PairWords.premises(point, 4, (1, 2), (1, e1, e2)) is None
+    nonzero = lambda: Matrix([[0, 1]])
+    assert store.derive("x", jones, nonzero)["deviation"] == "entry(0, 1)"
+    assert store.derive("y", square, nonzero)["status"] == "pass"
+    del store["left.sq"]
+    zero = PairWords.premises(point, 4, (0,), (1, e0, e0), (-point.s1, e0))
+    assert store.derive("z", zero, nonzero)["status"] == "fail"
+    assert store.routes == {"y": square}
 
 
 def test_vanishes_sums_scaled_products(point):
-    words = PairWords.audited(point, 3, (1, 2), _all_pass(3))
+    words = PairWords(point, 3, (1, 2))
     e1, e2 = {(1,): 1}, {(2,): 1}
     assert words.vanishes((1, e1, e1), (-point.delta, e1))
     assert words.vanishes((1, e1, e2, e1), (-1, e1))
@@ -424,7 +540,7 @@ def test_the_rewriting_holds_on_the_module(point):
     # every reduction is an identity of the 2^N matrices
     n = 3
     gens = ModuleSpec.big(n, point).generators
-    words = PairWords.audited(point, n, (2, 3), _all_pass(n))
+    words = PairWords(point, n, (2, 3))
     rng = random.Random(3)
     for _ in range(20):
         word = tuple(rng.choice((2, 3)) for _ in range(rng.randrange(1, 7)))
