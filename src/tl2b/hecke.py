@@ -13,7 +13,10 @@ horizontal-line evaluations are verified as exact matrix identities.  A
 record that follows from other passing records about the same generators
 is derived from them instead (``Records.derive``), and one whose matrix is
 another record's up to a nonzero factor is read from it
-(``Records.read``); each proof stands beside the premises it names.
+(``Records.read``); each proof stands beside the premises it names.  An
+identity in one generator or two adjacent ones is written once, as
+``wordrep.PairWords`` terms, which decide it by normal form and give its
+matrix (``PairWords.record``).
 """
 
 from __future__ import annotations
@@ -182,13 +185,13 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
     Each record is kept in ``store`` (``audit.Records``) and derived there
     from the records of ``wordrep.relation_audit`` on the same e_i where
     they prove it; every other record is formed, so that a failure names
-    the first nonzero entry of its matrix.
+    the first nonzero entry of its matrix.  Each identity but a
+    commutation is written once, as ``PairWords`` terms, and
+    ``wordrep.evaluate`` forms its matrix from them.
     """
     point = gens.point
     n = gens.n_sites
-    g = gens.g
     store = Records.about(store, gens.e, point)
-    ident = Matrix.identity(gens.dim)
     q = lambda k: point.q_power(ONE.scale(k))
 
     def el(i, sign=1):
@@ -202,32 +205,24 @@ def hecke_relation_audit(gens: HeckeGenSet, store: Records | None = None
     # relations of its generators and their records passed, since the
     # rewriting replaces factors by equal ones wherever those relations hold
     def quadratic(name, i, root, other):
-        return store.derive(name, PairWords.premises(
-            point, n, (i,), (1, el(i), el(i)), (-(root + other), el(i)),
-            (root * other,)), lambda: (g[i] - ident.scale(root))
-            @ (g[i] - ident.scale(other)))
+        return PairWords.record(store, name, (i,), (1, el(i), el(i)),
+                                (-(root + other), el(i)), (root * other,))
 
     def kernel(name, a, w, c):
         """The cubic reduction of g_a g_w g_a: c is q^w + q^-w at a wall
         with parameter w, and -1/q in the bulk."""
-        return store.derive(name, PairWords.premises(
-            point, n, (a, w), (1, el(a), el(w), el(a)),
+        return PairWords.record(
+            store, name, (a, w), (1, el(a), el(w), el(a)),
             (q(-1), el(w), el(a)), (q(-1), el(a), el(w)),
-            (-q(-1) * c, el(a)), (q(-2), el(w)), (-q(-2) * c,)), lambda: (
-                gens.word((a, w, a))
-                + (gens.word((w, a)) + gens.word((a, w))).scale(q(-1))
-                - g[a].scale(q(-1) * c) + g[w].scale(q(-2))
-                - ident.scale(q(-2) * c)))
+            (-q(-1) * c, el(a)), (q(-2), el(w)), (-q(-2) * c,))
 
     def braid(name, word, other):
-        return store.derive(name, PairWords.premises(
-            point, n, set(word), (1, *(el(i) for i in word)),
-            (-1, *(el(i) for i in other))),
-            lambda: gens.word(word) - gens.word(other))
+        return PairWords.record(store, name, set(word),
+                                (1, *(el(i) for i in word)),
+                                (-1, *(el(i) for i in other)))
 
-    out = [store.derive(f"hecke.inverse.{i}", PairWords.premises(
-               point, n, (i,), (1, el(i), el(i, -1)), (-1,)),
-               lambda: g[i] @ gens.ginv[i] - ident)
+    out = [PairWords.record(store, f"hecke.inverse.{i}", (i,),
+                            (1, el(i), el(i, -1)), (-1,))
            for i in range(n + 1)]
     for i in range(1, n):
         out.append(quadratic(f"hecke.quadratic.bulk.{i}", i, q(1), -q(-1)))
@@ -381,6 +376,9 @@ def equivalent_presentation_audit(fam: MurphyFamily,
     """
     if fam.kind != "C":
         raise ValueError("the equivalent presentation concerns the affine family")
+    if fam.size < 2:
+        raise ValueError("the equivalent presentation needs N >= 2, where "
+                         "the affine family has J_1")
     gens = fam.gens
     point = gens.point
     n = gens.n_sites

@@ -42,8 +42,7 @@ from typing import NamedTuple
 from ._ratback import RAT, is_rational
 from .audit import Records, audit
 from .hecke import g_coefficients, lift_family, murphy, murphy_word
-from .linalg import (Matrix, intertwiner_differences, invert,
-                     product_difference)
+from .linalg import Matrix, intertwiner_differences, invert
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 from .wordrep import (ModuleSpec, PairWords, idempotent_words, irrep_dim,
                       word_product)
@@ -677,30 +676,18 @@ def ybe_audit(rep: ModuleRep, store: Records | None = None) -> list[dict]:
     for each pair of ``_YBE_BATTERY``.
 
     Each record is a polynomial in one generator or two adjacent ones, with
-    R_i(u) = e_i - r(u), K(u) = e_N - k(u) and Kbar(u) = e_0 - kbar(u).
-    Each is kept in ``store`` (``audit.Records``) and passes there without a
+    R_i(u) = e_i - r(u), K(u) = e_N - k(u) and Kbar(u) = e_0 - kbar(u),
+    stated once as ``PairWords`` terms and kept in ``store``
+    (``audit.Records``) by ``PairWords.record``.  It passes there without a
     product when it reduces to zero by the TL relations of its generators
-    (``wordrep.PairWords``) and the records of ``wordrep.relation_audit``
-    on the same e_i passed for them: the rewriting replaces factors by
-    equal ones wherever those relations hold, so the matrix identity holds.
-    Every other record is formed: each R_i(u), K(u) and Kbar(u) once, and
-    each side of a braid or reflection identity split into two products,
-    so that the identity is one ``product_difference``."""
+    and the records of ``wordrep.relation_audit`` on the same e_i passed
+    for them: the rewriting replaces factors by equal ones wherever those
+    relations hold, so the matrix identity holds.  Every other record is
+    formed from its terms by ``wordrep.evaluate``."""
     n = rep.n_sites
-    ident = Matrix.identity(rep.dim)
     point = rep.point
     store = Records.about(store, (rep.e_matrix(i) for i in range(n + 1)),
                           point)
-    formed = {}
-
-    def once(make, *args) -> Matrix:
-        if (make, *args) not in formed:
-            formed[make, *args] = make(rep, *args)
-        return formed[make, *args]
-
-    def r(i: int, u: HalfExponent) -> Matrix:
-        return once(matrix_r, i, u)
-
     values = {}
 
     def shift(i, coeff, u):
@@ -710,50 +697,36 @@ def ybe_audit(rep: ModuleRep, store: Records | None = None) -> list[dict]:
             values[coeff, u] = coeff(u, point)
         return {(i,): 1, (): -values[coeff, u]}
 
-    # (side, tag, bulk neighbour of the wall, the wall, wall operator, its
-    # coefficient)
-    walls = (("left", "kbar", 1, 0, matrix_kbar, kbar_coeff),
-             ("right", "k", n - 1, n, matrix_k, k_coeff))
+    # (side, tag, bulk neighbour of the wall, the wall, its coefficient)
+    walls = (("left", "kbar", 1, 0, kbar_coeff),
+             ("right", "k", n - 1, n, k_coeff))
     out = []
     for idx, (u, v) in enumerate(_YBE_BATTERY):
         for i in range(1, n - 1):
             j = i + 1
-            out.append(store.derive(
-                f"ybe.bulk.{idx}.{i}", PairWords.premises(
-                    point, n, (i, j),
-                    (1, *(shift(a, r_coeff, x)
-                          for a, x in ((i, u), (j, u + v), (i, v)))),
-                    (-1, *(shift(a, r_coeff, x)
-                           for a, x in ((j, v), (i, u + v), (j, u))))),
-                lambda: product_difference(r(i, u) @ r(j, u + v), r(i, v),
-                                           r(j, v) @ r(i, u + v), r(j, u))))
+            out.append(PairWords.record(
+                store, f"ybe.bulk.{idx}.{i}", (i, j),
+                (1, *(shift(a, r_coeff, x)
+                      for a, x in ((i, u), (j, u + v), (i, v)))),
+                (-1, *(shift(a, r_coeff, x)
+                       for a, x in ((j, v), (i, u + v), (j, u))))))
         for i in range(1, n):
             lo, hi = shift(i, r_coeff, u), shift(i, r_coeff, -u)
-            lam = lo[()] * hi[()]
-            out.append(store.derive(
-                f"ybe.unitary.r.{idx}.{i}",
-                PairWords.premises(point, n, (i,), (1, lo, hi), (-lam,)),
-                lambda: r(i, u) @ r(i, -u) - ident.scale(lam)))
-        for side, tag, adj, w, kmat, coeff in walls:
+            out.append(PairWords.record(
+                store, f"ybe.unitary.r.{idx}.{i}", (i,), (1, lo, hi),
+                (-lo[()] * hi[()],)))
+        for side, tag, adj, w, coeff in walls:
             if n >= 2:
                 rs, rd = (shift(adj, r_coeff, x) for x in (u + v, u - v))
                 k2u, k2v = (shift(w, coeff, x)
                             for x in (u.scale(2), v.scale(2)))
-                out.append(store.derive(
-                    f"ybe.reflect.{side}.{idx}", PairWords.premises(
-                        point, n, (adj, w), (1, k2v, rs, k2u, rd),
-                        (-1, rd, k2u, rs, k2v)),
-                    lambda: product_difference(
-                        once(kmat, v.scale(2)) @ r(adj, u + v),
-                        once(kmat, u.scale(2)) @ r(adj, u - v),
-                        r(adj, u - v) @ once(kmat, u.scale(2)),
-                        r(adj, u + v) @ once(kmat, v.scale(2)))))
+                out.append(PairWords.record(
+                    store, f"ybe.reflect.{side}.{idx}", (adj, w),
+                    (1, k2v, rs, k2u, rd), (-1, rd, k2u, rs, k2v)))
             lo, hi = shift(w, coeff, u), shift(w, coeff, -u)
-            lam = lo[()] * hi[()]
-            out.append(store.derive(
-                f"ybe.unitary.{tag}.{idx}",
-                PairWords.premises(point, n, (w,), (1, lo, hi), (-lam,)),
-                lambda: once(kmat, u) @ once(kmat, -u) - ident.scale(lam)))
+            out.append(PairWords.record(
+                store, f"ybe.unitary.{tag}.{idx}", (w,), (1, lo, hi),
+                (-lo[()] * hi[()],)))
     return out
 
 

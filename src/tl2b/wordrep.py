@@ -236,6 +236,21 @@ def word_product(family, word) -> Matrix:
     return out
 
 
+def evaluate(family, terms) -> Matrix:
+    """The Matrix of the sum of c f_1 .. f_k over the terms (c, f_1, .., f_k)
+    of ``PairWords.vanishes``, with e_i = ``family[i]``: a factor
+    {word: x, ..} is the sum of x ``word_product(family, word)``."""
+    unit = Matrix.identity(family[0].nrows)
+    total = zero = unit.scale(0)
+    for c, *factors in terms:
+        prod = unit.scale(c)
+        for factor in factors:
+            prod = prod @ sum((word_product(family, word).scale(x)
+                               for word, x in factor.items()), zero)
+        total = total + prod
+    return total
+
+
 class PairWords:
     """Words in one generator or two adjacent ones, rewritten by the TL
     relations of ``_defining_relations`` among them: x x -> alpha x, with
@@ -266,6 +281,17 @@ class PairWords:
         otherwise: the identity then holds wherever those relations do."""
         words = cls(point, n_sites, letters)
         return tuple(words.idents) if words.vanishes(*terms) else None
+
+    @classmethod
+    def record(cls, store: Records, ident: str, letters, *terms) -> dict:
+        """The record ``ident`` of the identity that the sum of the ``terms``
+        vanishes, about the generators and point of ``store`` and kept
+        there: derived from the relations among ``letters`` (``premises``),
+        and otherwise formed by ``evaluate``, so that a failure names the
+        first nonzero entry of the sum."""
+        return store.derive(ident, cls.premises(
+            store.point, len(store.generators) - 1, letters, *terms),
+            lambda: evaluate(store.generators, terms))
 
     def _reduce(self, word):
         """(c, w) with ``word`` = c w by the rules, w reduced."""
@@ -338,6 +364,7 @@ def relation_audit(spec: ModuleSpec, store: Records | None = None
 
 __all__ = [
     "ModuleSpec", "PairWords", "action_table", "ballot", "check_relations",
-    "enumerate_basis", "generator_matrix", "gram_matrix", "idempotent_words",
-    "irrep_dim", "relation_audit", "through_line_count", "word_product",
+    "enumerate_basis", "evaluate", "generator_matrix", "gram_matrix",
+    "idempotent_words", "irrep_dim", "relation_audit", "through_line_count",
+    "word_product",
 ]

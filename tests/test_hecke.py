@@ -33,6 +33,15 @@ def test_equivalent_presentation(gens):
     assert_all_pass(equivalent_presentation_audit(murphy("C", gens)))
 
 
+def test_equivalent_presentation_needs_two_sites(point):
+    # family C has no J_1 at N = 1
+    fam = murphy("C", lift_to_hecke(ModuleSpec.big(1, point)))
+    with pytest.raises(ValueError, match="N >= 2"):
+        equivalent_presentation_audit(fam)
+    with pytest.raises(ValueError, match="affine family"):
+        equivalent_presentation_audit(murphy("B", fam.gens))
+
+
 def affine(spec):
     return murphy("C", lift_to_hecke(spec))
 

@@ -40,7 +40,7 @@ from tl2b.scalars import ONE, OMEGA1, OMEGA2, HalfExponent, make_param_point
 from tl2b.spinchain import SpinRep, ebar_identities
 from tl2b.symbolic import SymbolicPoint
 from tl2b.wordrep import (ModuleSpec, PairWords, action_table,
-                          check_relations, word_product)
+                          check_relations, evaluate, word_product)
 
 from test_derived_audits import (old_equivalent_presentation_audit,
                                  old_murphy_commutation_audit, old_ybe_audit)
@@ -233,7 +233,7 @@ def test_a_perturbed_generator_fails_at_the_same_entries(n, bad, where):
     assert _failed(new), "the perturbation broke no audited identity"
 
 
-def test_a_failed_premise_forms_the_matrix(monkeypatch, point):
+def test_a_failed_premise_forms_the_matrix(point):
     # e_2 perturbed at N = 4: bulk.sq.2 fails, so every identity in g_2 is
     # formed, and each one that fails names the entry the formed one does
     e = list(ModuleSpec.big(4, point).generators)
@@ -243,24 +243,29 @@ def test_a_failed_premise_forms_the_matrix(monkeypatch, point):
     assert not passed(store, "bulk.sq.2")
     assert passed(store, "left.sq", "bulk.sq.1", "left.jones")
     gens = lift_family(e, point)
-    products = []
-    original = Matrix.__matmul__
-
-    def counted(a, b):
-        products.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
     records = {r["identity_id"]: r
                for r in hecke.hecke_relation_audit(gens, store)}
-    monkeypatch.setattr(Matrix, "__matmul__", original)
     old = {r["identity_id"]: r for r in old_hecke_relation_audit(gens)}
     assert records == old
     assert records["hecke.braid.2"]["status"] == "fail"
     assert records["hecke.quadratic.bulk.2"]["status"] == "fail"
-    # g_2 g_2^-1 is formed; g_0 g_0^-1, whose premise passed, is not
-    assert any(a is gens.g[2] and b is gens.ginv[2] for a, b in products)
-    assert not any(a is gens.g[0] and b is gens.ginv[0] for a, b in products)
+    # g_2 g_2^-1 = 1 is formed; g_0 g_0^-1 = 1, whose premise passed, is
+    # derived
+    assert "hecke.inverse.2" not in store.routes
+    assert store.routes["hecke.inverse.0"] == ("left.sq",)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_the_formed_hecke_records_match_the_old_ones(point, n):
+    # with no store every record is formed, the normal-form ones by
+    # ``wordrep.evaluate`` from their terms
+    e = list(ModuleSpec.big(n, point).generators)
+    gens = lift_family(e, point)
+    assert hecke.hecke_relation_audit(gens) == old_hecke_relation_audit(gens)
+    e[n // 2] = _bump(e[n // 2], 0, 1)
+    gens = lift_family(e, point)
+    new = hecke.hecke_relation_audit(gens)
+    assert new == old_hecke_relation_audit(gens) and _failed(new)
 
 
 def test_clean_premises_form_no_two_generator_product(monkeypatch, point):
@@ -546,6 +551,32 @@ def test_the_rewriting_holds_on_the_module(point):
         word = tuple(rng.choice((2, 3)) for _ in range(rng.randrange(1, 7)))
         (reduced, c), = _reduced(words, word).items()
         assert word_product(gens, word) == word_product(gens, reduced).scale(c)
+    # and a sum of scaled products evaluates to its matrix, which is zero
+    # whenever the sum reduces to zero
+    zero = Matrix.zeros(2 ** n, 2 ** n)
+    element = lambda: {tuple(rng.choice((2, 3))
+                             for _ in range(rng.randrange(0, 4))):
+                       rng.choice((1, -1, point.delta))}
+    for k in range(40):
+        terms = [(rng.choice((1, -2, point.s2)),
+                  *(element() for _ in range(rng.randrange(0, 3))))
+                 for _ in range(rng.randrange(1, 4))]
+        if k % 4 == 0:  # a sum that reduces to zero
+            terms += [(-c, *factors) for c, *factors in terms]
+            assert words.vanishes(*terms)
+        expected = zero
+        for c, *factors in terms:
+            prod = Matrix.identity(2 ** n).scale(c)
+            for factor in factors:
+                prod = prod @ sum((word_product(gens, w).scale(x)
+                                   for w, x in factor.items()), zero)
+            expected = expected + prod
+        assert evaluate(gens, terms) == expected
+        if words.vanishes(*terms):
+            assert expected == zero
+    e2, e3 = {(2,): 1}, {(3,): 1}
+    assert words.vanishes((1, e2, e3, e2), (-1, e2))
+    assert evaluate(gens, [(1, e2, e3, e2), (-1, e2)]) == zero
 
 
 # ---------------------------------------------------------------------------
