@@ -15,9 +15,7 @@ numerators it runs one sparse accumulation loop on integers over the
 denominator D_a D_b, followed by a single gcd over the result, and over
 values the same loop on the values.  ``product_difference`` sums
 a @ b - c @ d row by row without forming either product (a commutator
-compares x y with y x over their shared denominator), and
-``intertwiner_differences`` forms e @ b - b @ m column by column over the
-denominators of the columns it reads, so b and m are only read.  An entry
+compares x y with y x over their shared denominator).  An entry
 becomes a backend rational only when it is read: ``m[i, j]``, ``rows``,
 ``column``, ``apply``, comparison with a matrix that is not converted, and
 elimination; so a matrix that has entered arithmetic never reads an int.
@@ -27,12 +25,16 @@ Determinants, inverses, ranks and ``scalars.multiplicative_kernel`` run
 one Gauss-Jordan elimination (``_row_reduce``), which yields its pivots one
 at a time, so a determinant stops at the first column without one; it and
 the word span of ``irreps`` share one row update (``_subtract``), which
-visits only stored entries and deletes any that cancels.
-A nonzero residue of the determinant modulo one of three fixed primes
-(``nonsingular_certificate``) proves a rational matrix nonsingular without
-computing its determinant; the entries must be p-integral, that is p
-divides none of their denominators.  Pivoting is first-nonzero: with
-exact arithmetic, pivot choice affects speed only.
+visits only stored entries and deletes any that cancels.  Pivoting is
+first-nonzero: with exact arithmetic, pivot choice affects speed only.
+
+A matrix whose columns have short denominators but no short common one,
+such as a path basis, is held as a list of columns in the column format:
+(d, [n_0, ..., n_{r-1}]) for the entries n_i / d, the integers in lowest
+terms over d > 0, or (None, values) when an entry is not rational
+(``as_column``).  ``nonsingular_certificate`` and
+``intertwiner_differences`` read it without forming the matrix, which
+``column_matrix`` forms when its rows are read.
 """
 
 from __future__ import annotations
@@ -378,33 +380,31 @@ def exact_det(matrix: Matrix):
     return det
 
 
-def nonsingular_certificate(matrix: Matrix) -> int | None:
-    """A prime p with det(matrix) != 0 mod p, proving det(matrix) != 0.
+def nonsingular_certificate(cols) -> int | None:
+    """A prime p with det(b) != 0 mod p, proving det(b) != 0, for the square
+    matrix b whose columns are ``cols`` (in the column format).
 
-    Column j is read as integer numerators n_ij over the lcm d_j of its
-    denominators (``_column_form``), and each entry n_ij / d_j is reduced
-    to n_ij * d_j^-1 mod p, which needs p to divide no denominator; a prime
-    that divides one is passed over.  The
+    Each entry n_ij / d_j is reduced to n_ij * d_j^-1 mod p, which needs p
+    to divide no d_j; a prime that divides one is passed over.  The
     reduction is then a ring map from the p-integral rationals to GF(p), so
-    a nonzero residue of the determinant proves it nonzero.  Returns None
-    when none of ``_CERTIFICATE_PRIMES`` certifies, or when the entries are
-    not rational; None proves nothing, and the caller must decide exactly.
+    a nonzero residue of the determinant, taken over the columns as rows
+    (det b^T = det b), proves it nonzero.  Returns None when none of
+    ``_CERTIFICATE_PRIMES`` certifies, or when the columns hold values; None
+    proves nothing, and the caller must decide exactly.
     """
-    if matrix.nrows != matrix.ncols:
+    if any(len(col) != len(cols) for _, col in cols):
         raise ValueError("determinant of a non-square matrix")
-    cols = _column_form(matrix)
-    if cols is None:
+    if any(den is None for den, _ in cols):
         return None
     for p in _CERTIFICATE_PRIMES:
-        # p divides the lcm d_j of a column's denominators exactly when it
-        # divides one of them
+        # in lowest terms, p divides d_j exactly when it divides the
+        # denominator of an entry of column j
         if any(int(den) % p == 0 for den, _ in cols):
             continue
-        residues = [[0] * matrix.ncols for _ in range(matrix.nrows)]
-        for j, (den, col) in enumerate(cols):
+        residues = []
+        for den, col in cols:
             inv = pow(int(den), -1, p)
-            for i, x in col.items():
-                residues[i][j] = int(x) * inv
+            residues.append([int(x) * inv for x in col])
         if _det_mod_p(residues, p):
             return p
     return None
@@ -499,63 +499,63 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
     return product_difference(x, y, y, x)
 
 
-def _column_form(m: Matrix):
-    """Column j of ``m`` as (d_j, {i: n_ij}) with m_ij = n_ij / d_j and d_j
-    the lcm of the column's denominators, read without converting ``m``;
-    None when an entry is not rational."""
-    cols = [{} for _ in range(m.ncols)]
-    for i, row in enumerate(m._values()):
-        for j, x in row.items():
-            if type(x) not in _RATIONAL_TYPES:
-                return None
-            cols[j][i] = x
-    out = []
-    for col in cols:
-        den = 1
-        for x in col.values():
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-        out.append((den, {i: x.numerator * (den // x.denominator)
-                          for i, x in col.items()}))
-    return out
+def as_column(values: list) -> tuple:
+    """The dense ``values`` in the column format: over the lcm d of their
+    denominators, which is in lowest terms (see ``_numeric``), when every
+    value is rational, else over None."""
+    if not all(map(is_rational, values)):
+        return None, values
+    d = lcm(*(x.denominator for x in values if x))
+    return d, [x.numerator * (d // x.denominator) if x else 0 for x in values]
 
 
-def intertwiner_differences(b: Matrix, pairs):
+def column_matrix(cols) -> Matrix:
+    """The Matrix whose column j is ``cols[j]`` (in the column format), with
+    its values stored as given: n_ij / d_j as a backend rational."""
+    return Matrix.from_columns([col if den is None else
+                                [RAT(x, den) if x else 0 for x in col]
+                                for den, col in cols])
+
+
+def intertwiner_differences(bcols, pairs):
     """Yield e @ b - b @ m for each (e, m) of ``pairs`` in turn, the same
-    difference Matrix as ``product_difference(e, b, b, m)``, without
-    converting ``b``.
+    difference Matrix as ``product_difference(e, b, b, m)``, for the matrix
+    b whose columns are ``bcols`` (in the column format).
 
-    Column p is e b_p - sum_q m_qp b_q.  With rational entries it is formed
-    in integers over the denominators of the columns it reads: each column
-    of b (built once per call) and of m is held as integer numerators over
-    the lcm of its own denominators, and e over its one denominator D_e.  So
-    a b whose columns have short denominators but no short common one, such
-    as a path basis, is multiplied at the size of its columns.  Every other
-    input falls back to ``product_difference``."""
-    bcols = _column_form(b)
+    Column p is e b_p - sum_q m_qp b_q, formed in integers over the
+    denominators it reads: b_p and each b_q over their own d, each m_qp
+    over its own denominator and e over its one denominator D_e.  So a b
+    whose columns have short denominators but no short common one, such as
+    a path basis, is multiplied at the size of its columns and never
+    formed.  When b, m or e is not rational, b is formed (``column_matrix``)
+    and the difference is ``product_difference``'s."""
+    nonzero = [[(i, y) for i, y in enumerate(col) if y] for _, col in bcols]
     for e, m in pairs:
-        if (e.ncols != b.nrows or b.ncols != m.nrows
-                or (e.nrows, b.ncols) != (b.nrows, m.ncols)):
+        if (e.nrows != e.ncols or (m.nrows, m.ncols) != (len(bcols),) * 2
+                or any(len(col) != e.ncols for _, col in bcols)):
             raise ValueError("shape mismatch in intertwiner difference")
-        mcols = None if bcols is None else _column_form(m)
-        if mcols is None or not _numeric(e):
+        mcols = m.transpose()._values()
+        if (any(den is None for den, _ in bcols) or not _numeric(e)
+                or any(type(x) not in _RATIONAL_TYPES
+                       for col in mcols for x in col.values())):
+            b = column_matrix(bcols)
             yield product_difference(e, b, b, m)
             continue
         ecols, de = e.transpose()._rows, e._den
         rows = [{} for _ in range(e.nrows)]
-        for p, (dm, mcol) in enumerate(mcols):
-            dp, bp = bcols[p]
-            den = lcm(de * dp, *(dm * bcols[q][0] for q in mcol))
+        for p, mcol in enumerate(mcols):
+            dp = bcols[p][0]
+            den = lcm(de * dp, *(x.denominator * bcols[q][0]
+                                 for q, x in mcol.items()))
             acc = {}
             f = den // (de * dp)
-            for k, y in bp.items():
+            for k, y in nonzero[p]:
                 y = f * y
                 for i, x in ecols[k].items():
                     acc[i] = acc[i] + x * y if i in acc else x * y
             for q, x in mcol.items():
-                dq, bq = bcols[q]
-                x = x * (den // (dm * dq))
-                for i, y in bq.items():
+                x = x.numerator * (den // (x.denominator * bcols[q][0]))
+                for i, y in nonzero[q]:
                     acc[i] = acc[i] - x * y if i in acc else -(x * y)
             for i, x in acc.items():
                 if x:
@@ -564,6 +564,7 @@ def intertwiner_differences(b: Matrix, pairs):
 
 
 __all__ = [
-    "Matrix", "commutator", "exact_det", "intertwiner_differences", "invert",
-    "nonsingular_certificate", "product_difference", "rank",
+    "Matrix", "as_column", "column_matrix", "commutator", "exact_det",
+    "intertwiner_differences", "invert", "nonsingular_certificate",
+    "product_difference", "rank",
 ]

@@ -39,10 +39,10 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._ratback import RAT, is_rational
 from .audit import Records, audit
 from .hecke import g_coefficients, lift_family, murphy, murphy_word
-from .linalg import Matrix, intertwiner_differences, invert
+from .linalg import (Matrix, as_column, column_matrix, intertwiner_differences,
+                     invert)
 from .scalars import ONE, OMEGA1, OMEGA2, THETA, HalfExponent
 from .wordrep import (ModuleSpec, PairWords, idempotent_words, irrep_dim,
                       word_product)
@@ -139,10 +139,6 @@ def matrix_r(rep: ModuleRep, i: int, u: HalfExponent) -> Matrix:
 
 def matrix_k(rep: ModuleRep, u: HalfExponent) -> Matrix:
     return _shift(rep, rep.n_sites, k_coeff(u, rep.point))
-
-
-def matrix_kbar(rep: ModuleRep, u: HalfExponent) -> Matrix:
-    return _shift(rep, 0, kbar_coeff(u, rep.point))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +318,13 @@ def path_order(n_sites: int) -> list[Path]:
 
 @dataclass
 class BasisB1:
-    """The tile-built basis on a 2^N-dimensional representation: column k
-    of ``change_of_basis`` is b_p for p = ``paths[k]``, stored only there."""
+    """The tile-built basis on a 2^N-dimensional representation:
+    ``columns[k]`` is b_p for p = ``paths[k]``, in the column format of
+    ``linalg``, and stored only there."""
 
     rep: ModuleRep
     paths: list[Path]
-    change_of_basis: Matrix
+    columns: list
     _inverse: Matrix | None = field(default=None, repr=False)
     _tile_action: tuple | None = field(default=None, repr=False)
 
@@ -338,6 +335,13 @@ class BasisB1:
     @property
     def point(self):
         return self.rep.point
+
+    @cached_property
+    def change_of_basis(self) -> Matrix:
+        """B, column k b_p, formed the first time its rows are read: by the
+        transport ``in_coordinates`` and by ``murphy_audit_b1``'s canonical
+        fallback."""
+        return column_matrix(self.columns)
 
     def inverse(self) -> Matrix:
         if self._inverse is None:
@@ -358,12 +362,12 @@ class BasisB1:
     def tile_action(self) -> tuple[list[Matrix], dict[tuple[int, Path], bool]]:
         """``tile_generators`` of this basis, and for each (i, path) whether
         E_i b_p = sum_q (M_i)_qp b_q holds exactly, that is whether column p
-        of E_i B - B M_i is zero; computed once, and B is not converted
-        (``linalg.intertwiner_differences``)."""
+        of E_i B - B M_i is zero; computed once from the columns, and B is
+        not formed (``linalg.intertwiner_differences``)."""
         if self._tile_action is None:
             gens = tile_generators(self.paths, self.point)
             diffs = intertwiner_differences(
-                self.change_of_basis,
+                self.columns,
                 ((self.rep.e_matrix(i), gen) for i, gen in enumerate(gens)))
             held = {}
             for i, diff in enumerate(diffs):
@@ -402,46 +406,34 @@ def tile_generators(paths: list[Path], point) -> list[Matrix]:
 def build_b1(rep: ModuleRep) -> BasisB1:
     """Grow all 2^N vectors from the fundamental one by tile addition.
 
-    At a rational point each b_p is held as integer numerators over its own
-    denominator (``_grow``); a symbolic point grows the values as they
-    are.  Either way each step applies e_i by ``rep.apply_e``."""
+    Each b_p is grown in the column format (``_grow``): at a rational point
+    as integer numerators over its own denominator, at a symbolic point as
+    its values.  Either way each step applies e_i by ``rep.apply_e``."""
     n = rep.n_sites
     if rep.dim != 1 << n:
         raise ValueError("the path basis lives on a 2^N-dimensional module")
     paths = path_order(n)
-    fund = rep.fundamental_vector()
-    integer = is_rational(rep.point.one) and all(map(is_rational, fund))
-    if integer:
-        den = lcm(*(x.denominator for x in fund))
-        fund = (den, [x.numerator * (den // x.denominator) for x in fund])
-    vectors: dict[Path, object] = {fundamental_path(n): fund}
-    for path in paths:
-        if path in vectors:
-            continue
-        for tile in removable_tiles(path):
-            prev = unapply_tile(path, tile)
-            if prev not in vectors:
-                continue
-            c_lo, _ = _tile_coeffs(rep.point, tile.boundary, tile.shoulder)
-            vectors[path] = (_grow(rep, tile.position, c_lo, vectors[prev])
-                             if integer else
-                             _shift(rep, tile.position, c_lo, vectors[prev]))
-            break
-        else:
-            raise AssertionError(f"no built predecessor for path {path}")
-    if integer:
-        vectors = {p: [RAT(x, den) if x else 0 for x in nums]
-                   for p, (den, nums) in vectors.items()}
-    cob = Matrix.from_columns([vectors[p] for p in paths])
-    return BasisB1(rep, paths, cob)
+    fund = as_column(rep.fundamental_vector())
+    # paths come by weight, the fundamental one first, so removing any tile
+    # of a path leads to one grown before it
+    vectors: dict[Path, tuple] = {fundamental_path(n): fund}
+    for path in paths[1:]:
+        tile = removable_tiles(path)[0]
+        c_lo, _ = _tile_coeffs(rep.point, tile.boundary, tile.shoulder)
+        vectors[path] = _grow(rep, tile.position, c_lo,
+                              vectors[unapply_tile(path, tile)])
+    return BasisB1(rep, paths, [vectors[p] for p in paths])
 
 
-def _grow(rep: ModuleRep, j: int, c, col: tuple[int, list[int]]):
-    """(e_j - c) b for b = nums / den, as (den', nums') in lowest terms:
-    e_j is applied to the numerators by ``rep.apply_e``, and the difference
-    is taken in integers over the lcm of the denominators of the image and
-    of c, then divided by one gcd."""
+def _grow(rep: ModuleRep, j: int, c, col: tuple):
+    """(e_j - c) b for the column b = nums / den, as (den', nums') in lowest
+    terms: e_j is applied to the numerators by ``rep.apply_e``, and the
+    difference is taken in integers over the lcm of the denominators of
+    the image and of c, then divided by one gcd.  A column of values
+    (den None) is shifted as it is."""
     den, nums = col
+    if den is None:
+        return None, _shift(rep, j, c, nums)
     image = rep.apply_e(j, nums)
     d = c.denominator
     for y in image:
@@ -794,7 +786,7 @@ __all__ = [
     "gram_normalization_exponent", "idempotent_identities",
     "idempotent_image", "idempotent_matrix",
     "k_coeff", "kbar_coeff",
-    "matrix_k", "matrix_kbar", "matrix_r", "murphy_audit_b1",
+    "matrix_k", "matrix_r", "murphy_audit_b1",
     "murphy_eigenvalue", "path_order", "path_weight", "r_coeff",
     "removable_tiles", "tile_generators", "tile_multiset",
     "tile_order_independence", "unapply_tile", "ybe_audit",

@@ -164,23 +164,23 @@ def equivalence_audit(rep: SpinRep) -> list[dict]:
     B_s is the spin path basis (columns) and M_d the half-diagram generator
     in its own path coordinates.  ``nonsingular_certificate`` proves
     det(B_s) != 0 by a nonzero residue modulo a prime; failing that, B_s is
-    inverted exactly, which raises ZeroDivisionError when it is singular.
-    With B_s invertible the identity is B_s^-1 E_s B_s = M_d: the generator
-    matrices agree entry by entry in the two path coordinate systems.  A
-    failing record names an entry of E_s B_s - B_s M_d, which is formed
-    column by column (``linalg.intertwiner_differences``), so B_s is never
-    converted to one common denominator.
+    formed and inverted exactly, which raises ZeroDivisionError when it is
+    singular.  With B_s invertible the identity is B_s^-1 E_s B_s = M_d: the
+    generator matrices agree entry by entry in the two path coordinate
+    systems.  A failing record names an entry of E_s B_s - B_s M_d, which
+    is formed column by column (``linalg.intertwiner_differences``).  Both
+    read the columns B_s was grown in, so at a rational point B_s is never
+    formed when the certificate holds.
     """
     out = ebar_identities(rep)
     spin_gens = [rep.e_matrix(i) for i in range(rep.n_sites + 1)]
     basis_d = build_b1(ModuleRep(ModuleSpec.big(rep.n_sites, rep.point)))
     basis_s = build_b1(rep)
-    cob = basis_s.change_of_basis
-    if nonsingular_certificate(cob) is None:
+    if nonsingular_certificate(basis_s.columns) is None:
         basis_s.inverse()  # exact; raises ZeroDivisionError when singular
     diffs = intertwiner_differences(
-        cob, ((e_spin, basis_d.generator_in_coordinates(i))
-              for i, e_spin in enumerate(spin_gens)))
+        basis_s.columns, ((e_spin, basis_d.generator_in_coordinates(i))
+                          for i, e_spin in enumerate(spin_gens)))
     for i, diff in enumerate(diffs):
         out.append(audit(f"spin.equiv.e{i}", diff))
     # centre: the sum of the affine Murphy elements and their inverses

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tl2b.diagrams import act_on_half
-from tl2b.linalg import Matrix
+from tl2b.linalg import Matrix, as_column
 from tl2b.scalars import make_param_point
 
 SEEDS = (1, 2, 3)
@@ -27,6 +27,11 @@ def points():
 def assert_all_pass(records):
     bad = [r for r in records if r["status"] != "pass"]
     assert not bad, f"failed identities: {[r['identity_id'] for r in bad]}"
+
+
+def columns_of(m):
+    """The Matrix ``m`` in the column format of ``linalg``."""
+    return [as_column(m.column(j)) for j in range(m.ncols)]
 
 
 def diagram_matrix(d, spec):

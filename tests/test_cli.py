@@ -367,3 +367,46 @@ def test_relations_builds_each_generator_once(monkeypatch):
                         lambda spec, i: calls.append(i) or table(spec, i))
     code, _ = run(["relations", "--n", "3", "--seed", "2"])
     assert code == 0 and sorted(calls) == [0, 1, 2, 3]
+
+
+def _spy(monkeypatch, owner, attr, name, calls, stack):
+    """Replace ``owner.attr`` and every tl2b module's reference to it by a
+    wrapper that records (``name``, the names it was called inside)."""
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append((name, tuple(stack)))
+        stack.append(name)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("tl2b.")
+                and getattr(module, attr, None) is original):
+            monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("command", ["basis", "spinchain"])
+def test_the_path_basis_keeps_the_calls_the_benchmark_times(monkeypatch,
+                                                            command):
+    # perfbench times these spans on `operators` and `critical` and fails
+    # its guard when one records no call
+    from tl2b import linalg, pathbasis
+
+    calls, stack = [], []
+    _spy(monkeypatch, pathbasis, "build_b1", "build_b1", calls, stack)
+    _spy(monkeypatch, pathbasis.ModuleRep, "apply_e", "apply_e", calls, stack)
+    _spy(monkeypatch, pathbasis.BasisB1, "in_coordinates", "in_coordinates",
+         calls, stack)
+    _spy(monkeypatch, linalg, "invert", "invert", calls, stack)
+    code, out = run([command, "--n", "3"])
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert any(name == "apply_e" and "build_b1" in inside
+               for name, inside in calls)
+    if command == "spinchain":
+        assert ("in_coordinates", ()) in calls
+        assert any(name == "invert" and "in_coordinates" in inside
+                   for name, inside in calls)

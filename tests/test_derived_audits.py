@@ -15,14 +15,15 @@ import random
 
 import pytest
 
+from conftest import columns_of
 from tl2b import hecke
 from tl2b._ratback import RAT
 from tl2b.audit import audit
 from tl2b.hecke import lift_family, murphy
 from tl2b.linalg import (Matrix, commutator, intertwiner_differences, invert,
                          product_difference)
-from tl2b.pathbasis import (ModuleRep, _YBE_BATTERY, build_b1, k_coeff,
-                            kbar_coeff, matrix_k, matrix_kbar, matrix_r,
+from tl2b.pathbasis import (BasisB1, ModuleRep, _YBE_BATTERY, _shift,
+                            build_b1, k_coeff, kbar_coeff, matrix_k, matrix_r,
                             r_coeff, tile_generators, ybe_audit)
 from tl2b import spinchain
 from tl2b.scalars import OMEGA1, OMEGA2, ONE, THETA, HalfExponent
@@ -110,6 +111,9 @@ def old_ybe_audit(rep):
     n = rep.n_sites
     ident = Matrix.identity(rep.dim)
     point = rep.point
+    def matrix_kbar(rep, u):
+        return _shift(rep, 0, kbar_coeff(u, point))
+
     walls = (("left", "kbar", 1, matrix_kbar, kbar_coeff),
              ("right", "k", n - 1, matrix_k, k_coeff))
     out = []
@@ -322,7 +326,7 @@ def _random_rows(rng, nrows, ncols, density=0.5, den=9):
 def _check(b, pairs):
     """The routine's differences equal those of ``product_difference`` on
     copies, and leave b unconverted."""
-    got = list(intertwiner_differences(b, pairs))
+    got = list(intertwiner_differences(columns_of(b), pairs))
     stored = [dict(row) for row in b._rows]
     for diff, (e, m) in zip(got, pairs):
         want = product_difference(Matrix(e.rows), Matrix(b.rows),
@@ -377,7 +381,7 @@ def test_column_differences_fall_back_on_symbolic_entries():
                          (Matrix([[1, 2], [3, RAT(1, 2)]]), (e, m)),
                          (Matrix([[1, 2], [3, RAT(1, 2)]]),
                           (Matrix([[1, 0], [RAT(2, 3), 1]]), m))):
-        (got,) = intertwiner_differences(pair_b, [pair])
+        (got,) = intertwiner_differences(columns_of(pair_b), [pair])
         assert got == pair[0] @ pair_b - pair_b @ pair[1]
 
 
@@ -386,16 +390,17 @@ def test_column_differences_reject_mismatched_shapes():
     wide = Matrix([[1, 2, 3], [4, 5, 6]])
     for b, e, m in ((two, three, two), (two, two, three), (wide, two, two)):
         with pytest.raises(ValueError, match="shape mismatch"):
-            list(intertwiner_differences(b, [(e, m)]))
+            list(intertwiner_differences(columns_of(b), [(e, m)]))
 
 
 # ---------------------------------------------------------------------------
-# the path bases are read, never converted
+# the path bases are read from their columns, never formed or converted
 
 
 def test_tile_action_leaves_the_basis_unconverted(point):
     basis = build_b1(ModuleRep(ModuleSpec.big(4, point)))
     basis.tile_action()
+    assert "change_of_basis" not in vars(basis)
     assert basis.change_of_basis._den is None
 
 
@@ -413,4 +418,52 @@ def test_equivalence_audit_leaves_the_spin_basis_unconverted(monkeypatch,
     records = equivalence_audit(SpinRep(4, point))
     assert all(r["status"] == "pass" for r in records)
     spin = [b for b in built if isinstance(b.rep, SpinRep)]
-    assert len(spin) == 1 and spin[0].change_of_basis._den is None
+    assert len(spin) == 1 and "change_of_basis" not in vars(spin[0])
+    assert spin[0].change_of_basis._den is None
+    # B_d is formed once, for the transport of its generators
+    (diagram,) = (b for b in built if not isinstance(b.rep, SpinRep))
+    assert "change_of_basis" in vars(diagram)
+
+
+def _corrupted(basis, k):
+    """``basis`` with the first nonzero entry of column k raised by one: its
+    numerator n becomes n + d, or its value x becomes x + 1 in a column of
+    values."""
+    den, col = basis.columns[k]
+    i = next(i for i, x in enumerate(col) if x)
+    col = list(col)
+    col[i] += 1 if den is None else den
+    cols = list(basis.columns)
+    cols[k] = (den, col)
+    return BasisB1(basis.rep, basis.paths, cols)
+
+
+@pytest.mark.parametrize("n, k, symbolic", [(3, 5, False), (2, 1, True)])
+def test_a_corrupted_basis_column_fails_at_the_same_entry(monkeypatch, point,
+                                                          n, k, symbolic):
+    point = SymbolicPoint() if symbolic else point
+    big = ModuleSpec.big(n, point)
+    # the tile verdicts of B_d, and each difference, against the formed B
+    corrupt = _corrupted(build_b1(ModuleRep(big)), k)
+    gens, held = corrupt.tile_action()
+    assert held == old_tile_verdicts(corrupt) and not all(held.values())
+    cob = corrupt.change_of_basis
+    pairs = [(corrupt.rep.e_matrix(i), gen) for i, gen in enumerate(gens)]
+    for diff, (e, m) in zip(intertwiner_differences(corrupt.columns, pairs),
+                            pairs):
+        want = product_difference(e, cob, cob, m)
+        assert diff == want and diff.first_nonzero() == want.first_nonzero()
+    # the spin.equiv records of B_s, against product_difference on B_s
+    original = spinchain.build_b1
+    monkeypatch.setattr(spinchain, "build_b1", lambda rep: (
+        _corrupted(original(rep), k) if isinstance(rep, SpinRep)
+        else original(rep)))
+    rep = SpinRep(n, point)
+    got = [r for r in equivalence_audit(rep)
+           if r["identity_id"].startswith("spin.equiv.")]
+    basis_d = build_b1(ModuleRep(big))
+    cob = _corrupted(build_b1(rep), k).change_of_basis
+    want = [audit(f"spin.equiv.e{i}", product_difference(
+        rep.e_matrix(i), cob, cob, basis_d.generator_in_coordinates(i)))
+        for i in range(n + 1)]
+    assert got == want and any(r["status"] == "fail" for r in want)

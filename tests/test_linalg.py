@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import columns_of
 import tl2b
 from tl2b import linalg
 from tl2b._ratback import RAT
@@ -25,6 +26,11 @@ from tl2b.symbolic import SymbolicPoint
 from tl2b.wordrep import ModuleSpec, generator_matrix
 
 RAT_TYPE = type(RAT(1))
+
+
+def _certificate(m):
+    """``nonsingular_certificate`` of the Matrix ``m``, read as columns."""
+    return nonsingular_certificate(columns_of(m))
 
 
 def _random_rational_matrix(n, seed):
@@ -313,7 +319,7 @@ def test_reading_a_matrix_leaves_it_as_given():
     m = Matrix(rows)
     stored = [dict(row) for row in m._rows]
     m.rows, m[1, 1], m.column(0), m.apply([1, 2, 3]), m.transpose()
-    exact_det(m), nonsingular_certificate(m), invert(m), rank(m)
+    exact_det(m), _certificate(m), invert(m), rank(m)
     assert m == Matrix(rows) and m.scalar_multiple_of_identity() is None
     assert m._den is None and m._rows == stored
     m @ m
@@ -743,21 +749,21 @@ def test_determinants_import_no_numpy():
 def test_certificate_proves_a_nonzero_determinant(data, n):
     # mostly zero entries: singular draws are common
     m = Matrix(data.draw(dense_rows(n, n)))
-    p = nonsingular_certificate(m)
+    p = _certificate(m)
     if p is not None:
         assert p in _CERTIFICATE_PRIMES
         assert exact_det(m) != 0
 
 
 def test_singular_matrices_get_no_certificate():
-    assert nonsingular_certificate(Matrix([[1, 2], [2, 4]])) is None
+    assert _certificate(Matrix([[1, 2], [2, 4]])) is None
     third = RAT(1, 3)
     singular = Matrix([[third, RAT(2, 5), 1],
                        [2 * third, RAT(4, 5), 2],
                        [RAT(7, 2), 0, RAT(-1, 9)]])
     assert exact_det(singular) == 0
-    assert nonsingular_certificate(singular) is None
-    assert nonsingular_certificate(Matrix.zeros(3, 3)) is None
+    assert _certificate(singular) is None
+    assert _certificate(Matrix.zeros(3, 3)) is None
 
 
 def test_certificate_primes_are_prime():
@@ -771,18 +777,28 @@ def test_certificate_passes_over_a_prime_dividing_a_denominator():
     # 1/first has no residue mod first: the second prime certifies
     m = Matrix([[RAT(1, first), RAT(2, 3)], [RAT(5, 7), 1]])
     assert exact_det(m) != 0
-    assert nonsingular_certificate(m) == second
+    assert _certificate(m) == second
 
 
 def test_certificate_passes_over_a_prime_dividing_the_determinant():
     first, second, *_ = primes = _CERTIFICATE_PRIMES
-    # the integerised rows are [[first, 0], [0, 1]]: det = first
+    # the integerised columns are [[first, 0], [0, 1]]: det = first
     m = Matrix([[RAT(first), 0], [0, RAT(1, 3)]])
-    assert nonsingular_certificate(m) == second
+    assert _certificate(m) == second
     # every tried prime divides the determinant: no certificate, and the
     # exact fallback still finds the matrix nonsingular
     product = math.prod(primes)
     m = Matrix([[RAT(product, 7), 0], [0, RAT(1, 11)]])
-    assert nonsingular_certificate(m) is None
+    assert _certificate(m) is None
     assert exact_det(m) == RAT(product, 77)
     assert invert(m) @ m == Matrix.identity(2)
+
+
+def test_certificate_reads_square_columns_of_rationals():
+    # columns of values (a symbolic point) prove nothing
+    x = SymbolicPoint().qnum(THETA)
+    assert nonsingular_certificate([(None, [x, 0]), (None, [0, x])]) is None
+    assert (nonsingular_certificate([(1, [1, 0]), (3, [0, 1])])
+            in _CERTIFICATE_PRIMES)
+    with pytest.raises(ValueError, match="non-square"):
+        nonsingular_certificate([(1, [1, 0, 0]), (1, [0, 1, 0])])

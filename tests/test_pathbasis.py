@@ -5,7 +5,7 @@ import pytest
 from conftest import assert_all_pass
 from tl2b import pathbasis
 from tl2b._ratback import RAT
-from tl2b.linalg import Matrix, _extend_span, exact_det
+from tl2b.linalg import Matrix, _extend_span, as_column, exact_det
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, ParamPoint,
                           make_param_point)
 from tl2b.pathbasis import (BasisB1, ModuleRep, action_audit_b1,
@@ -112,8 +112,8 @@ def _vector(basis, path):
 
 
 def _with_columns(basis, cols):
-    """``basis`` with its change of basis replaced by ``cols``."""
-    return BasisB1(basis.rep, basis.paths, Matrix.from_columns(cols))
+    """``basis`` with its columns replaced by the value columns ``cols``."""
+    return BasisB1(basis.rep, basis.paths, [as_column(c) for c in cols])
 
 
 def _regrown_order_independence(basis):

@@ -21,10 +21,12 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from graphlib import CycleError, TopologicalSorter
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from conftest import columns_of
 import tl2b
 from tl2b import cli, hecke, pathbasis, wordrep
 from tl2b._ratback import RAT
@@ -588,6 +590,8 @@ def test_integer_growth_gives_the_value_columns(any_point, n):
     for rep in (ModuleRep(ModuleSpec.big(n, any_point)),
                 SpinRep(n, any_point)):
         basis = build_b1(rep)
+        # the columns are in lowest terms, as the column format requires
+        assert all(gcd(d, *col) == 1 for d, col in basis.columns)
         assert basis.change_of_basis.rows == old_build_b1(rep).rows
         assert basis.change_of_basis._den is None
 
@@ -610,14 +614,19 @@ def test_the_certificate_matches_the_dense_rows():
         if k % 5 == 0:  # a repeated row: singular
             rows[-1] = list(rows[0])
         m = Matrix(rows)
-        assert nonsingular_certificate(m) == old_nonsingular_certificate(m)
+        assert (nonsingular_certificate(columns_of(m))
+                == old_nonsingular_certificate(m))
     ints = Matrix([[2, 1], [1, 1]])
-    assert nonsingular_certificate(ints) == old_nonsingular_certificate(ints)
+    assert (nonsingular_certificate(columns_of(ints))
+            == old_nonsingular_certificate(ints))
 
 
 def test_the_certificate_of_a_spin_path_basis(any_point):
-    cob = build_b1(SpinRep(4, any_point)).change_of_basis
-    assert nonsingular_certificate(cob) == old_nonsingular_certificate(cob)
+    basis = build_b1(SpinRep(4, any_point))
+    got = nonsingular_certificate(basis.columns)
+    assert "change_of_basis" not in vars(basis)
+    cob = basis.change_of_basis
+    assert got == old_nonsingular_certificate(cob)
     assert cob._den is None
 
 
