@@ -5,7 +5,7 @@ import pytest
 from conftest import assert_all_pass
 from tl2b import pathbasis
 from tl2b._ratback import RAT
-from tl2b.linalg import Matrix, _extend_span, as_column, exact_det
+from tl2b.linalg import _extend_span, as_column, exact_det
 from tl2b.scalars import (HalfExponent, OMEGA1, OMEGA2, ONE, ParamPoint,
                           make_param_point)
 from tl2b.pathbasis import (BasisB1, ModuleRep, action_audit_b1,
